@@ -1,12 +1,13 @@
 """Command-line front end.
 
 One experiment per invocation.  Ad-hoc subcommands (build, correlate,
-rigidity, ledrapier, cesaro, gauss, poisson) assemble a config from flags;
-`experiment <name>` runs a named experiment, optionally from a JSON config
-file.  Reports are written atomically; a failed run leaves no partial file.
+rigidity, ledrapier, cesaro, gauss, poisson) assemble a config from flags
+generated from their experiment's params schema; `experiment <name>` runs a
+named experiment, optionally from a JSON config file.  Reports are written
+atomically; a failed run leaves no partial file.
 
 Exit codes: 0 all checks passed, 1 a statistical or certified check failed,
-2 config or schema violation, 3 construction depth exhausted.
+2 config, schema or domain violation, 3 construction depth exhausted.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import sys
 
 from .experiments import (
     ConfigError,
+    command_specs,
     default_config,
     describe_experiments,
     run_experiment,
@@ -47,17 +49,32 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_construction_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--construction",
-        choices=["chacon", "odometer", "staircase", "theorem6"],
-        default=None,
-    )
-    sub.add_argument("--r", type=int, default=None, help="odometer branching")
-    sub.add_argument("--role", choices=["t", "s"], default=None)
-    sub.add_argument(
-        "--spec-file", default=None, help="JSON file with explicit stage data"
-    )
+_SCALAR_TYPES = {"integer": int, "number": float, "string": str}
+
+
+def _kind(prop: dict) -> str:
+    """The one non-null JSON type of a schema property."""
+    types = prop["type"] if isinstance(prop["type"], list) else [prop["type"]]
+    (kind,) = set(types) - {"null"}
+    return kind
+
+
+def _add_param_flags(sub: argparse.ArgumentParser, schema: dict) -> None:
+    """One flag per schema property: `--a-stage` for `a_stage`, and
+    `--<name>-file` (a JSON file) for an object property."""
+    for name, prop in schema["properties"].items():
+        flag = "--" + name.replace("_", "-")
+        kind = _kind(prop)
+        if kind == "object":
+            sub.add_argument(flag + "-file", dest=name, metavar="FILE")
+        elif kind == "array":
+            sub.add_argument(flag, type=_int_list)
+        elif kind == "boolean":
+            sub.add_argument(flag, action=argparse.BooleanOptionalAction)
+        else:
+            sub.add_argument(
+                flag, type=_SCALAR_TYPES[kind], choices=prop.get("enum")
+            )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,65 +85,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build", help="build tower stages, verify the recurrence")
-    _add_construction_flags(p)
-    p.add_argument("--depth", type=int, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("correlate", help="exact correlation interval for one shift")
-    _add_construction_flags(p)
-    p.add_argument("--n", type=int, required=True)
-    for prefix in ("a", "b"):
-        p.add_argument(f"--{prefix}-stage", type=int, default=None)
-        p.add_argument(f"--{prefix}-lo", type=int, default=None)
-        p.add_argument(f"--{prefix}-hi", type=int, default=None)
-    p.add_argument("--depth", type=int, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("rigidity", help="classify shifts against a level set")
-    _add_construction_flags(p)
-    p.add_argument("--a-stage", type=int, default=None)
-    p.add_argument("--a-levels", type=_int_list, default=None)
-    p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--theta", type=float, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("ledrapier", help="exact GF(2) cylinder measure table")
-    p.add_argument("--k-max", type=int, default=None)
-    p.add_argument("--generic-pairs", type=int, default=None)
-    p.add_argument("--generic-seed", type=int, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("cesaro", help="conjugation defect against its majorants")
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--plane", type=_int_list, default=None, metavar="I,J")
-    p.add_argument("--angle", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--vector-seed", type=int, default=None)
-    p.add_argument("--ns", type=_int_list, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("gauss", help="Hermite correlations of the Gaussian model")
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--degrees", type=_int_list, default=None)
-    p.add_argument("--shifts", type=_int_list, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--n-batches", type=int, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("poisson", help="suspension count covariances vs exact")
-    p.add_argument("--window-stage", type=int, default=None)
-    p.add_argument("--window-size", type=int, default=None)
-    p.add_argument("--depth", type=int, default=None)
-    for prefix in ("a", "b"):
-        p.add_argument(f"--{prefix}-stage", type=int, default=None)
-        p.add_argument(f"--{prefix}-lo", type=int, default=None)
-        p.add_argument(f"--{prefix}-hi", type=int, default=None)
-    p.add_argument("--ns", type=_int_list, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--n-batches", type=int, default=None)
-    _add_common(p)
+    for spec in command_specs():
+        p = sub.add_parser(
+            spec.command, help=spec.description, description=spec.description
+        )
+        _add_param_flags(p, spec.params_schema)
+        _add_common(p)
+        p.set_defaults(experiment_spec=spec)
 
     p = sub.add_parser("experiment", help="run a named experiment")
     p.add_argument("name")
@@ -136,29 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list-experiments", help="catalogue of named experiments")
 
     return parser
-
-
-_FLAG_PARAMS = {
-    "build": ["construction", "r", "role", "depth"],
-    "correlate": [
-        "construction", "r", "role", "n", "depth",
-        "a_stage", "a_lo", "a_hi", "b_stage", "b_lo", "b_hi",
-    ],
-    "rigidity": [
-        "construction", "r", "role", "a_stage", "a_levels",
-        "n_max", "depth", "theta",
-    ],
-    "ledrapier": ["k_max", "generic_pairs", "generic_seed"],
-    "cesaro": ["dim", "plane", "angle", "delta", "vector_seed", "ns"],
-    "gauss": ["dim", "degrees", "shifts", "samples", "n_batches"],
-    "poisson": [
-        "window_stage", "window_size", "depth",
-        "a_stage", "a_lo", "a_hi", "b_stage", "b_lo", "b_hi",
-        "ns", "samples", "n_batches",
-    ],
-}
-
-_COMMAND_EXPERIMENT = {"rigidity": "rigidity-scan", "cesaro": "eq1-sweep"}
 
 
 def _load_json(path: str) -> dict:
@@ -187,18 +129,13 @@ def _config_from_args(args: argparse.Namespace) -> dict:
         else:
             config = default_config(args.name)
     else:
+        spec = args.experiment_spec
         params = {}
-        for key in _FLAG_PARAMS[args.command]:
-            value = getattr(args, key)
+        for name, prop in spec.params_schema["properties"].items():
+            value = getattr(args, name)
             if value is not None:
-                params[key] = value
-        if "spec_file" in vars(args) and args.spec_file is not None:
-            params.pop("construction", None)
-            params["spec"] = _load_json(args.spec_file)
-        config = {
-            "experiment": _COMMAND_EXPERIMENT.get(args.command, args.command),
-            "params": params,
-        }
+                params[name] = _load_json(value) if _kind(prop) == "object" else value
+        config = {"experiment": spec.name, "params": params}
     if args.seed is not None:
         config["seed"] = args.seed
     env_seed = os.environ.get("ERGOLAB_SEED")
@@ -222,9 +159,6 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(args)
         report = run_experiment(config, jobs=max(1, args.jobs))
-    except ConfigError as exc:
-        print(f"ergolab: config error: {exc}", file=sys.stderr)
-        return 2
     except _DEPTH_ERRORS as exc:
         module = type(exc).__module__
         print(
@@ -233,6 +167,9 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 3
+    except ValueError as exc:  # ConfigError, or a domain check in the library
+        print(f"ergolab: config error: {exc}", file=sys.stderr)
+        return 2
 
     out_path = args.out or report.config.get("out")
     csv_path = args.csv or report.config.get("csv")

@@ -4,8 +4,8 @@ Every experiment has a JSON-schema-validated config (unknown fields are
 rejected), a default parameter block that reproduces the calibrated runs
 documented in the README, and a runner returning result rows plus named
 pass/fail checks.  The same machinery backs the ad-hoc subcommands (build,
-correlate, rigidity, ledrapier, cesaro, gauss, poisson), which are just
-unlisted entries of the catalogue.
+correlate, rigidity, ledrapier, cesaro, gauss, poisson): an entry's `command`
+names its subcommand, whose flags are generated from the params schema.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Callable
+from typing import Callable, Optional
 
 import jsonschema
 
@@ -61,6 +61,7 @@ from .tower import (
 __all__ = [
     "ConfigError",
     "EXPERIMENT_NAMES",
+    "command_specs",
     "default_config",
     "describe_experiments",
     "resolve_config",
@@ -652,6 +653,7 @@ class ExperimentSpec:
     runner: Callable
     overrides: dict
     listed: bool = True
+    command: Optional[str] = None
 
 
 _MC_PROPS = {
@@ -690,6 +692,7 @@ _SPECS = [
         defaults={"k_max": 10, "generic_pairs": 20, "generic_seed": 7},
         runner=_run_ledrapier,
         overrides={},
+        command="ledrapier",
     ),
     ExperimentSpec(
         name="theorem1",
@@ -765,6 +768,7 @@ _SPECS = [
         },
         runner=_run_eq1_sweep,
         overrides={"threshold": "final_bound"},
+        command="cesaro",
     ),
     ExperimentSpec(
         name="wh-gaussian",
@@ -859,6 +863,7 @@ _SPECS = [
         },
         runner=_run_rigidity,
         overrides={"depth": "depth", "threshold": "theta"},
+        command="rigidity",
     ),
     ExperimentSpec(
         name="triple-mixing",
@@ -895,6 +900,7 @@ _SPECS = [
         runner=_run_build,
         overrides={"depth": "depth"},
         listed=False,
+        command="build",
     ),
     ExperimentSpec(
         name="correlate",
@@ -925,6 +931,7 @@ _SPECS = [
         runner=_run_correlate,
         overrides={"depth": "depth"},
         listed=False,
+        command="correlate",
     ),
     ExperimentSpec(
         name="gauss",
@@ -952,6 +959,7 @@ _SPECS = [
         runner=_run_gauss,
         overrides={},
         listed=False,
+        command="gauss",
     ),
     ExperimentSpec(
         name="poisson",
@@ -990,6 +998,7 @@ _SPECS = [
         runner=_run_poisson_cov,
         overrides={"depth": "depth"},
         listed=False,
+        command="poisson",
     ),
 ]
 
@@ -1000,6 +1009,11 @@ EXPERIMENT_NAMES = [spec.name for spec in _SPECS if spec.listed]
 
 def describe_experiments() -> list:
     return [(spec.name, spec.description) for spec in _SPECS if spec.listed]
+
+
+def command_specs() -> list:
+    """Catalogue entries that back an ad-hoc CLI subcommand."""
+    return [spec for spec in _SPECS if spec.command is not None]
 
 
 def default_config(name: str) -> dict:

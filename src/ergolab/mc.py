@@ -1,22 +1,23 @@
 """Batch-means Monte Carlo with reproducible per-batch streams.
 
-Each batch b draws from numpy's default_rng seeded with [seed, b], so results
-do not depend on how batches are scheduled across workers: running ranges in
-parallel and concatenating the batch means in index order reproduces a serial
-run bit for bit.
+Every estimate is the mean of one scalar statistic per batch; a batch-means
+estimate is the case where that statistic is the sample mean.  Each batch b
+draws from numpy's default_rng seeded with [seed, b], so results do not
+depend on how batches are scheduled across workers: running ranges in
+parallel and concatenating the batch values in index order reproduces a
+serial run bit for bit.
 """
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "EstimateWithError",
     "MIN_BATCHES",
-    "run_batch_means",
     "run_batch_stats",
     "combine_batch_means",
     "batch_estimate",
@@ -37,27 +38,6 @@ class EstimateWithError:
 
     def within(self, target: float, n_sigma: float = 5.0) -> bool:
         return abs(self.value - target) <= n_sigma * self.stderr
-
-
-def run_batch_means(
-    sampler: BatchSampler,
-    batch_size: int,
-    batch_range: range,
-    seed: int,
-) -> np.ndarray:
-    """Mean of each batch in the given index range."""
-    if batch_size < 1:
-        raise ValueError("batch_size must be positive")
-    means = np.empty(len(batch_range))
-    for slot, b in enumerate(batch_range):
-        rng = np.random.default_rng([int(seed), int(b)])
-        values = np.asarray(sampler(rng, batch_size), dtype=float)
-        if values.shape != (batch_size,):
-            raise ValueError(
-                f"sampler returned shape {values.shape}, wanted ({batch_size},)"
-            )
-        means[slot] = values.mean()
-    return means
 
 
 def combine_batch_means(
@@ -83,9 +63,7 @@ def run_batch_stats(
     batch_range: range,
     seed: int,
 ) -> np.ndarray:
-    """One scalar statistic per batch (for estimands that are not means)."""
-    if batch_size < 2:
-        raise ValueError("batch statistics need at least two samples per batch")
+    """One scalar statistic per batch in the given index range."""
     values = np.empty(len(batch_range))
     for slot, b in enumerate(batch_range):
         rng = np.random.default_rng([int(seed), int(b)])
@@ -98,46 +76,14 @@ def _split_ranges(n_batches: int, jobs: int) -> list[range]:
     return [range(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
 
 
-def batch_estimate(
-    sampler: BatchSampler,
-    *,
-    batch_size: int,
-    n_batches: int = 32,
-    seed: int = 0,
-    jobs: int = 1,
-) -> EstimateWithError:
-    """Batch-means estimate of E[sample], with a sample-std standard error."""
-    if n_batches < MIN_BATCHES:
-        raise ValueError(f"need at least {MIN_BATCHES} batches for a stable stderr")
-    if jobs < 1:
-        raise ValueError("jobs must be positive")
-    if jobs == 1:
-        means = run_batch_means(sampler, batch_size, range(n_batches), seed)
-    else:
-        ranges = _split_ranges(n_batches, jobs)
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            parts = list(
-                pool.map(
-                    lambda r: run_batch_means(sampler, batch_size, r, seed), ranges
-                )
-            )
-        means = np.concatenate(parts)
-    return combine_batch_means(means, batch_size, seed)
-
-
-def batch_statistic_estimate(
+def _pooled_estimate(
     stat: Callable[[np.random.Generator, int], float],
-    *,
     batch_size: int,
-    n_batches: int = 32,
-    seed: int = 0,
-    jobs: int = 1,
+    n_batches: int,
+    seed: int,
+    jobs: int,
 ) -> EstimateWithError:
-    """Batch means of a per-batch scalar statistic (covariances and the like).
-
-    The statistic must be unbiased at the batch size for the combined value to
-    be unbiased; the stderr is the spread of the per-batch values.
-    """
+    """Run every batch, split over up to `jobs` threads, and combine."""
     if n_batches < MIN_BATCHES:
         raise ValueError(f"need at least {MIN_BATCHES} batches for a stable stderr")
     if jobs < 1:
@@ -154,18 +100,45 @@ def batch_statistic_estimate(
     return combine_batch_means(values, batch_size, seed)
 
 
-def estimate_sequence(
-    samplers: Sequence[BatchSampler],
+def _mean_statistic(sampler: BatchSampler):
+    """The per-batch statistic of a batch-means estimate: the sample mean."""
+
+    def mean(rng: np.random.Generator, size: int) -> float:
+        values = np.asarray(sampler(rng, size), dtype=float)
+        if values.shape != (size,):
+            raise ValueError(f"sampler returned shape {values.shape}, wanted ({size},)")
+        return values.mean()
+
+    return mean
+
+
+def batch_estimate(
+    sampler: BatchSampler,
     *,
     batch_size: int,
     n_batches: int = 32,
     seed: int = 0,
     jobs: int = 1,
-) -> list[EstimateWithError]:
-    """Run several samplers with distinct seeds derived in order."""
-    return [
-        batch_estimate(
-            s, batch_size=batch_size, n_batches=n_batches, seed=seed + k, jobs=jobs
-        )
-        for k, s in enumerate(samplers)
-    ]
+) -> EstimateWithError:
+    """Batch-means estimate of E[sample], with a sample-std standard error."""
+    if batch_size < 1:
+        raise ValueError("batch_size must be positive")
+    return _pooled_estimate(_mean_statistic(sampler), batch_size, n_batches, seed, jobs)
+
+
+def batch_statistic_estimate(
+    stat: Callable[[np.random.Generator, int], float],
+    *,
+    batch_size: int,
+    n_batches: int = 32,
+    seed: int = 0,
+    jobs: int = 1,
+) -> EstimateWithError:
+    """Batch means of a per-batch scalar statistic (covariances and the like).
+
+    The statistic must be unbiased at the batch size for the combined value to
+    be unbiased; the stderr is the spread of the per-batch values.
+    """
+    if batch_size < 2:
+        raise ValueError("batch statistics need at least two samples per batch")
+    return _pooled_estimate(stat, batch_size, n_batches, seed, jobs)

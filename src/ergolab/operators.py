@@ -15,8 +15,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import block_diag
-from scipy.stats import ortho_group
 
 __all__ = [
     "orthogonality_defect",
@@ -97,7 +95,10 @@ def make_rotation_operator(
         turn = (theta / (2.0 * math.pi)) % 1.0
         if _near_rational(turn):
             raise ValueError(f"angle {theta} is a near-rational turn")
-    return block_diag(*[_rotation_block(t) for t in angles])
+    operator = np.zeros((dim, dim))
+    for k, theta in enumerate(angles):
+        operator[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = _rotation_block(theta)
+    return operator
 
 
 def make_permutation_operator(dim: int) -> np.ndarray:
@@ -110,6 +111,8 @@ def make_permutation_operator(dim: int) -> np.ndarray:
 def make_random_orthogonal(dim: int, seed: int = 0) -> np.ndarray:
     if dim < 2:
         raise ValueError("need dimension >= 2")
+    from scipy.stats import ortho_group  # deferred: scipy.stats dominates import time
+
     rng = np.random.default_rng([int(seed), 0x0E7])
     return ortho_group.rvs(dim, random_state=rng)
 

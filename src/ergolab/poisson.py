@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .mc import EstimateWithError, batch_estimate, batch_statistic_estimate
 from .tower import (
@@ -191,6 +190,8 @@ def poisson_gof(
     The mean is the exact measure, not fitted, so no degree of freedom is
     deducted for it.
     """
+    from scipy import stats  # deferred: scipy.stats dominates import time
+
     slots = np.array(sorted(model.member_slots(window)), dtype=np.intp)
     mu = float(model.level_width * len(slots))
     rng = np.random.default_rng([int(seed), 0x90F])

@@ -13,6 +13,7 @@ two runs can be compared byte for byte.  Wall-clock time lives outside it.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import tempfile
@@ -119,7 +120,8 @@ def _atomic_write_text(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ergolab-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        # newline="" keeps the text's line ends as given (CSV rows end in \r\n)
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -141,17 +143,8 @@ def write_rows_csv(rows: list, path: str) -> None:
         for key in row:
             if key not in fieldnames:
                 fieldnames.append(key)
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ergolab-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=fieldnames, restval="")
-            writer.writeheader()
-            writer.writerows(rows)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    buffer = io.StringIO(newline="")
+    writer = csv.DictWriter(buffer, fieldnames=fieldnames, restval="")
+    writer.writeheader()
+    writer.writerows(rows)
+    _atomic_write_text(path, buffer.getvalue())

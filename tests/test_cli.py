@@ -1,9 +1,16 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
 
+import pytest
+
+from ergolab import cli
+from ergolab.experiments import command_specs, resolve_config
+
 CLI = [sys.executable, "-m", "ergolab"]
+COMMON_FLAGS = {"--seed", "--out", "--csv", "--jobs"}
 
 
 def run_cli(*args, env_extra=None, cwd=None):
@@ -108,6 +115,112 @@ def test_failing_check_exits_1(tmp_path):
     proc = run_cli("experiment", "rigidity-scan", "--config", str(cfg))
     assert proc.returncode == 1
     assert "FAIL" in proc.stdout
+
+
+def test_expect_rigid_flag_failing_check_exits_1():
+    proc = run_cli("rigidity", "--expect-rigid", "1,2")
+    assert proc.returncode == 1
+    assert "FAIL  rigid-set-matches-expected" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rigidity", "--theta", "0.7"],
+        ["gauss", "--samples", "10"],
+        ["cesaro", "--dim", "5"],
+    ],
+)
+def test_domain_errors_exit_2_without_traceback(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert "config error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def _subparsers() -> dict:
+    parser = cli._build_parser()
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _flag(name: str, prop: dict) -> str:
+    flag = "--" + name.replace("_", "-")
+    return flag + "-file" if prop["type"] == "object" else flag
+
+
+def test_subcommand_flags_are_the_schema_properties():
+    subparsers = _subparsers()
+    specs = command_specs()
+    assert sorted(spec.command for spec in specs) == [
+        "build", "cesaro", "correlate", "gauss", "ledrapier", "poisson", "rigidity",
+    ]
+    for spec in specs:
+        props = spec.params_schema["properties"]
+        expected = {_flag(name, prop) for name, prop in props.items()}
+        expected |= {
+            "--no-" + name.replace("_", "-")
+            for name, prop in props.items()
+            if prop["type"] == "boolean"
+        }
+        assert not expected & COMMON_FLAGS, spec.command
+        flags = {
+            option
+            for action in subparsers[spec.command]._actions
+            for option in action.option_strings
+        }
+        assert flags == expected | COMMON_FLAGS | {"-h", "--help"}, spec.command
+
+
+def _flag_value(name: str, prop: dict, tmp_path):
+    """A schema-valid value for one property, and its command-line text."""
+    kinds = prop["type"] if isinstance(prop["type"], list) else [prop["type"]]
+    if "object" in kinds:
+        path = tmp_path / f"{name}.json"
+        path.write_text('{"cuts": [3]}', encoding="utf-8")
+        return {"cuts": [3]}, str(path)
+    if "array" in kinds:
+        items = prop["items"].get("enum", [3, 5])[-2:]
+        return items, ",".join(map(str, items))
+    if "boolean" in kinds:
+        return True, None
+    if "enum" in prop:
+        return prop["enum"][-1], prop["enum"][-1]
+    if "integer" in kinds:
+        value = prop.get("minimum", 0) + 6
+        return value, str(value)
+    return 0.375, "0.375"
+
+
+def test_every_generated_flag_lands_in_the_report_params(tmp_path):
+    for spec in command_specs():
+        argv, expected = [spec.command], {}
+        for name, prop in spec.params_schema["properties"].items():
+            value, text = _flag_value(name, prop, tmp_path)
+            argv.append(_flag(name, prop))
+            if text is not None:
+                argv.append(text)
+            expected[name] = value
+        config = cli._config_from_args(cli._build_parser().parse_args(argv))
+        params = resolve_config(config)["params"]
+        for name, value in expected.items():
+            assert params[name] == value, (spec.command, name)
+            assert value != spec.defaults.get(name), (spec.command, name)
+
+
+def test_fresh_import_loads_no_scipy():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, ergolab; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_env_seed_overrides_config_seed(tmp_path):

@@ -5,7 +5,7 @@ from ergolab.mc import (
     EstimateWithError,
     batch_estimate,
     combine_batch_means,
-    run_batch_means,
+    run_batch_stats,
 )
 
 
@@ -37,13 +37,18 @@ def test_parallel_jobs_match_serial_exactly():
         assert par == serial
 
 
+def _uniform_mean(rng, size):
+    return rng.random(size).mean()
+
+
 def test_manual_range_split_concatenates_to_the_full_run():
-    full = run_batch_means(_uniform_sampler, 20, range(0, 30), seed=1)
-    left = run_batch_means(_uniform_sampler, 20, range(0, 12), seed=1)
-    right = run_batch_means(_uniform_sampler, 20, range(12, 30), seed=1)
+    full = run_batch_stats(_uniform_mean, 20, range(0, 30), seed=1)
+    left = run_batch_stats(_uniform_mean, 20, range(0, 12), seed=1)
+    right = run_batch_stats(_uniform_mean, 20, range(12, 30), seed=1)
     assert np.array_equal(np.concatenate([left, right]), full)
     est = combine_batch_means(full, 20, seed=1)
     assert isinstance(est, EstimateWithError)
+    assert est == batch_estimate(_uniform_sampler, batch_size=20, n_batches=30, seed=1)
 
 
 def test_constant_sampler_hits_the_stderr_floor():
@@ -60,5 +65,7 @@ def test_too_few_batches_rejected():
 
 
 def test_bad_sampler_shape_rejected():
-    with pytest.raises(ValueError):
-        run_batch_means(lambda rng, size: rng.random(size + 1), 10, range(2), seed=0)
+    with pytest.raises(ValueError, match="shape"):
+        batch_estimate(
+            lambda rng, size: rng.random(size + 1), batch_size=10, n_batches=30, seed=0
+        )

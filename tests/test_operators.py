@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from ergolab.operators import (
     FiniteRankPerturbation,
@@ -22,6 +23,18 @@ from ergolab.operators import (
     random_unit_vector,
     vector_with_plane_mass,
 )
+
+
+def test_rotation_operator_is_bit_identical_to_block_diag():
+    for dim in (2, 8, 64):
+        blocks = [
+            np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+            for t in default_angles(dim // 2)
+        ]
+        reference = block_diag(*blocks)
+        op = make_rotation_operator(dim)
+        assert op.dtype == reference.dtype
+        assert op.tobytes() == reference.tobytes()
 
 
 def test_all_operator_kinds_pass_the_orthogonality_certificate():

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 from fractions import Fraction as Q
@@ -104,3 +105,28 @@ def test_csv_columns_keep_first_appearance_order(tmp_path):
     assert lines[0] == "n,value,provenance,stderr"
     assert lines[1] == "1,1/4,exact,"
     assert lines[2] == "2,0.5,monte-carlo,0.1"
+
+
+def test_csv_bytes_match_a_dictwriter_reference(tmp_path):
+    rows = [
+        {"item": "base", "measure": "1/2", "provenance": "exact"},
+        {"item": 'a, "quoted"\nvalue', "z": [1, 2], "provenance": "exact"},
+    ]
+    path = tmp_path / "rows.csv"
+    write_rows_csv(rows, str(path))
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.DictWriter(
+            handle, fieldnames=["item", "measure", "provenance", "z"], restval=""
+        )
+        writer.writeheader()
+        writer.writerows(rows)
+    assert path.read_bytes() == reference.read_bytes()
+    assert path.read_bytes().endswith(b"\r\n")
+
+
+def test_failed_csv_write_leaves_no_file(tmp_path):
+    path = tmp_path / "rows.csv"
+    with pytest.raises(UnicodeEncodeError):
+        write_rows_csv([{"item": "\ud800"}], str(path))
+    assert os.listdir(tmp_path) == []
