@@ -348,6 +348,13 @@ def params_to_spec(params: ConstructionParams) -> dict:
 
 def params_from_spec(spec: dict) -> ConstructionParams:
     """Inverse of params_to_spec, accepting both explicit and named forms."""
+    try:
+        return _params_from_spec(spec)
+    except KeyError as exc:
+        raise ValueError(f"construction spec is missing the key {exc}") from None
+
+
+def _params_from_spec(spec: dict) -> ConstructionParams:
     mode = spec["mode"]
     width = Q(str(spec.get("initial_width", "1")))
     height = int(spec.get("initial_height", 1))

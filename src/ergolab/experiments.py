@@ -1054,6 +1054,12 @@ def resolve_config(raw: dict) -> dict:
         jsonschema.validate(params, spec.params_schema)
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"invalid params for {name!r}: {exc.message}") from None
+    for side in ("a", "b"):
+        lo, hi = params.get(f"{side}_lo"), params.get(f"{side}_hi")
+        if lo is not None and hi is not None and hi <= lo:
+            raise ConfigError(
+                f"empty level set: {side}_hi={hi} must exceed {side}_lo={lo}"
+            )
 
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:

@@ -8,10 +8,13 @@ uncertainty coming from finite depth is carried explicitly as an interval.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
+
+import numpy as np
 
 Q = Fraction
 
@@ -71,6 +74,8 @@ class ConstructionParams:
     rule: Optional[StageRule] = None
     rule_spec: Optional[str] = None
     name: str = "custom"
+    # Stages built so far (see build_stage); lives and dies with the params.
+    _stages: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.measure_mode not in ("finite", "infinite"):
@@ -128,9 +133,19 @@ class TowerStage:
         return self.column_bases[-1] + self.height + self.spacers[-1]
 
 
-@lru_cache(maxsize=None)
 def build_stage(params: ConstructionParams, j: int) -> TowerStage:
-    """Tower data at stage j (heights, widths and next-stage column bases)."""
+    """Tower data at stage j (heights, widths and next-stage column bases).
+
+    Stages are kept on the params object, so they are freed with it.  Two
+    threads building the same stage at once both store equal values.
+    """
+    stage = params._stages.get(j)
+    if stage is None:
+        stage = params._stages[j] = _new_stage(params, j)
+    return stage
+
+
+def _new_stage(params: ConstructionParams, j: int) -> TowerStage:
     if j < 0:
         raise ValueError("stage index must be non-negative")
     if j == 0:
@@ -170,12 +185,12 @@ def refine_set(params: ConstructionParams, levels: LevelSet, to_stage: int) -> L
     """Rewrite a level set in stage-`to_stage` indices (measure unchanged)."""
     if to_stage < levels.stage:
         raise ValueError("cannot coarsen a level set")
-    idx: Iterable[int] = levels.indices
+    idx: Sequence[int] = levels.indices
+    # Refined indices base + i stay in range, so only the input is checked.
+    if idx and (idx[0] < 0 or idx[-1] >= build_stage(params, levels.stage).height):
+        raise ValueError(f"index out of range for stage-{levels.stage} tower")
     for t in range(levels.stage, to_stage):
-        stage = build_stage(params, t)
-        if any(i >= stage.height or i < 0 for i in idx):
-            raise ValueError(f"index out of range for stage-{t} tower")
-        idx = [b + i for i in idx for b in stage.column_bases]
+        idx = [b + i for b in build_stage(params, t).column_bases for i in idx]
     return LevelSet(to_stage, tuple(idx))
 
 
@@ -212,27 +227,77 @@ class RationalInterval:
         return RationalInterval(self.lo * c, self.hi * c)
 
 
-def _shift_counts(height: int, a_idx: frozenset, b_idx: frozenset, n: int) -> tuple[int, int, int]:
-    """Resolved hit count plus unresolved counts on the A and B sides.
+# Hits are counted on bool masks when the two refined sets fill at least
+# 1/_DENSE_SPAN of the span they cover, and by a tally of index differences
+# otherwise (a few copies spread over a very tall tower, as in the generated
+# pairs).  Timed on random sets of 50 to 50000 indices, masks win at 16 for 1
+# shift at every size and for 200 shifts from 2000 indices up, and the tally
+# wins at 64 for 200 shifts; at 16 the masks (one byte per cell, two plus a
+# temporary) also take about the memory of the index tuples themselves.
+_DENSE_SPAN = 16
 
-    An A-index is unresolved when i + n leaves [0, height): those points exit
-    through the top (or bottom) of the tower and their image is only pinned
-    down by deeper stages.  The B-side count is the mirror image under n -> -n.
-    """
-    hits = 0
-    lost_a = 0
+
+def _outside(idx: Sequence[int], lo: int, hi: int) -> int:
+    """How many of the sorted indices lie outside [lo, hi)."""
+    return len(idx) - bisect_left(idx, hi) + bisect_left(idx, lo)
+
+
+def _mask(idx: Sequence[int], lo: int, span: int) -> np.ndarray:
+    """Bool mask of the sorted indices over [lo, lo + span)."""
+    if idx[-1] < 2**63:
+        offsets = np.array(idx, dtype=np.int64) - lo
+    else:  # offsets are small, the indices themselves beyond int64
+        offsets = np.fromiter((i - lo for i in idx), dtype=np.int64, count=len(idx))
+    mask = np.zeros(span, dtype=bool)
+    mask[offsets] = True
+    return mask
+
+
+def _hit_counts(a_idx: Sequence[int], b_idx: Sequence[int], ns: list) -> list:
+    """Per shift n, how many i in A have i + n in B."""
+    if not a_idx or not b_idx or not ns:
+        return [0] * len(ns)
+    lo = min(a_idx[0], b_idx[0])
+    span = max(a_idx[-1], b_idx[-1]) - lo + 1
+    if span <= _DENSE_SPAN * (len(a_idx) + len(b_idx)):
+        ma = _mask(a_idx, lo, span)
+        mb = ma if b_idx == a_idx else _mask(b_idx, lo, span)
+        out = []
+        for n in ns:
+            if abs(n) >= span:
+                out.append(0)
+            elif n >= 0:
+                out.append(int(np.count_nonzero(ma[: span - n] & mb[n:])))
+            else:
+                out.append(int(np.count_nonzero(ma[-n:] & mb[: span + n])))
+        return out
+    # Sparse: tally the differences j - i that fall in [min(ns), max(ns)].
+    # For a range of shifts this visits at most as many pairs as probing each
+    # shift separately would, and far fewer when the sets are spread out.
+    lo_n, hi_n = min(ns), max(ns)
+    diffs = Counter()
     for i in a_idx:
-        t = i + n
-        if 0 <= t < height:
-            hits += t in b_idx
-        else:
-            lost_a += 1
-    lost_b = 0
-    for i in b_idx:
-        t = i - n
-        if not 0 <= t < height:
-            lost_b += 1
-    return hits, lost_a, lost_b
+        for j in b_idx[bisect_left(b_idx, i + lo_n) : bisect_right(b_idx, i + hi_n)]:
+            diffs[j - i] += 1
+    return [diffs[n] for n in ns]
+
+
+def _shift_profile(
+    height: int, a_idx: Sequence[int], b_idx: Sequence[int], ns: Iterable[int]
+) -> list[tuple[int, int, int]]:
+    """(hits, lost_a, lost_b) for each shift n, from sorted refined indices.
+
+    An A-index is unresolved (lost) when i + n leaves [0, height): those
+    points exit through the top (or bottom) of the tower and their image is
+    only pinned down by deeper stages.  The B-side count is the mirror image
+    under n -> -n.  Every count is an exact integer.
+    """
+    ns = list(ns)
+    hits = _hit_counts(a_idx, b_idx, ns)
+    return [
+        (h, _outside(a_idx, -n, height - n), _outside(b_idx, n, height + n))
+        for h, n in zip(hits, ns)
+    ]
 
 
 def correlation_interval(
@@ -256,9 +321,9 @@ def correlation_interval(
             f"|n|={abs(n)} does not fit in the stage-{depth} tower "
             f"(height {stage.height}); increase the depth"
         )
-    a_idx = frozenset(refine_set(params, a, depth).indices)
-    b_idx = frozenset(refine_set(params, b, depth).indices)
-    hits, lost_a, lost_b = _shift_counts(stage.height, a_idx, b_idx, n)
+    a_idx = refine_set(params, a, depth).indices
+    b_idx = refine_set(params, b, depth).indices
+    [(hits, lost_a, lost_b)] = _shift_profile(stage.height, a_idx, b_idx, [n])
     w = stage.level_width
     lo = hits * w
     return RationalInterval(lo, lo + min(lost_a, lost_b) * w)
@@ -323,15 +388,16 @@ def rigidity_scan(
     if mu == 0:
         raise ValueError("cannot classify against a null set")
     stage = build_stage(params, depth)
-    a_idx = frozenset(refine_set(params, a, depth).indices)
+    a_idx = refine_set(params, a, depth).indices
+    if n_max >= stage.height:
+        raise InsufficientDepthError(
+            f"n_max={n_max} does not fit in the stage-{depth} tower "
+            f"(height {stage.height}); increase the depth"
+        )
     w = stage.level_width
     out = []
-    for n in range(1, n_max + 1):
-        if n >= stage.height:
-            raise InsufficientDepthError(
-                f"n={n} does not fit in the stage-{depth} tower"
-            )
-        hits, lost_a, lost_b = _shift_counts(stage.height, a_idx, a_idx, n)
+    profile = _shift_profile(stage.height, a_idx, a_idx, range(1, n_max + 1))
+    for n, (hits, lost_a, lost_b) in enumerate(profile, 1):
         lo = hits * w
         corr = RationalInterval(lo, lo + min(lost_a, lost_b) * w)
         sym = RationalInterval(2 * (mu - corr.hi), 2 * (mu - corr.lo))
@@ -424,13 +490,10 @@ def wh_defect(
             f"N={n_terms} does not fit in the stage-{depth} tower"
         )
     supp = supp_level_set(params, swap)
-    a_idx = frozenset(refine_set(params, a, depth).indices)
-    s_idx = frozenset(refine_set(params, supp, depth).indices)
-    w = stage.level_width
-    lo_sum = Q(0)
-    hi_sum = Q(0)
-    for n in range(1, n_terms + 1):
-        hits, lost_a, lost_b = _shift_counts(stage.height, a_idx, s_idx, n)
-        lo_sum += hits * w
-        hi_sum += (hits + min(lost_a, lost_b)) * w
-    return RationalInterval(lo_sum / n_terms, hi_sum / n_terms)
+    a_idx = refine_set(params, a, depth).indices
+    s_idx = refine_set(params, supp, depth).indices
+    profile = _shift_profile(stage.height, a_idx, s_idx, range(1, n_terms + 1))
+    hits = sum(h for h, _, _ in profile)
+    lost = sum(min(lost_a, lost_b) for _, lost_a, lost_b in profile)
+    w = stage.level_width / n_terms
+    return RationalInterval(hits * w, (hits + lost) * w)

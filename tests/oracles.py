@@ -92,6 +92,29 @@ def orbit_correlation(
     return hits * w, lost * w
 
 
+def shift_counts(height: int, a_idx: frozenset, b_idx: frozenset, n: int) -> tuple[int, int, int]:
+    """Per-shift reference for the tower's shift-profile kernel.
+
+    Walks every index of A and of B once: returns how many i in A land in B
+    under i -> i + n inside [0, height), and how many indices of A (under
+    +n) and of B (under -n) leave the tower.
+    """
+    hits = 0
+    lost_a = 0
+    for i in a_idx:
+        t = i + n
+        if 0 <= t < height:
+            hits += t in b_idx
+        else:
+            lost_a += 1
+    lost_b = 0
+    for i in b_idx:
+        t = i - n
+        if not 0 <= t < height:
+            lost_b += 1
+    return hits, lost_a, lost_b
+
+
 def gf2_window_measure(system) -> Fraction:
     """Brute-force measure of a GF(2) equation system by row-0 enumeration.
 

@@ -129,12 +129,43 @@ def test_expect_rigid_flag_failing_check_exits_1():
         ["rigidity", "--theta", "0.7"],
         ["gauss", "--samples", "10"],
         ["cesaro", "--dim", "5"],
+        ["poisson", "--window-size", "100000"],
     ],
 )
 def test_domain_errors_exit_2_without_traceback(argv):
     proc = run_cli(*argv)
     assert proc.returncode == 2
     assert "config error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "name,side",
+    [
+        ("theorem1", "a"),
+        ("wh-poisson", "a"),
+        ("correlate", "a"),
+        ("correlate", "b"),
+        ("poisson", "a"),
+        ("poisson", "b"),
+    ],
+)
+def test_empty_level_set_exits_2(tmp_path, name, side):
+    cfg = tmp_path / "cfg.json"
+    params = {f"{side}_lo": 5, f"{side}_hi": 5}
+    cfg.write_text(json.dumps({"experiment": name, "params": params}), encoding="utf-8")
+    proc = run_cli("experiment", name, "--config", str(cfg))
+    assert proc.returncode == 2
+    assert "empty level set" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_spec_file_without_mode_exits_2(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"cuts": [3], "spacers": [[0, 1, 0]]}', encoding="utf-8")
+    proc = run_cli("build", "--spec-file", str(spec))
+    assert proc.returncode == 2
+    assert "config error" in proc.stderr and "'mode'" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

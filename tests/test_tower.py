@@ -1,12 +1,16 @@
 """Exact tower core against independent enumeration and orbit oracles."""
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ergolab import tower
 from ergolab.tower import (
     ConstructionExhaustedError,
     ConstructionParams,
@@ -25,9 +29,9 @@ from ergolab.tower import (
     symdiff_interval,
     wh_defect,
 )
-from ergolab.constructions import chacon, odometer, staircase
+from ergolab.constructions import chacon, odometer, rigid_mixing_pair, staircase
 
-from oracles import enumerate_stages, oracle_refine, orbit_correlation
+from oracles import enumerate_stages, oracle_refine, orbit_correlation, shift_counts
 
 Q = Fraction
 
@@ -247,3 +251,42 @@ def test_interval_soundness_property(params, data):
         if abs(n) < shallow_h:
             shallow = correlation_interval(params, n, a, b, depth - 1)
             assert shallow.lo <= got.lo and got.hi <= shallow.hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_shift_profile_matches_per_shift_reference(data):
+    # Heights past 2**63 keep the dense branch honest about int64 offsets.
+    offset = data.draw(st.sampled_from([0, 0, 2**64]))
+    size = data.draw(st.integers(1, 300))
+    height = offset + size
+    cells = st.integers(offset, height - 1)
+    a = sorted(data.draw(st.sets(cells, max_size=60)))
+    b = a if data.draw(st.booleans()) else sorted(data.draw(st.sets(cells, max_size=60)))
+    ns = data.draw(st.lists(st.integers(-size - 5, size + 5), max_size=12))
+    # 0 forces the sparse branch, a huge factor the dense one
+    dense_span = data.draw(st.sampled_from([0, tower._DENSE_SPAN, 10**9]))
+    with mock.patch.object(tower, "_DENSE_SPAN", dense_span):
+        got = tower._shift_profile(height, tuple(a), tuple(b), ns)
+    assert got == [shift_counts(height, frozenset(a), frozenset(b), n) for n in ns]
+
+
+def test_level_past_stage_height_has_no_interval():
+    t_params = rigid_mixing_pair().t_params
+    assert build_stage(t_params, 2).height < 10**6
+    far = LevelSet(2, (10**6,))
+    with pytest.raises(ValueError, match="out of range"):
+        correlation_interval(t_params, 1, far, far, 2)
+    with pytest.raises(ValueError, match="out of range"):
+        refine_set(t_params, far, 3)
+
+
+def test_dropped_pair_frees_its_stages():
+    pair = rigid_mixing_pair()
+    a = LevelSet(1, (0,))
+    rigidity_scan(pair.t_params, a, 20)
+    correlation_interval(pair.s_params, pair.time_at(2), a, a, 3)
+    ref = weakref.ref(pair)
+    del pair
+    gc.collect()
+    assert ref() is None
