@@ -102,7 +102,7 @@ class _TimeSource:
 
     @classmethod
     def from_spec(cls, spec: dict) -> "_TimeSource":
-        name = spec.get("name")
+        name = _descriptor(spec, "stream").get("name")
         if name == "naturals":
             return cls("arithmetic", (1, 1))
         if name == "arithmetic":
@@ -111,7 +111,7 @@ class _TimeSource:
                 raise ValueError("arithmetic stream needs a positive step")
             return cls("arithmetic", (start, step))
         if name == "explicit":
-            values = [int(v) for v in spec["values"]]
+            values = [int(v) for v in _required(spec, "values", "explicit stream")]
             if any(b <= a for a, b in zip(values, values[1:])):
                 raise ValueError("explicit stream must be strictly increasing")
             return cls("explicit", values)
@@ -162,11 +162,25 @@ def stream_from_spec(spec: dict) -> _TimeSource:
     return _TimeSource.from_spec(spec)
 
 
+def _descriptor(spec, what: str) -> dict:
+    """spec itself, or a ValueError when the JSON value is not an object."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"{what} descriptor must be a JSON object, not {spec!r}")
+    return spec
+
+
+def _required(spec: dict, key: str, what: str):
+    """spec[key], or a ValueError naming the key the descriptor lacks."""
+    if key not in spec:
+        raise ValueError(f"{what} descriptor is missing the key {key!r}")
+    return spec[key]
+
+
 def cuts_from_spec(spec: dict) -> Callable[[int], int]:
     """Cut-count rule j -> r_j from a JSON descriptor."""
-    name = spec.get("name")
+    name = _descriptor(spec, "cuts").get("name")
     if name == "constant":
-        r = int(spec["r"])
+        r = int(_required(spec, "r", "constant cuts"))
         return lambda j: r
     if name == "affine":
         scale = int(spec.get("scale", 1))

@@ -10,6 +10,7 @@ names its subcommand, whose flags are generated from the params schema.
 from __future__ import annotations
 
 import copy
+import functools
 import random
 import time
 from dataclasses import dataclass
@@ -1027,6 +1028,18 @@ def default_config(name: str) -> dict:
     }
 
 
+@functools.cache
+def _params_validator(name: str):
+    """Validator for one catalogue schema, checked against its metaschema once.
+
+    The catalogue is fixed, so this holds at most one entry per experiment.
+    """
+    schema = _CATALOGUE[name].params_schema
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def resolve_config(raw: dict) -> dict:
     """Validate, merge defaults, and apply overrides; raises ConfigError."""
     if not isinstance(raw, dict):
@@ -1050,10 +1063,10 @@ def resolve_config(raw: dict) -> dict:
             if target is None:
                 raise ConfigError(f"experiment {name!r} takes no {key} override")
             params[target] = raw[key]
-    try:
-        jsonschema.validate(params, spec.params_schema)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"invalid params for {name!r}: {exc.message}") from None
+    errors = _params_validator(name).iter_errors(params)
+    error = jsonschema.exceptions.best_match(errors)
+    if error is not None:
+        raise ConfigError(f"invalid params for {name!r}: {error.message}")
     for side in ("a", "b"):
         lo, hi = params.get(f"{side}_lo"), params.get(f"{side}_hi")
         if lo is not None and hi is not None and hi <= lo:

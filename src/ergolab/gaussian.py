@@ -1,10 +1,14 @@
 """Stationary Gaussian sequences driven by a finite orthogonal operator.
 
 The sequence is X_i = <U^i f, xi> with xi a standard normal vector, so every
-finite block of X values is an exact linear image of a Gaussian: sampling is
-exact by construction and the covariance E[X_0 X_n] equals <U^n f, f> to
-machine precision.  Hermite polynomials in the X's then have closed-form
-cross moments, which the Monte-Carlo estimators here are tested against.
+finite block of X values is an exact linear image of a Gaussian and the
+covariance E[X_0 X_n] equals <U^n f, f> to machine precision.  A block at k
+shifts is sampled from rank-many latent normals: with R the triangular factor
+of a QR of the k x d orbit rows, R^T z for z standard normal in min(k, d)
+coordinates has exactly the law of the rows applied to xi, so sampling stays
+exact in law while drawing min(k, d) normals per sample instead of d.
+Hermite polynomials in the X's then have closed-form cross moments, which the
+Monte-Carlo estimators here are tested against.
 """
 from __future__ import annotations
 
@@ -26,6 +30,7 @@ from .operators import (
 
 __all__ = [
     "GaussianModel",
+    "factor_sampler",
     "hermite_value",
     "HermiteCorrelation",
     "gaussian_hermite_correlation",
@@ -63,35 +68,61 @@ class GaussianModel:
         return operator_correlation(self.operator, self.vector, n)
 
     def orbit_rows(self, shifts: Sequence[int]) -> np.ndarray:
-        """Rows U^s f for the requested shifts (repeats allowed)."""
+        """Rows U^s f for the requested shifts (repeats allowed).
+
+        One matvec chain per direction walks the distinct |s| in increasing
+        order, each row continuing from the last, so every row is the same
+        floating-point product as U applied s times to f (bit for bit what
+        `rho` computes) and the whole call costs max |s| matvecs a direction.
+        """
         wanted = [int(s) for s in shifts]
-        cache = {}
-        rows = []
-        for s in wanted:
-            if s not in cache:
-                g = self.vector
-                step = self.operator if s >= 0 else self.operator.T
-                for _ in range(abs(s)):
+        rows = {}
+        for sign, step in ((1, self.operator), (-1, self.operator.T)):
+            g, at = self.vector, 0
+            for a in sorted({sign * s for s in wanted if sign * s >= 0}):
+                for _ in range(a - at):
                     g = step @ g
-                cache[s] = g
-            rows.append(cache[s])
-        return np.stack(rows)
+                at = a
+                rows[sign * a] = g
+        return np.stack([rows[s] for s in wanted])
 
     def block_sampler(self, shifts: Sequence[int]):
         """Batch sampler returning an (n_shifts, size) array of X values."""
-        rows = self.orbit_rows(shifts)
+        return factor_sampler(self.orbit_rows(shifts))
 
-        def sample(rng: np.random.Generator, size: int) -> np.ndarray:
-            latent = rng.standard_normal((self.dim, size))
-            return rows @ latent
 
-        return sample
+def factor_sampler(rows: np.ndarray):
+    """Batch sampler with the law of rows @ xi, xi standard normal in R^d.
+
+    With rows^T = Q R (Q with orthonormal columns), rows @ xi = R^T (Q^T xi)
+    and Q^T xi is standard normal, so R^T z draws the same k-dimensional
+    Gaussian from min(k, d) latent normals per sample.  Rank-deficient rows
+    are fine: R then has zero rows and the covariance is still rows rows^T.
+    """
+    factor = np.linalg.qr(np.asarray(rows, dtype=float).T, mode="r").T
+
+    def sample(rng: np.random.Generator, size: int) -> np.ndarray:
+        return factor @ rng.standard_normal((factor.shape[1], size))
+
+    return sample
 
 
 def hermite_value(k: int, x: np.ndarray) -> np.ndarray:
-    """Probabilists' Hermite polynomial He_k evaluated elementwise."""
+    """Probabilists' Hermite polynomial He_k evaluated elementwise.
+
+    Degrees 1 to 3 are written out in the operation order of numpy's Clenshaw
+    recursion (`hermeval`), so they agree with it bit for bit, signed zeros
+    included; other degrees go through `hermeval` itself.
+    """
     if k < 0:
         raise ValueError("degree must be non-negative")
+    if 1 <= k <= 3:
+        x = np.asarray(x, dtype=float)
+        if k == 1:
+            return 0.0 + x
+        if k == 2:
+            return -1.0 + x * x
+        return (0.0 - x) + (x * x - 2.0) * x
     coeffs = np.zeros(k + 1)
     coeffs[k] = 1.0
     return hermite_e.hermeval(x, coeffs)
@@ -211,15 +242,20 @@ def triple_correlation_weakmix_check(
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     batch_size = _batch_layout(samples, n_batches)
+    # one orbit chain for every shift of the run; row @ f is exactly model.rho
+    shifts = sorted({0, *ms, *ns, *(n - m for m, n in zip(ms, ns))})
+    rows = dict(zip(shifts, model.orbit_rows(shifts)))
     entries = []
     for idx, (m, n) in enumerate(zip(ms, ns)):
-        rho_m, rho_n, rho_gap = model.rho(m), model.rho(n), model.rho(n - m)
+        rho_m, rho_n, rho_gap = (
+            float(rows[s] @ model.vector) for s in (m, n, n - m)
+        )
         failed = tuple(
             label
             for label, r in (("m", rho_m), ("n", rho_n), ("n-m", rho_gap))
             if abs(r) > threshold
         )
-        block = model.block_sampler([0, m, n])
+        block = factor_sampler(np.stack([rows[0], rows[m], rows[n]]))
 
         def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
             x = block(rng, size)

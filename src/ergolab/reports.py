@@ -8,7 +8,9 @@ for values computed with rational or deterministic float arithmetic,
 
 The `results` section (rows, checks, notes) is what determinism promises
 cover; `results_bytes` serializes exactly that section with sorted keys so
-two runs can be compared byte for byte.  Wall-clock time lives outside it.
+two runs can be compared byte for byte.  Wall-clock time lives outside it,
+and so does `rng_scheme`, which names the random stream Monte-Carlo rows were
+drawn from: a change of stream changes those rows but no exact row.
 """
 from __future__ import annotations
 
@@ -28,7 +30,15 @@ try:
 except metadata.PackageNotFoundError:  # running from a source tree
     TOOL_VERSION = "0.1.0"
 
+RNG_SCHEME = (
+    "batch-seeded/rank-factor: Monte-Carlo batch b draws from numpy "
+    "default_rng([seed, b]); Gaussian shift blocks (gauss, triple-mixing) "
+    "draw min(k, d) latent normals through the QR factor of their k orbit "
+    "rows, wh-gaussian draws all d"
+)
+
 __all__ = [
+    "RNG_SCHEME",
     "TOOL_VERSION",
     "ExperimentReport",
     "check",
@@ -90,6 +100,7 @@ class ExperimentReport:
     notes: list = field(default_factory=list)
     wall_clock_seconds: float = 0.0
     version: str = TOOL_VERSION
+    rng_scheme: str = RNG_SCHEME
 
     @property
     def all_passed(self) -> bool:
@@ -108,6 +119,7 @@ class ExperimentReport:
         return {
             "experiment": self.experiment,
             "version": self.version,
+            "rng_scheme": self.rng_scheme,
             "config": self.config,
             "wall_clock_seconds": self.wall_clock_seconds,
             "results": self.results_section(),

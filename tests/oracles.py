@@ -115,6 +115,25 @@ def shift_counts(height: int, a_idx: frozenset, b_idx: frozenset, n: int) -> tup
     return hits, lost_a, lost_b
 
 
+def orbit_rows(operator: np.ndarray, vector: np.ndarray, shifts) -> np.ndarray:
+    """Per-shift reference for `GaussianModel.orbit_rows`.
+
+    Builds U^s f for each distinct shift on its own, restarting the matvec
+    chain at f every time (the transpose for negative s).
+    """
+    cache = {}
+    rows = []
+    for s in (int(s) for s in shifts):
+        if s not in cache:
+            g = vector
+            step = operator if s >= 0 else operator.T
+            for _ in range(abs(s)):
+                g = step @ g
+            cache[s] = g
+        rows.append(cache[s])
+    return np.stack(rows)
+
+
 def gf2_window_measure(system) -> Fraction:
     """Brute-force measure of a GF(2) equation system by row-0 enumeration.
 

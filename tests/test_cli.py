@@ -169,6 +169,24 @@ def test_spec_file_without_mode_exits_2(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "pair, key",
+    [
+        ({"cuts": {"name": "constant"}}, "'r'"),
+        ({"cprime": {"name": "explicit"}}, "'values'"),
+        ({"cuts": 5}, "JSON object"),
+    ],
+    ids=["constant-cuts-without-r", "explicit-stream-without-values", "cuts-not-an-object"],
+)
+def test_pair_file_with_a_missing_key_exits_2(tmp_path, pair, key):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(pair), encoding="utf-8")
+    proc = run_cli("poisson", "--pair-file", str(path), "--samples", "10000")
+    assert proc.returncode == 2
+    assert "config error" in proc.stderr and key in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def _subparsers() -> dict:
     parser = cli._build_parser()
     (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]

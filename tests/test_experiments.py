@@ -1,12 +1,29 @@
+import hashlib
+
+import jsonschema
 import pytest
 
 from ergolab.experiments import (
+    _CATALOGUE,
     EXPERIMENT_NAMES,
     ConfigError,
+    _params_validator,
     default_config,
     resolve_config,
     run_experiment,
 )
+from ergolab.reports import RNG_SCHEME
+
+# sha256 of results_bytes() at seed 3 for the exact entries whose floats do
+# not depend on the BLAS build (eq1-sweep's do, so it is left out)
+EXACT_RESULT_DIGESTS = {
+    "ledrapier": "f0eba8561b9bea90ac828ec6d3a24dd6b5b2563d49f1b2ff51d48325106f7c41",
+    "theorem1": "3751f6815f4d697b315fee163ef7ee99cc9af2eff46f3a32c1d5c7d2fec53d99",
+    "theorem6": "20e4df240a479675e67ede86d965f5e770c09f438a7e1a2c159180babbe3edeb",
+    "rigidity-scan": "17bcf576fee7bb4301ae7dfc1b2b20df68bef3f840c1e58fe2f48f4752c38719",
+    "build": "88ca6a6ea252e52148f00b5878c2c5c0f72b8c35ca99ddd88884a04a8b556723",
+    "correlate": "5a8c07644ccedb5202ced4ea6818f44759bfe835396a14cb20e78a5d05cb60b6",
+}
 
 
 def _shrunk(name, **params):
@@ -52,6 +69,41 @@ def test_config_rejection_paths():
         resolve_config({"experiment": "ledrapier", "params": []})
     with pytest.raises(ConfigError):
         resolve_config([])
+
+
+def test_schema_errors_read_as_jsonschema_validate_words_them():
+    cases = [
+        ("theorem1", {"bogus": 1}),
+        ("gauss", {"dim": 2}),
+        ("gauss", {"degrees": [5], "dim": "x"}),
+        ("ledrapier", {"k_max": "ten"}),
+        ("poisson", {"ns": [1, "2"], "samples": -1}),
+    ]
+    for name, params in cases:
+        merged = {**default_config(name)["params"], **params}
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(merged, _CATALOGUE[name].params_schema)
+        with pytest.raises(ConfigError) as got:
+            resolve_config({"experiment": name, "params": params})
+        assert str(got.value) == f"invalid params for {name!r}: {want.value.message}"
+
+
+def test_each_schema_validator_is_built_once():
+    _params_validator.cache_clear()
+    for _ in range(3):
+        for name in _CATALOGUE:
+            resolve_config({"experiment": name})
+    info = _params_validator.cache_info()
+    assert info.misses == info.currsize == len(_CATALOGUE)
+
+
+def test_exact_results_bytes_are_frozen_and_reports_name_the_rng_scheme():
+    for name, digest in EXACT_RESULT_DIGESTS.items():
+        report = run_experiment({"experiment": name, "seed": 3})
+        assert hashlib.sha256(report.results_bytes()).hexdigest() == digest, name
+        full = report.to_dict()
+        assert full["rng_scheme"] == RNG_SCHEME
+        assert "rng_scheme" not in full["results"]
 
 
 def test_threshold_and_depth_overrides_land_in_params():

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from numpy.polynomial import hermite_e
 
 from ergolab.gaussian import (
     GaussianModel,
+    factor_sampler,
     gaussian_hermite_correlation,
     gaussian_wh_experiment,
     hermite_value,
@@ -18,7 +21,12 @@ from ergolab.operators import (
     uniform_unit_vector,
     vector_with_plane_mass,
 )
-from oracles import hermite_cross_moment
+from oracles import hermite_cross_moment, orbit_rows
+
+
+def _dense_orthogonal(dim: int, seed: int) -> np.ndarray:
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((dim, dim)))
+    return q
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +59,69 @@ def test_hermite_values_match_the_low_degrees():
     assert np.allclose(hermite_value(1, x), x)
     assert np.allclose(hermite_value(2, x), x**2 - 1)
     assert np.allclose(hermite_value(3, x), x**3 - 3 * x)
+
+
+def test_hermite_closed_forms_are_bitwise_hermeval():
+    x = np.concatenate(
+        [
+            [0.0, -0.0, 1.0, -1.0, 5e-324, -1e-300, 1e150, -3e103, np.inf, -np.inf],
+            np.random.default_rng(4).standard_normal(2000) * 3.0,
+        ]
+    )
+    for k in range(4):
+        coeffs = np.zeros(k + 1)
+        coeffs[k] = 1.0
+        for arg in (x, x.reshape(30, 67)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = hermite_value(k, arg)
+                want = hermite_e.hermeval(arg, coeffs)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), k
+
+
+_SHIFTS = st.lists(st.integers(-70, 70), min_size=1, max_size=14)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["rotation", "dense"]), _SHIFTS)
+def test_orbit_rows_are_bitwise_the_per_shift_chains(kind, shifts):
+    op = make_rotation_operator(16) if kind == "rotation" else _dense_orthogonal(16, 7)
+    model = GaussianModel(op, random_unit_vector(16, seed=3))
+    got = model.orbit_rows(shifts)
+    assert got.tobytes() == orbit_rows(op, model.vector, shifts).tobytes()
+
+
+class _IdentityDraws:
+    """Generator stand-in whose normals are the identity's leading columns,
+    so a factor sampler hands back its factor (padded with zero columns)."""
+
+    def standard_normal(self, shape):
+        self.shape = shape
+        return np.eye(*shape)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([4, 8, 16]), _SHIFTS)
+def test_factor_reproduces_the_row_covariance(dim, shifts):
+    model = GaussianModel(_dense_orthogonal(dim, dim), random_unit_vector(dim, seed=1))
+    rows = model.orbit_rows(shifts)
+    k = len(shifts)
+    draws = _IdentityDraws()
+    padded = factor_sampler(rows)(draws, k)
+    assert draws.shape == (min(k, dim), k)
+    factor = padded[:, : min(k, dim)]
+    assert not padded[:, min(k, dim):].any()
+    assert np.allclose(factor @ factor.T, rows @ rows.T, rtol=0.0, atol=1e-12)
+
+
+def test_factor_sampler_handles_repeated_shifts(model):
+    draws = _IdentityDraws()
+    factor = model.block_sampler([0, 0])(draws, 2)
+    assert draws.shape == (2, 2)
+    assert np.allclose(factor @ factor.T, np.ones((2, 2)), rtol=0.0, atol=1e-12)
+    x = model.block_sampler([5, 5])(np.random.default_rng(0), 100)
+    assert x.shape == (2, 100)
+    assert np.allclose(x[0], x[1], rtol=0.0, atol=1e-12)
 
 
 def test_prediction_agrees_with_quadrature_oracle(model):
@@ -137,6 +208,19 @@ def test_triple_condition_met_deviations_vanish(flat_model):
         assert e.condition_met
         assert abs(e.estimate.value - e.exact) <= 5 * e.estimate.stderr
         assert e.within_five_se
+
+
+def test_triple_correlations_are_exactly_rho(model):
+    ms, ns = [0, 3, 17, 40, -6], [0, 7, 34, 25, 9]
+    entries = triple_correlation_weakmix_check(
+        model, ms, ns, samples=10**4, seed=4, n_batches=30
+    )
+    for e, m, n in zip(entries, ms, ns):
+        assert (e.rho_m, e.rho_n, e.rho_gap) == (
+            model.rho(m),
+            model.rho(n),
+            model.rho(n - m),
+        )
 
 
 def test_triple_full_events_collapse_to_the_marginal(model):

@@ -7,6 +7,7 @@ import pytest
 
 from ergolab.mc import EstimateWithError
 from ergolab.reports import (
+    RNG_SCHEME,
     ExperimentReport,
     check,
     exact_row,
@@ -81,6 +82,7 @@ def test_report_json_round_trip(tmp_path):
     assert loaded["results"]["rows"] == rep.rows
     assert loaded["all_passed"] is True
     assert loaded["version"] == rep.version
+    assert loaded["rng_scheme"] == RNG_SCHEME
     assert not [p for p in os.listdir(path.parent) if p.endswith(".tmp")]
 
 
