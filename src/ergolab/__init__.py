@@ -7,6 +7,9 @@ runner used by the command line.
 """
 from __future__ import annotations
 
+# Read by the reports module, so it is bound before any submodule is imported.
+__version__ = "0.1.0"
+
 from .tower import (
     ConstructionExhaustedError,
     ConstructionParams,
@@ -34,13 +37,10 @@ from .constructions import (
     builtin_params,
     chacon,
     odometer,
-    params_from_json,
     params_from_spec,
-    params_to_json,
     params_to_spec,
     rigid_mixing_pair,
     staircase,
-    theorem6_generate,
 )
 from .ledrapier import (
     SiteFunctional,
@@ -57,13 +57,8 @@ from .mc import EstimateWithError, batch_estimate, batch_statistic_estimate
 from .operators import (
     CesaroDefect,
     FiniteRankPerturbation,
-    cesaro_square_average,
-    cesaro_square_sweep,
-    conjugate_average,
     conjugate_defect,
-    make_operator,
     make_rotation_operator,
-    majorant_decay_series,
     operator_correlation,
 )
 from .gaussian import (
@@ -87,5 +82,3 @@ from .experiments import (
     resolve_config,
     run_experiment,
 )
-
-__version__ = "0.1.0"

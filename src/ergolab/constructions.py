@@ -9,11 +9,10 @@ command line can name them.
 from __future__ import annotations
 
 import bisect
-import itertools
 import json
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Optional
 
 from .tower import ConstructionParams, GenerationError
 
@@ -27,12 +26,9 @@ __all__ = [
     "BUILTIN_RULES",
     "RigidMixingPair",
     "rigid_mixing_pair",
-    "theorem6_generate",
     "default_pair_args",
     "params_to_spec",
     "params_from_spec",
-    "params_to_json",
-    "params_from_json",
     "stream_from_spec",
     "cuts_from_spec",
 ]
@@ -89,10 +85,9 @@ def staircase() -> ConstructionParams:
 class _TimeSource:
     """Strictly increasing integer stream consumed via least_above queries.
 
-    Structured sources answer "least element > x not yet consumed" in O(1)
-    or by bisection; a raw iterable falls back to linear scanning, which is
-    fine for hand-written generators at desk scale but would never finish
-    against the tower heights the arithmetic sources are meant for.
+    An arithmetic source answers "least element > x not yet consumed" in
+    O(1), an explicit one by bisection, so both keep up with tower heights
+    that grow geometrically from stage to stage.
     """
 
     def __init__(self, kind: str, payload) -> None:
@@ -102,7 +97,7 @@ class _TimeSource:
 
     @classmethod
     def from_spec(cls, spec: dict) -> "_TimeSource":
-        name = _descriptor(spec, "stream").get("name")
+        name = _kind_of(spec, "stream", _STREAM_KEYS)
         if name == "naturals":
             return cls("arithmetic", (1, 1))
         if name == "arithmetic":
@@ -110,20 +105,10 @@ class _TimeSource:
             if step < 1:
                 raise ValueError("arithmetic stream needs a positive step")
             return cls("arithmetic", (start, step))
-        if name == "explicit":
-            values = [int(v) for v in _required(spec, "values", "explicit stream")]
-            if any(b <= a for a, b in zip(values, values[1:])):
-                raise ValueError("explicit stream must be strictly increasing")
-            return cls("explicit", values)
-        raise ValueError(f"unknown stream {name!r}")
-
-    @classmethod
-    def wrap(cls, source) -> "_TimeSource":
-        if isinstance(source, cls):
-            return source
-        if isinstance(source, dict):
-            return cls.from_spec(source)
-        return cls("iterable", iter(source))
+        values = [int(v) for v in _required(spec, "values", "explicit stream")]
+        if any(b <= a for a, b in zip(values, values[1:])):
+            raise ValueError("explicit stream must be strictly increasing")
+        return cls("explicit", values)
 
     def least_above(self, x: int) -> int:
         floor = x if self._last is None else max(x, self._last)
@@ -133,7 +118,7 @@ class _TimeSource:
             value = start + k * step
             if value <= floor:
                 value += step
-        elif self._kind == "explicit":
+        else:
             values = self._payload
             pos = bisect.bisect_right(values, floor)
             if pos >= len(values):
@@ -141,18 +126,6 @@ class _TimeSource:
                     f"time stream exhausted before exceeding {x}"
                 )
             value = values[pos]
-        else:
-            value = self._last
-            while value is None or value <= floor:
-                try:
-                    nxt = next(self._payload)
-                except StopIteration:
-                    raise GenerationError(
-                        f"time stream exhausted before exceeding {x}"
-                    ) from None
-                if value is not None and nxt <= value:
-                    raise ValueError("time streams must be strictly increasing")
-                value = nxt
         self._last = value
         return value
 
@@ -162,11 +135,36 @@ def stream_from_spec(spec: dict) -> _TimeSource:
     return _TimeSource.from_spec(spec)
 
 
-def _descriptor(spec, what: str) -> dict:
-    """spec itself, or a ValueError when the JSON value is not an object."""
+_PAIR_KEYS = ("cuts", "cprime", "dprime")
+_STREAM_KEYS = {
+    "naturals": ("name",),
+    "arithmetic": ("name", "start", "step"),
+    "explicit": ("name", "values"),
+}
+_CUTS_KEYS = {"constant": ("name", "r"), "affine": ("name", "scale", "offset")}
+_SPEC_KEYS = ("mode", "initial_width", "initial_height", "stages", "rule")
+
+
+def _descriptor(spec, what: str, keys: Optional[tuple] = None) -> dict:
+    """spec itself, or a ValueError when the JSON value is not an object or
+    (unless `keys` is None) has a key outside `keys`."""
     if not isinstance(spec, dict):
         raise ValueError(f"{what} descriptor must be a JSON object, not {spec!r}")
+    unknown = sorted(set(spec) - set(keys)) if keys is not None else []
+    if unknown:
+        names = ", ".join(repr(key) for key in unknown)
+        raise ValueError(f"{what} descriptor has unknown key(s) {names}")
     return spec
+
+
+def _kind_of(spec, what: str, kinds: dict) -> str:
+    """The `name` of a named descriptor, once the descriptor is known to be
+    an object of one of `kinds` holding only that kind's keys."""
+    name = _descriptor(spec, what).get("name")
+    if not isinstance(name, str) or name not in kinds:
+        raise ValueError(f"unknown {what} {name!r}")
+    _descriptor(spec, f"{name} {what}", kinds[name])
+    return name
 
 
 def _required(spec: dict, key: str, what: str):
@@ -178,15 +176,12 @@ def _required(spec: dict, key: str, what: str):
 
 def cuts_from_spec(spec: dict) -> Callable[[int], int]:
     """Cut-count rule j -> r_j from a JSON descriptor."""
-    name = _descriptor(spec, "cuts").get("name")
-    if name == "constant":
+    if _kind_of(spec, "cuts rule", _CUTS_KEYS) == "constant":
         r = int(_required(spec, "r", "constant cuts"))
         return lambda j: r
-    if name == "affine":
-        scale = int(spec.get("scale", 1))
-        offset = int(spec.get("offset", 2))
-        return lambda j: scale * j + offset
-    raise ValueError(f"unknown cuts rule {name!r}")
+    scale = int(spec.get("scale", 1))
+    offset = int(spec.get("offset", 2))
+    return lambda j: scale * j + offset
 
 
 def default_pair_args() -> dict:
@@ -214,22 +209,20 @@ class RigidMixingPair:
 
     def __init__(
         self,
-        cprime,
-        dprime,
+        cprime: _TimeSource,
+        dprime: _TimeSource,
         cuts: Callable[[int], int],
-        spec_args: Optional[dict] = None,
+        spec_args: dict,
     ) -> None:
-        self._streams = {1: _TimeSource.wrap(cprime), 0: _TimeSource.wrap(dprime)}
+        self._streams = {1: cprime, 0: dprime}
         self._cuts = cuts
         self._records: list[tuple[int, int, int]] = []  # (r_j, s_j, h_j + s_j)
         self._heights = [1]
         self.t_params = self._role_params("t", spec_args)
         self.s_params = self._role_params("s", spec_args)
 
-    def _role_params(self, role: str, spec_args: Optional[dict]) -> ConstructionParams:
-        spec = None
-        if spec_args is not None:
-            spec = _canonical("theorem6", {**spec_args, "role": role})
+    def _role_params(self, role: str, spec_args: dict) -> ConstructionParams:
+        spec = _canonical("theorem6", {**spec_args, "role": role})
         rule = lambda j, _role=role: self._stage_for(_role, j)
         return ConstructionParams(
             "infinite", Q(1), 1, None, rule, spec, f"pair-{role}"
@@ -271,46 +264,17 @@ class RigidMixingPair:
         self._ensure(j)
         return self._records[j][0]
 
-    def t_rigid_times(self, up_to_stage: int) -> list[int]:
-        """Odd-stage times: certified rigid for t / vanishing for s."""
-        return [self.time_at(j) for j in range(1, up_to_stage + 1, 2)]
-
-    def s_rigid_times(self, up_to_stage: int) -> list[int]:
-        """Even-stage times: certified rigid for s / vanishing for t."""
-        return [self.time_at(j) for j in range(0, up_to_stage + 1, 2)]
-
-
 def rigid_mixing_pair(spec_args: Optional[dict] = None) -> RigidMixingPair:
     """Build a pair from JSON descriptors (defaults from default_pair_args)."""
     args = default_pair_args()
     if spec_args:
-        args.update(spec_args)
+        args.update(_descriptor(spec_args, "pair", _PAIR_KEYS))
     return RigidMixingPair(
         stream_from_spec(args["cprime"]),
         stream_from_spec(args["dprime"]),
         cuts_from_spec(args["cuts"]),
         spec_args=args,
     )
-
-
-def theorem6_generate(
-    cprime: Iterable[int],
-    dprime: Iterable[int],
-    cuts: Callable[[int], int],
-) -> tuple[ConstructionParams, ConstructionParams, Iterator[int], Iterator[int]]:
-    """Generate the pair from raw streams: (s_params, t_params, C, D).
-
-    C yields the odd-stage times (rigid for t_params, vanishing correlation
-    for s_params); D yields the even-stage times with the roles swapped.
-    Both are lazy and raise GenerationError if a stream runs out.
-    """
-    pair = RigidMixingPair(cprime, dprime, cuts)
-
-    def times(first: int) -> Iterator[int]:
-        for j in itertools.count(first, 2):
-            yield pair.time_at(j)
-
-    return pair.s_params, pair.t_params, times(1), times(0)
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +295,12 @@ def builtin_params(name: str, **args) -> ConstructionParams:
     if name == "staircase":
         return staircase()
     if name == "theorem6":
+        _descriptor(args, "theorem6 args", ("role",) + _PAIR_KEYS)
         role = args.pop("role", "t").lower()
         if role not in ("t", "s"):
             raise ValueError("pair role must be 't' or 's'")
         merged = default_pair_args()
-        merged.update({k: v for k, v in args.items() if k in merged})
+        merged.update(args)
         pair = _pair_from_canonical(json.dumps(merged, sort_keys=True))
         return pair.t_params if role == "t" else pair.s_params
     raise ValueError(f"unknown construction {name!r}")
@@ -369,17 +334,20 @@ def params_from_spec(spec: dict) -> ConstructionParams:
 
 
 def _params_from_spec(spec: dict) -> ConstructionParams:
-    mode = spec["mode"]
+    mode = _descriptor(spec, "construction spec")["mode"]
+    _descriptor(spec, "construction spec", _SPEC_KEYS)
     width = Q(str(spec.get("initial_width", "1")))
     height = int(spec.get("initial_height", 1))
     if "stages" in spec:
-        stages = tuple(
-            (int(st["r"]), tuple(int(x) for x in st["spacers"])) for st in spec["stages"]
-        )
-        return ConstructionParams(mode, width, height, stages, None, None, "explicit")
+        stages = []
+        for st in spec["stages"]:
+            _descriptor(st, "stage", ("r", "spacers"))
+            stages.append((int(st["r"]), tuple(int(x) for x in st["spacers"])))
+        return ConstructionParams(mode, width, height, tuple(stages), None, None, "explicit")
     rule = spec.get("rule")
     if not rule:
         raise ValueError("spec needs either 'stages' or 'rule'")
+    _descriptor(rule, "rule", ("name", "args"))
     name, args = rule.get("name"), dict(rule.get("args", {}))
     if name not in BUILTIN_RULES:
         raise ValueError(f"unknown rule {name!r}")
@@ -395,11 +363,3 @@ def _params_from_spec(spec: dict) -> ConstructionParams:
             mode, width, height, None, params.rule, params.rule_spec, params.name
         )
     return params
-
-
-def params_to_json(params: ConstructionParams) -> str:
-    return json.dumps(params_to_spec(params), sort_keys=True)
-
-
-def params_from_json(text: str) -> ConstructionParams:
-    return params_from_spec(json.loads(text))

@@ -1,11 +1,12 @@
 """Named experiments: validated configs dispatched to the library modules.
 
 Every experiment has a JSON-schema-validated config (unknown fields are
-rejected), a default parameter block that reproduces the calibrated runs
-documented in the README, and a runner returning result rows plus named
-pass/fail checks.  The same machinery backs the ad-hoc subcommands (build,
-correlate, rigidity, ledrapier, cesaro, gauss, poisson): an entry's `command`
-names its subcommand, whose flags are generated from the params schema.
+rejected) whose properties carry, as JSON Schema `default`s, the parameters
+of the calibrated runs documented in the README, and a runner returning
+result rows plus named pass/fail checks.  The same machinery backs the
+ad-hoc subcommands (build, correlate, rigidity, ledrapier, cesaro, gauss,
+poisson): an entry's `command` names its subcommand, whose flags are
+generated from the params schema.
 """
 from __future__ import annotations
 
@@ -86,15 +87,17 @@ def _schema(properties: dict, required: tuple = ()) -> dict:
     }
 
 
-_CONSTRUCTION_PROPS = {
-    "construction": {
-        "type": "string",
-        "enum": ["chacon", "odometer", "staircase", "theorem6"],
-    },
-    "r": {"type": "integer", "minimum": 2},
-    "role": {"type": "string", "enum": ["t", "s"]},
-    "spec": {"type": "object"},
-}
+def _construction_props(default: str) -> dict:
+    return {
+        "construction": {
+            "type": "string",
+            "enum": ["chacon", "odometer", "staircase", "theorem6"],
+            "default": default,
+        },
+        "r": {"type": "integer", "minimum": 2},
+        "role": {"type": "string", "enum": ["t", "s"]},
+        "spec": {"type": "object"},
+    }
 
 
 def _construction_from(params: dict):
@@ -108,11 +111,25 @@ def _construction_from(params: dict):
     return builtin_params(params["construction"], **args)
 
 
-def _int_array(min_items: int = 1) -> dict:
+def _int(default: int, minimum: int = 0) -> dict:
+    return {"type": "integer", "minimum": minimum, "default": default}
+
+
+def _int_array(default: list, min_items: int = 1) -> dict:
     return {
         "type": "array",
         "items": {"type": "integer", "minimum": 0},
         "minItems": min_items,
+        "default": default,
+    }
+
+
+def _level_range_props(side: str, stage: int, lo: int, hi: int) -> dict:
+    """The levels lo..hi-1 of one stage, as `<side>_stage/_lo/_hi`."""
+    return {
+        f"{side}_stage": _int(stage),
+        f"{side}_lo": _int(lo),
+        f"{side}_hi": _int(hi, minimum=1),
     }
 
 
@@ -650,32 +667,43 @@ class ExperimentSpec:
     name: str
     description: str
     params_schema: dict
-    defaults: dict
     runner: Callable
     overrides: dict
     listed: bool = True
     command: Optional[str] = None
 
+    @property
+    def defaults(self) -> dict:
+        """A fresh copy of the `default` of every schema property that has one."""
+        return {
+            name: copy.deepcopy(prop["default"])
+            for name, prop in self.params_schema["properties"].items()
+            if "default" in prop
+        }
+
 
 _MC_PROPS = {
-    "samples": {"type": "integer", "minimum": 1},
-    "n_batches": {"type": "integer", "minimum": 30},
+    "samples": _int(100000, minimum=1),
+    "n_batches": _int(40, minimum=30),
 }
 
 _CALIBRATED_OPERATOR_PROPS = {
-    "dim": {"type": "integer", "minimum": 4},
-    "plane": _int_array(2),
-    "angle": {"type": "number"},
-    "delta": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-    "vector_seed": {"type": "integer", "minimum": 0},
+    "dim": _int(64, minimum=4),
+    "plane": _int_array([6, 7], min_items=2),
+    "angle": {"type": "number", "default": 0.5},
+    "delta": {"type": "number", "exclusiveMinimum": 0, "maximum": 1, "default": 0.02},
+    "vector_seed": _int(5),
 }
 
-_CALIBRATED_OPERATOR_DEFAULTS = {
-    "dim": 64,
-    "plane": [6, 7],
-    "angle": 0.5,
-    "delta": 0.02,
-    "vector_seed": 5,
+_WINDOW_PROPS = {
+    "window_stage": _int(2),
+    "window_size": _int(700, minimum=1),
+    "depth": _int(2),
+}
+
+_SWAP_PROPS = {
+    "swap_stage": _int(1),
+    "swap_pair": _int_array([1, 3], min_items=2),
 }
 
 _SPECS = [
@@ -685,12 +713,13 @@ _SPECS = [
         "pairwise independence with vanishing dyadic triples",
         params_schema=_schema(
             {
-                "k_max": {"type": "integer", "minimum": 1, "maximum": 60},
-                "generic_pairs": {"type": "integer", "minimum": 0, "maximum": 500},
-                "generic_seed": {"type": "integer", "minimum": 0},
+                "k_max": {"type": "integer", "minimum": 1, "maximum": 60, "default": 10},
+                "generic_pairs": {
+                    "type": "integer", "minimum": 0, "maximum": 500, "default": 20,
+                },
+                "generic_seed": _int(7),
             }
         ),
-        defaults={"k_max": 10, "generic_pairs": 20, "generic_seed": 7},
         runner=_run_ledrapier,
         overrides={},
         command="ledrapier",
@@ -702,34 +731,17 @@ _SPECS = [
         params_schema=_schema(
             {
                 "pair": {"type": "object"},
-                "ratio_stages": {"type": "integer", "minimum": 1},
-                "certify_from": {"type": "integer", "minimum": 1},
-                "bound": {"type": "number", "exclusiveMinimum": 0},
-                "scan_n_max": {"type": "integer", "minimum": 1},
-                "scan_theta": {"type": "number", "exclusiveMinimum": 0},
-                "wh_ns": _int_array(),
-                "wh_bound": {"type": "number", "exclusiveMinimum": 0},
-                "swap_stage": {"type": "integer", "minimum": 0},
-                "swap_pair": _int_array(2),
-                "a_stage": {"type": "integer", "minimum": 0},
-                "a_lo": {"type": "integer", "minimum": 0},
-                "a_hi": {"type": "integer", "minimum": 1},
+                "ratio_stages": _int(9, minimum=1),
+                "certify_from": _int(8, minimum=1),
+                "bound": {"type": "number", "exclusiveMinimum": 0, "default": 0.05},
+                "scan_n_max": _int(80, minimum=1),
+                "scan_theta": {"type": "number", "exclusiveMinimum": 0, "default": 0.05},
+                "wh_ns": _int_array([50, 100, 200]),
+                "wh_bound": {"type": "number", "exclusiveMinimum": 0, "default": 0.1},
+                **_SWAP_PROPS,
+                **_level_range_props("a", 2, 50, 350),
             }
         ),
-        defaults={
-            "ratio_stages": 9,
-            "certify_from": 8,
-            "bound": 0.05,
-            "scan_n_max": 80,
-            "scan_theta": 0.05,
-            "wh_ns": [50, 100, 200],
-            "wh_bound": 0.1,
-            "swap_stage": 1,
-            "swap_pair": [1, 3],
-            "a_stage": 2,
-            "a_lo": 50,
-            "a_hi": 350,
-        },
         runner=_run_theorem1,
         overrides={"threshold": "scan_theta"},
     ),
@@ -740,12 +752,11 @@ _SPECS = [
         params_schema=_schema(
             {
                 "pair": {"type": "object"},
-                "stages": {"type": "integer", "minimum": 1, "maximum": 16},
-                "certify_from": {"type": "integer", "minimum": 1},
-                "bound": {"type": "number", "exclusiveMinimum": 0},
+                "stages": {"type": "integer", "minimum": 1, "maximum": 16, "default": 12},
+                "certify_from": _int(8, minimum=1),
+                "bound": {"type": "number", "exclusiveMinimum": 0, "default": 0.05},
             }
         ),
-        defaults={"stages": 12, "certify_from": 8, "bound": 0.05},
         runner=_run_theorem6,
         overrides={"threshold": "bound"},
     ),
@@ -756,17 +767,11 @@ _SPECS = [
         params_schema=_schema(
             {
                 **_CALIBRATED_OPERATOR_PROPS,
-                "ns": _int_array(),
-                "chain_tol": {"type": "number", "exclusiveMinimum": 0},
-                "final_bound": {"type": "number", "exclusiveMinimum": 0},
+                "ns": _int_array([100, 1000, 10000]),
+                "chain_tol": {"type": "number", "exclusiveMinimum": 0, "default": 1e-9},
+                "final_bound": {"type": "number", "exclusiveMinimum": 0, "default": 0.05},
             }
         ),
-        defaults={
-            **_CALIBRATED_OPERATOR_DEFAULTS,
-            "ns": [100, 1000, 10000],
-            "chain_tol": 1e-9,
-            "final_bound": 0.05,
-        },
         runner=_run_eq1_sweep,
         overrides={"threshold": "final_bound"},
         command="cesaro",
@@ -783,17 +788,11 @@ _SPECS = [
                     "type": "array",
                     "items": {"type": "integer", "enum": [1, 2]},
                     "minItems": 1,
+                    "default": [1, 2],
                 },
-                "n_terms": {"type": "integer", "minimum": 1},
+                "n_terms": _int(100, minimum=1),
             }
         ),
-        defaults={
-            **_CALIBRATED_OPERATOR_DEFAULTS,
-            "degrees": [1, 2],
-            "n_terms": 100,
-            "samples": 100000,
-            "n_batches": 40,
-        },
         runner=_run_wh_gaussian,
         overrides={},
     ),
@@ -805,32 +804,13 @@ _SPECS = [
             {
                 "pair": {"type": "object"},
                 **_MC_PROPS,
-                "window_stage": {"type": "integer", "minimum": 0},
-                "window_size": {"type": "integer", "minimum": 1},
-                "depth": {"type": "integer", "minimum": 0},
-                "swap_stage": {"type": "integer", "minimum": 0},
-                "swap_pair": _int_array(2),
-                "a_stage": {"type": "integer", "minimum": 0},
-                "a_lo": {"type": "integer", "minimum": 0},
-                "a_hi": {"type": "integer", "minimum": 1},
-                "ns": _int_array(),
-                "lost_budget": {"type": "number", "minimum": 0},
+                **_WINDOW_PROPS,
+                **_SWAP_PROPS,
+                **_level_range_props("a", 2, 50, 350),
+                "ns": _int_array([50, 100, 200]),
+                "lost_budget": {"type": "number", "minimum": 0, "default": 0.01},
             }
         ),
-        defaults={
-            "window_stage": 2,
-            "window_size": 700,
-            "depth": 2,
-            "swap_stage": 1,
-            "swap_pair": [1, 3],
-            "a_stage": 2,
-            "a_lo": 50,
-            "a_hi": 350,
-            "ns": [50, 100, 200],
-            "samples": 100000,
-            "n_batches": 40,
-            "lost_budget": 0.01,
-        },
         runner=_run_wh_poisson,
         overrides={"depth": "depth"},
     ),
@@ -840,28 +820,20 @@ _SPECS = [
         "shifts against a level set (odometer lattice by default)",
         params_schema=_schema(
             {
-                **_CONSTRUCTION_PROPS,
-                "a_stage": {"type": "integer", "minimum": 0},
-                "a_levels": _int_array(),
-                "n_max": {"type": "integer", "minimum": 1},
-                "depth": {"type": "integer", "minimum": 0},
-                "theta": {"type": "number", "exclusiveMinimum": 0},
+                **_construction_props("odometer"),
+                "a_stage": _int(3),
+                "a_levels": _int_array([0]),
+                "n_max": _int(64, minimum=1),
+                "depth": _int(12),
+                "theta": {"type": "number", "exclusiveMinimum": 0, "default": 0.05},
                 "expect_rigid": {
                     "type": ["array", "null"],
                     "items": {"type": "integer"},
+                    "default": [8, 16, 24, 32, 40, 48, 56, 64],
                 },
                 "expect_all_none": {"type": "boolean"},
             }
         ),
-        defaults={
-            "construction": "odometer",
-            "a_stage": 3,
-            "a_levels": [0],
-            "n_max": 64,
-            "depth": 12,
-            "theta": 0.05,
-            "expect_rigid": [8, 16, 24, 32, 40, 48, 56, 64],
-        },
         runner=_run_rigidity,
         overrides={"depth": "depth", "threshold": "theta"},
         command="rigidity",
@@ -873,20 +845,12 @@ _SPECS = [
         params_schema=_schema(
             {
                 **_MC_PROPS,
-                "dim": {"type": "integer", "minimum": 4},
-                "count": {"type": "integer", "minimum": 1},
-                "threshold": {"type": "number", "exclusiveMinimum": 0},
-                "min_usable": {"type": "integer", "minimum": 1},
+                "dim": _int(64, minimum=4),
+                "count": _int(200, minimum=1),
+                "threshold": {"type": "number", "exclusiveMinimum": 0, "default": 0.01},
+                "min_usable": _int(10, minimum=1),
             }
         ),
-        defaults={
-            "dim": 64,
-            "count": 200,
-            "threshold": 0.01,
-            "min_usable": 10,
-            "samples": 100000,
-            "n_batches": 40,
-        },
         runner=_run_triple_mixing,
         overrides={"threshold": "threshold"},
     ),
@@ -894,10 +858,7 @@ _SPECS = [
     ExperimentSpec(
         name="build",
         description="build tower stages and verify the stacking recurrence",
-        params_schema=_schema(
-            {**_CONSTRUCTION_PROPS, "depth": {"type": "integer", "minimum": 0}}
-        ),
-        defaults={"construction": "chacon", "depth": 8},
+        params_schema=_schema({**_construction_props("chacon"), "depth": _int(8)}),
         runner=_run_build,
         overrides={"depth": "depth"},
         listed=False,
@@ -908,27 +869,13 @@ _SPECS = [
         description="exact correlation interval for one shift and two sets",
         params_schema=_schema(
             {
-                **_CONSTRUCTION_PROPS,
-                "n": {"type": "integer"},
-                "a_stage": {"type": "integer", "minimum": 0},
-                "a_lo": {"type": "integer", "minimum": 0},
-                "a_hi": {"type": "integer", "minimum": 1},
-                "b_stage": {"type": "integer", "minimum": 0},
-                "b_lo": {"type": "integer", "minimum": 0},
-                "b_hi": {"type": "integer", "minimum": 1},
+                **_construction_props("chacon"),
+                "n": {"type": "integer", "default": 1},
+                **_level_range_props("a", 2, 0, 5),
+                **_level_range_props("b", 2, 0, 5),
                 "depth": {"type": "integer", "minimum": 0},
             },
         ),
-        defaults={
-            "construction": "chacon",
-            "n": 1,
-            "a_stage": 2,
-            "a_lo": 0,
-            "a_hi": 5,
-            "b_stage": 2,
-            "b_lo": 0,
-            "b_hi": 5,
-        },
         runner=_run_correlate,
         overrides={"depth": "depth"},
         listed=False,
@@ -941,22 +888,16 @@ _SPECS = [
         params_schema=_schema(
             {
                 **_MC_PROPS,
-                "dim": {"type": "integer", "minimum": 4},
+                "dim": _int(64, minimum=4),
                 "degrees": {
                     "type": "array",
                     "items": {"type": "integer", "enum": [1, 2, 3]},
                     "minItems": 1,
+                    "default": [1, 2],
                 },
-                "shifts": _int_array(),
+                "shifts": _int_array([3, 7, 25]),
             }
         ),
-        defaults={
-            "dim": 64,
-            "degrees": [1, 2],
-            "shifts": [3, 7, 25],
-            "samples": 100000,
-            "n_batches": 40,
-        },
         runner=_run_gauss,
         overrides={},
         listed=False,
@@ -970,32 +911,17 @@ _SPECS = [
             {
                 "pair": {"type": "object"},
                 **_MC_PROPS,
-                "window_stage": {"type": "integer", "minimum": 0},
-                "window_size": {"type": "integer", "minimum": 1},
-                "depth": {"type": "integer", "minimum": 0},
-                "a_stage": {"type": "integer", "minimum": 0},
-                "a_lo": {"type": "integer", "minimum": 0},
-                "a_hi": {"type": "integer", "minimum": 1},
-                "b_stage": {"type": "integer", "minimum": 0},
-                "b_lo": {"type": "integer", "minimum": 0},
-                "b_hi": {"type": "integer", "minimum": 1},
-                "ns": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
+                **_WINDOW_PROPS,
+                **_level_range_props("a", 2, 100, 150),
+                **_level_range_props("b", 2, 90, 200),
+                "ns": {
+                    "type": "array",
+                    "items": {"type": "integer"},
+                    "minItems": 1,
+                    "default": [0, 3, 17],
+                },
             }
         ),
-        defaults={
-            "window_stage": 2,
-            "window_size": 700,
-            "depth": 2,
-            "a_stage": 2,
-            "a_lo": 100,
-            "a_hi": 150,
-            "b_stage": 2,
-            "b_lo": 90,
-            "b_hi": 200,
-            "ns": [0, 3, 17],
-            "samples": 100000,
-            "n_batches": 40,
-        },
         runner=_run_poisson_cov,
         overrides={"depth": "depth"},
         listed=False,
@@ -1024,7 +950,7 @@ def default_config(name: str) -> dict:
     return {
         "experiment": name,
         "seed": 0,
-        "params": copy.deepcopy(spec.defaults),
+        "params": spec.defaults,
     }
 
 
@@ -1052,7 +978,7 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError(f"unknown experiment {name!r}")
     spec = _CATALOGUE[name]
 
-    params = copy.deepcopy(spec.defaults)
+    params = spec.defaults
     supplied = raw.get("params", {})
     if not isinstance(supplied, dict):
         raise ConfigError("params must be a JSON object")

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import hermite_e
 
 from .mc import EstimateWithError, batch_estimate
 from .operators import (
@@ -108,24 +107,20 @@ def factor_sampler(rows: np.ndarray):
 
 
 def hermite_value(k: int, x: np.ndarray) -> np.ndarray:
-    """Probabilists' Hermite polynomial He_k evaluated elementwise.
+    """Probabilists' Hermite polynomial He_k, k = 1, 2 or 3, elementwise.
 
-    Degrees 1 to 3 are written out in the operation order of numpy's Clenshaw
-    recursion (`hermeval`), so they agree with it bit for bit, signed zeros
-    included; other degrees go through `hermeval` itself.
+    Each degree is written out in the operation order of numpy's Clenshaw
+    recursion (`numpy.polynomial.hermite_e.hermeval`), so it agrees with it
+    bit for bit, signed zeros included.
     """
-    if k < 0:
-        raise ValueError("degree must be non-negative")
-    if 1 <= k <= 3:
-        x = np.asarray(x, dtype=float)
-        if k == 1:
-            return 0.0 + x
-        if k == 2:
-            return -1.0 + x * x
-        return (0.0 - x) + (x * x - 2.0) * x
-    coeffs = np.zeros(k + 1)
-    coeffs[k] = 1.0
-    return hermite_e.hermeval(x, coeffs)
+    if k not in (1, 2, 3):
+        raise ValueError("degree must be 1, 2 or 3")
+    x = np.asarray(x, dtype=float)
+    if k == 1:
+        return 0.0 + x
+    if k == 2:
+        return -1.0 + x * x
+    return (0.0 - x) + (x * x - 2.0) * x
 
 
 def _batch_layout(samples: int, n_batches: int) -> int:
@@ -225,8 +220,6 @@ def triple_correlation_weakmix_check(
     seed: int = 0,
     n_batches: int = 40,
     jobs: int = 1,
-    full_b: bool = False,
-    full_c: bool = False,
 ) -> list[TripleMixingEntry]:
     """Triple-correlation deviations for events {X <= 0} at shifted times.
 
@@ -234,8 +227,7 @@ def triple_correlation_weakmix_check(
     from the operator; entries where any exceeds the threshold are flagged
     rather than dropped, since large pairwise correlation voids the premise
     that the triple correlation should factor.  The closed-form orthant
-    probability is attached as the oracle for the estimate itself.  Setting
-    full_b or full_c replaces that event by the whole space.
+    probability is attached as the oracle for the estimate itself.
     """
     if len(ms) != len(ns):
         raise ValueError("shift sequences must have equal length")
@@ -259,12 +251,7 @@ def triple_correlation_weakmix_check(
 
         def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
             x = block(rng, size)
-            inside = x[0] <= 0.0
-            if not full_b:
-                inside &= x[1] <= 0.0
-            if not full_c:
-                inside &= x[2] <= 0.0
-            return inside.astype(float)
+            return ((x[0] <= 0.0) & (x[1] <= 0.0) & (x[2] <= 0.0)).astype(float)
 
         estimate = batch_estimate(
             sampler,
@@ -273,15 +260,6 @@ def triple_correlation_weakmix_check(
             seed=seed + idx,
             jobs=jobs,
         )
-        marginals = [0.5, 1.0 if full_b else 0.5, 1.0 if full_c else 0.5]
-        if full_b and full_c:
-            exact = 0.5
-        elif full_b:
-            exact = 0.25 + math.asin(rho_n) / (2 * math.pi)
-        elif full_c:
-            exact = 0.25 + math.asin(rho_m) / (2 * math.pi)
-        else:
-            exact = orthant_probability(rho_m, rho_n, rho_gap)
         entries.append(
             TripleMixingEntry(
                 m=int(m),
@@ -292,8 +270,8 @@ def triple_correlation_weakmix_check(
                 condition_met=not failed,
                 failed_pairs=failed,
                 estimate=estimate,
-                product=float(np.prod(marginals)),
-                exact=exact,
+                product=0.125,
+                exact=orthant_probability(rho_m, rho_n, rho_gap),
             )
         )
     return entries

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -21,21 +21,12 @@ __all__ = [
     "require_orthogonal",
     "default_angles",
     "make_rotation_operator",
-    "make_permutation_operator",
-    "make_random_orthogonal",
-    "make_operator",
     "random_unit_vector",
     "uniform_unit_vector",
     "FiniteRankPerturbation",
     "vector_with_plane_mass",
-    "cesaro_average",
-    "cesaro_square_average",
-    "cesaro_square_sweep",
     "CesaroDefect",
-    "conjugate_average",
     "conjugate_defect",
-    "majorant_decay_series",
-    "min_return_distance",
     "operator_correlation",
 ]
 
@@ -101,47 +92,6 @@ def make_rotation_operator(
     return operator
 
 
-def make_permutation_operator(dim: int) -> np.ndarray:
-    """The cyclic shift on coordinates, a period-dim orthogonal operator."""
-    if dim < 2:
-        raise ValueError("need dimension >= 2")
-    return np.roll(np.eye(dim), 1, axis=0)
-
-
-def make_random_orthogonal(dim: int, seed: int = 0) -> np.ndarray:
-    if dim < 2:
-        raise ValueError("need dimension >= 2")
-    from scipy.stats import ortho_group  # deferred: scipy.stats dominates import time
-
-    rng = np.random.default_rng([int(seed), 0x0E7])
-    return ortho_group.rvs(dim, random_state=rng)
-
-
-def make_operator(
-    kind: str,
-    dim: int,
-    *,
-    seed: int = 0,
-    angles: Optional[Sequence[float]] = None,
-    matrix: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    if kind == "rotation":
-        op = make_rotation_operator(dim, angles)
-    elif kind == "permutation":
-        op = make_permutation_operator(dim)
-    elif kind == "random":
-        op = make_random_orthogonal(dim, seed)
-    elif kind == "matrix":
-        if matrix is None:
-            raise ValueError("kind 'matrix' needs an explicit matrix")
-        op = np.asarray(matrix, dtype=float)
-        if op.shape != (dim, dim):
-            raise ValueError(f"matrix shape {op.shape} does not match dim {dim}")
-    else:
-        raise ValueError(f"unknown operator kind {kind!r}")
-    return require_orthogonal(op)
-
-
 def random_unit_vector(dim: int, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng([int(seed), 0xF1])
     v = rng.standard_normal(dim)
@@ -191,15 +141,8 @@ class FiniteRankPerturbation:
     def dim(self) -> int:
         return self.plane.shape[0]
 
-    @property
-    def operator_norm(self) -> float:
-        return 2.0 * abs(math.sin(self.angle / 2.0))
-
     def matrix(self) -> np.ndarray:
         return np.eye(self.dim) + self.plane @ self._r_minus_i @ self.plane.T
-
-    def k_matrix(self) -> np.ndarray:
-        return self.plane @ self._r_minus_i @ self.plane.T
 
     def apply_k(self, vec: np.ndarray) -> np.ndarray:
         return self.plane @ (self._r_minus_i @ (self.plane.T @ vec))
@@ -235,48 +178,6 @@ def _orbit(op: np.ndarray, vec: np.ndarray, n_terms: int):
         yield g
 
 
-def cesaro_average(op: np.ndarray, vec: np.ndarray, n_terms: int) -> np.ndarray:
-    """(1/N) sum of U^i v over i = 1..N."""
-    if n_terms < 1:
-        raise ValueError("need at least one term")
-    total = np.zeros(len(vec))
-    for g in _orbit(op, vec, n_terms):
-        total += g
-    return total / n_terms
-
-
-def cesaro_square_average(
-    op: np.ndarray, f: np.ndarray, g: np.ndarray, n_terms: int
-) -> float:
-    """(1/N) sum of <U^i f, g>^2 over i = 1..N.
-
-    For an operator without eigenvectors in the span of the orbit this decays;
-    a fixed vector shared by f and g pins it at 1, which is the whole point of
-    checking it.
-    """
-    return cesaro_square_sweep(op, f, g, [n_terms])[n_terms]
-
-
-def cesaro_square_sweep(
-    op: np.ndarray, f: np.ndarray, g: np.ndarray, ns: Iterable[int]
-) -> Mapping[int, float]:
-    """The squared-correlation running average at each requested N, one pass."""
-    targets = sorted(set(int(n) for n in ns))
-    if not targets or targets[0] < 1:
-        raise ValueError("sweep points must be positive")
-    g = np.asarray(g, dtype=float)
-    out = {}
-    total = 0.0
-    for i, vec in enumerate(_orbit(op, f, targets[-1]), start=1):
-        total += float(vec @ g) ** 2
-        if i == targets[0]:
-            out[i] = total / i
-            targets.pop(0)
-            if not targets:
-                break
-    return out
-
-
 @dataclass(frozen=True)
 class CesaroDefect:
     """How far conjugation moves the Cesaro average, with two certificates.
@@ -294,35 +195,18 @@ class CesaroDefect:
     n_terms: int
 
 
-def conjugate_average(
-    op: np.ndarray,
-    pert: FiniteRankPerturbation,
-    vec: np.ndarray,
-    n_terms: int,
-) -> np.ndarray:
-    """(1/N) sum of U^-i S U^i f, assembled by a backward Horner recurrence.
-
-    Writing S = I + K the sum is f + (1/N) sum U^-i K U^i f, and the second
-    term is built from the stored K-images in reverse so only 2N matvecs are
-    needed instead of N matrix powers.
-    """
-    if n_terms < 1:
-        raise ValueError("need at least one term")
-    if pert.dim != len(vec):
-        raise ValueError("perturbation and vector dimensions differ")
-    ks = [pert.apply_k(g) for g in _orbit(op, vec, n_terms)]
-    back = np.zeros(len(vec))
-    for k in reversed(ks):
-        back = op.T @ (k + back)
-    return vec + back / n_terms
-
-
 def conjugate_defect(
     op: np.ndarray,
     pert: FiniteRankPerturbation,
     vec: np.ndarray,
     n_terms: int,
 ) -> CesaroDefect:
+    """The defect of (1/N) sum U^-i S U^i f and its two majorants, one pass.
+
+    Writing S = I + K, f minus the average is -(1/N) sum U^-i K U^i f, built
+    from the stored K-images by a backward Horner recurrence, so N forward and
+    N backward matvecs replace N matrix powers.
+    """
     if n_terms < 1:
         raise ValueError("need at least one term")
     if pert.dim != len(vec):
@@ -344,56 +228,6 @@ def conjugate_defect(
         majorant2=2.0 * sum_proj / n_terms,
         n_terms=n_terms,
     )
-
-
-def majorant_decay_series(
-    op: np.ndarray,
-    pert: FiniteRankPerturbation,
-    vec: np.ndarray,
-    ns: Iterable[int],
-) -> dict:
-    """majorant2 alongside the squared-correlation averages of the K-plane basis.
-
-    The cheap majorant is controlled by the square averages against each basis
-    vector of the perturbation plane: (1/N) sum ||proj U^i f|| is at most
-    sqrt(sum_k (1/N) sum <U^i f, g_k>^2) by Cauchy-Schwarz, so the two series
-    must decay together.  Returned as {N: (majorant2, [square averages], bound)}.
-    """
-    targets = sorted(set(int(n) for n in ns))
-    if not targets or targets[0] < 1:
-        raise ValueError("sweep points must be positive")
-    basis = [pert.plane[:, 0], pert.plane[:, 1]]
-    out = {}
-    sum_proj = 0.0
-    sum_sq = [0.0, 0.0]
-    for i, g in enumerate(_orbit(op, vec, targets[-1]), start=1):
-        sum_proj += pert.plane_component_norm(g)
-        for k, b in enumerate(basis):
-            sum_sq[k] += float(g @ b) ** 2
-        if i == targets[0]:
-            squares = [s / i for s in sum_sq]
-            bound = 2.0 * math.sqrt(sum(squares))
-            out[i] = (2.0 * sum_proj / i, squares, bound)
-            targets.pop(0)
-            if not targets:
-                break
-    return out
-
-
-def min_return_distance(op: np.ndarray, n_max: int) -> tuple[float, int]:
-    """Smallest spectral distance ||U^n - I|| over 1 <= n <= n_max."""
-    if n_max < 1:
-        raise ValueError("need n_max >= 1")
-    op = np.asarray(op, dtype=float)
-    eye = np.eye(op.shape[0])
-    power = eye
-    best = (math.inf, 0)
-    for n in range(1, n_max + 1):
-        power = power @ op
-        dist = float(np.linalg.norm(power - eye, 2))
-        if dist < best[0]:
-            best = (dist, n)
-    return best
 
 
 def operator_correlation(op: np.ndarray, vec: np.ndarray, n: int) -> float:

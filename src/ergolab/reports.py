@@ -21,14 +21,9 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
-from importlib import metadata
 
+from . import __version__ as TOOL_VERSION
 from .mc import EstimateWithError
-
-try:
-    TOOL_VERSION = metadata.version("ergolab")
-except metadata.PackageNotFoundError:  # running from a source tree
-    TOOL_VERSION = "0.1.0"
 
 RNG_SCHEME = (
     "batch-seeded/rank-factor: Monte-Carlo batch b draws from numpy "

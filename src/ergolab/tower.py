@@ -125,10 +125,6 @@ class TowerStage:
     column_bases: tuple[int, ...]
 
     @property
-    def total_tower_measure(self) -> Fraction:
-        return self.height * self.level_width
-
-    @property
     def next_height(self) -> int:
         return self.column_bases[-1] + self.height + self.spacers[-1]
 
@@ -213,18 +209,8 @@ class RationalInterval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def __contains__(self, x) -> bool:
         return self.lo <= x <= self.hi
-
-    def scaled(self, c) -> "RationalInterval":
-        c = Q(c)
-        if c < 0:
-            raise ValueError("negative scaling would flip the interval")
-        return RationalInterval(self.lo * c, self.hi * c)
 
 
 # Hits are counted on bool masks when the two refined sets fill at least

@@ -185,3 +185,10 @@ def hermite_cross_moment(k: int, rho: float, nodes: int = 60) -> float:
     y = rho * x[:, None] + np.sqrt(max(0.0, 1.0 - rho * rho)) * x[None, :]
     hy = np.polynomial.hermite_e.hermeval(y, coeffs)
     return float(weights @ (hy * hx[:, None]) @ weights)
+
+
+def random_orthogonal(dim: int, seed: int) -> np.ndarray:
+    """A Haar-random orthogonal matrix from scipy, seeded per `seed`."""
+    from scipy.stats import ortho_group
+
+    return ortho_group.rvs(dim, random_state=np.random.default_rng([int(seed), 0x0E7]))

@@ -169,14 +169,35 @@ def test_spec_file_without_mode_exits_2(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_spec_file_with_an_unknown_key_exits_2(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(
+        '{"mode": "finite", "rule": {"name": "chacon"}, "junk": 1}', encoding="utf-8"
+    )
+    proc = run_cli("build", "--spec-file", str(spec))
+    assert proc.returncode == 2
+    assert "config error" in proc.stderr and "'junk'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "pair, key",
     [
         ({"cuts": {"name": "constant"}}, "'r'"),
         ({"cprime": {"name": "explicit"}}, "'values'"),
         ({"cuts": 5}, "JSON object"),
+        ({"bogus": 1}, "'bogus'"),
+        ({"cuts": {"name": "affine", "scale": 1, "offset": 2, "junk": 1}}, "'junk'"),
+        ({"dprime": {"name": "naturals", "step": 2}}, "'step'"),
     ],
-    ids=["constant-cuts-without-r", "explicit-stream-without-values", "cuts-not-an-object"],
+    ids=[
+        "constant-cuts-without-r",
+        "explicit-stream-without-values",
+        "cuts-not-an-object",
+        "unknown-pair-key",
+        "unknown-cuts-key",
+        "unknown-stream-key",
+    ],
 )
 def test_pair_file_with_a_missing_key_exits_2(tmp_path, pair, key):
     path = tmp_path / "pair.json"
@@ -258,12 +279,14 @@ def test_every_generated_flag_lands_in_the_report_params(tmp_path):
 
 
 def test_fresh_import_loads_no_scipy():
+    # nor the package-metadata lookup or numpy's polynomial classes
+    prefixes = ("scipy.", "importlib.metadata.", "numpy.polynomial.")
     proc = subprocess.run(
         [
             sys.executable,
             "-c",
             "import sys, ergolab; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+            f"print(sorted(m for m in sys.modules if (m + '.').startswith({prefixes})))",
         ],
         capture_output=True,
         text=True,

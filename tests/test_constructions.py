@@ -1,13 +1,13 @@
 """Named constructions, the paired generator and JSON round-trips."""
 from __future__ import annotations
 
-import itertools
 import json
 from fractions import Fraction
 
 import pytest
 
 from ergolab.tower import (
+    ConstructionParams,
     GenerationError,
     LevelSet,
     build_stage,
@@ -19,13 +19,10 @@ from ergolab.constructions import (
     builtin_params,
     chacon,
     odometer,
-    params_from_json,
     params_from_spec,
-    params_to_json,
     params_to_spec,
     rigid_mixing_pair,
     staircase,
-    theorem6_generate,
 )
 
 Q = Fraction
@@ -39,8 +36,8 @@ def test_pair_shares_heights_and_interleaves_times():
             == build_stage(pair.s_params, j).height
             == pair.shared_height(j)
         )
-    c_times = pair.t_rigid_times(12)
-    d_times = pair.s_rigid_times(12)
+    c_times = [pair.time_at(j) for j in range(1, 13, 2)]
+    d_times = [pair.time_at(j) for j in range(0, 13, 2)]
     assert c_times[:2] == [73, 236133]
     assert d_times[:2] == [3, 3373]
     assert not set(c_times) & set(d_times)
@@ -97,16 +94,15 @@ def test_pair_interval_nests_one_stage_deeper():
 
 
 def test_generate_from_raw_streams():
-    s_params, t_params, c_stream, d_stream = theorem6_generate(
-        itertools.count(1), itertools.count(1), lambda j: j + 2
-    )
-    c0, c1 = itertools.islice(c_stream, 2)
-    d0 = next(d_stream)
+    # naturals for both streams and r_j = j + 2 cuts
+    pair = rigid_mixing_pair({"cuts": {"name": "affine", "scale": 1, "offset": 2}})
+    c0, c1 = pair.time_at(1), pair.time_at(3)
+    d0 = pair.time_at(0)
     assert d0 == 3  # h_0 = 1, least admissible even-stage time
-    h1 = build_stage(t_params, 1).height
+    h1 = build_stage(pair.t_params, 1).height
     assert h1 == 2 * 1 + 2 * 1 * 2 == 6  # r_0 = 2, s_0 = 2
     assert c0 == 2 * h1 + 1 == 13
-    assert build_stage(s_params, 1).height == h1
+    assert build_stage(pair.s_params, 1).height == h1
     assert c1 > c0
 
 
@@ -125,7 +121,7 @@ def test_builtin_pair_roles_share_one_generator():
 
 def test_json_round_trip_named_and_explicit():
     for p in (chacon(), odometer(3), staircase(), builtin_params("theorem6", role="t")):
-        q = params_from_json(params_to_json(p))
+        q = params_from_spec(json.loads(json.dumps(params_to_spec(p))))
         assert (q.measure_mode, q.initial_width) == (p.measure_mode, p.initial_width)
         for j in range(4):
             assert q.stage_data(j) == p.stage_data(j)
@@ -149,11 +145,37 @@ def test_serialization_rejects_bad_specs():
         params_from_spec({"mode": "finite"})
     with pytest.raises(ValueError):
         builtin_params("mystery")
-    s_params, *_ = theorem6_generate(iter([3, 99]), iter([5, 77]), lambda j: 3)
+    closure = ConstructionParams(
+        "finite", Q(1), 1, None, lambda j: (3, (0, 1, 0)), None, "closure"
+    )
     with pytest.raises(ValueError):
-        params_to_json(s_params)  # closure-backed, no descriptor
+        params_to_spec(closure)  # closure-backed, no descriptor
 
 
 def test_explicit_stream_spec_must_increase():
     with pytest.raises(ValueError):
         rigid_mixing_pair({"cprime": {"name": "explicit", "values": [5, 5]}})
+
+
+@pytest.mark.parametrize(
+    "call, key",
+    [
+        (lambda: builtin_params("theorem6", bogus=1), "'bogus'"),
+        (
+            lambda: params_from_spec(
+                {"mode": "finite", "stages": [{"r": 2, "spacers": [0, 0], "s": 1}]}
+            ),
+            "'s'",
+        ),
+        (
+            lambda: params_from_spec(
+                {"mode": "finite", "rule": {"name": "chacon", "arg": {}}}
+            ),
+            "'arg'",
+        ),
+    ],
+    ids=["theorem6-args", "stage", "rule"],
+)
+def test_unknown_descriptor_keys_are_rejected(call, key):
+    with pytest.raises(ValueError, match=key):
+        call()

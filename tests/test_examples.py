@@ -1,0 +1,39 @@
+"""The demos and the README's python examples run as published."""
+import contextlib
+import glob
+import io
+import os
+import re
+import subprocess
+import sys
+
+import ergolab
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+# a README line `print(...)  # text` promises that the call prints `text`
+EXPECTED = re.compile(r"^print\(.*\)\s+# (.*)$")
+
+
+def test_demos_and_readme_examples_run():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ergolab.__file__)))
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    env.pop("ERGOLAB_SEED", None)
+    demos = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
+    assert demos
+    for demo in demos:
+        proc = subprocess.run(
+            [sys.executable, demo], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert proc.returncode == 0, (demo, proc.stderr)
+        assert "Traceback" not in proc.stderr, demo
+
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
+        blocks = re.findall(r"```python\n(.*?)```", handle.read(), re.S)
+    assert blocks
+    for block in blocks:
+        expected = [m.group(1).strip() for m in map(EXPECTED.match, block.splitlines()) if m]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(compile(block, "README.md", "exec"), {})
+        assert out.getvalue().splitlines() == expected, block

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import jsonschema
 import pytest
@@ -23,6 +24,23 @@ EXACT_RESULT_DIGESTS = {
     "rigidity-scan": "17bcf576fee7bb4301ae7dfc1b2b20df68bef3f840c1e58fe2f48f4752c38719",
     "build": "88ca6a6ea252e52148f00b5878c2c5c0f72b8c35ca99ddd88884a04a8b556723",
     "correlate": "5a8c07644ccedb5202ced4ea6818f44759bfe835396a14cb20e78a5d05cb60b6",
+}
+
+# sha256 of json.dumps(default_config(name), sort_keys=True) for every entry,
+# so that a default lost or changed in the schema shows
+DEFAULT_CONFIG_DIGESTS = {
+    "ledrapier": "dce104f1332695df53ea500c96b2a26992313b94c1f9ed6e893ba7672519b5d6",
+    "theorem1": "62c054ab3a5aa811b2121edf5c95f4ac47311571f547cdfc5d0026afde290b8e",
+    "theorem6": "609764891055c52cc789c9e633aa171482cc6f6eb40eb63d9d5d3bc93333ac33",
+    "eq1-sweep": "04f5960ad8c14dbdc6a3a0472e980df612c9eb387bbe0a4fcbe0bc4a4ecfcb18",
+    "wh-gaussian": "33bb16c57dedc8de1e65258488326fa3ec48e81ea243805d5d049766f32d2196",
+    "wh-poisson": "75923a042472e24e36bcf5f112a00f6fe08ddaadd4c2bb8b668efa69c7a17bd2",
+    "rigidity-scan": "a899b8ebf5c856c159c1213eee228a4f2dbd30ad5a345bb8fcea4654a484ca84",
+    "triple-mixing": "6de33317c9a48b0eff7b27c457ae6befabd794fb42a1f62f8de235a159f4ecc0",
+    "build": "6ca36304d631730bbb48a6b0889d86240004871d5baad176c6ffd3693672fbc2",
+    "correlate": "bfdfcb7c6677ac94301191f62c1533bb9cbad1e8f9a762b8d9ebd882dae7f8b8",
+    "gauss": "0238b651efdd2da17384c474772c38ac001cf244328e4c461b60c5acdebd3d7b",
+    "poisson": "db705d82a5b89f3a965fbe0c01d74a7765b7d135f07b5ebb45be7702f8e50fde",
 }
 
 
@@ -50,6 +68,13 @@ def test_every_default_config_round_trips_the_schema():
         resolved = resolve_config(default_config(name))
         assert resolved["experiment"] == name
         assert resolved["seed"] == 0
+
+
+def test_default_configs_are_frozen():
+    assert set(DEFAULT_CONFIG_DIGESTS) == set(_CATALOGUE)
+    for name, want in DEFAULT_CONFIG_DIGESTS.items():
+        blob = json.dumps(default_config(name), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == want, name
 
 
 def test_config_rejection_paths():

@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+import ergolab
 from ergolab.mc import EstimateWithError
 from ergolab.reports import (
     RNG_SCHEME,
@@ -132,3 +133,11 @@ def test_failed_csv_write_leaves_no_file(tmp_path):
     with pytest.raises(UnicodeEncodeError):
         write_rows_csv([{"item": "\ud800"}], str(path))
     assert os.listdir(tmp_path) == []
+
+
+def test_one_version_for_package_pyproject_and_reports():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    with open(pyproject, "rb") as handle:
+        declared = tomllib.load(handle)["project"]["version"]
+    assert declared == ergolab.__version__ == _sample_report(0.0).version
