@@ -4,15 +4,20 @@ Besides the classical desk examples (chacon, odometer, staircase) this module
 builds matched pairs of infinite-measure constructions whose designated time
 sets interleave: along the times emitted for one map the other map is rigid,
 and vice versa.  Parameters round-trip through a small JSON vocabulary so the
-command line can name them.
+command line can name them; its descriptors are declared once, as the JSON
+Schema `$defs` in DESCRIPTOR_DEFS, which both the experiment schemas and the
+library entry points validate against.
 """
 from __future__ import annotations
 
 import bisect
+import functools
 import json
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
+
+import jsonschema
 
 from .tower import ConstructionParams, GenerationError
 
@@ -24,13 +29,13 @@ __all__ = [
     "staircase",
     "builtin_params",
     "BUILTIN_RULES",
+    "DESCRIPTOR_DEFS",
+    "MAX_CUTS",
+    "SchemaValidator",
     "RigidMixingPair",
     "rigid_mixing_pair",
-    "default_pair_args",
     "params_to_spec",
     "params_from_spec",
-    "stream_from_spec",
-    "cuts_from_spec",
 ]
 
 
@@ -79,7 +84,7 @@ def staircase() -> ConstructionParams:
 
 
 # ---------------------------------------------------------------------------
-# integer streams and cut-count rules for generated pairs
+# integer streams and the generated pair
 
 
 class _TimeSource:
@@ -90,36 +95,24 @@ class _TimeSource:
     that grow geometrically from stage to stage.
     """
 
-    def __init__(self, kind: str, payload) -> None:
-        self._kind = kind
-        self._payload = payload
-        self._last: Optional[int] = None
-
-    @classmethod
-    def from_spec(cls, spec: dict) -> "_TimeSource":
-        name = _kind_of(spec, "stream", _STREAM_KEYS)
-        if name == "naturals":
-            return cls("arithmetic", (1, 1))
-        if name == "arithmetic":
-            start, step = int(spec.get("start", 1)), int(spec.get("step", 1))
-            if step < 1:
-                raise ValueError("arithmetic stream needs a positive step")
-            return cls("arithmetic", (start, step))
-        values = [int(v) for v in _required(spec, "values", "explicit stream")]
-        if any(b <= a for a, b in zip(values, values[1:])):
+    def __init__(self, spec: dict) -> None:
+        """`spec`: a schema-valid `stream` descriptor (naturals: start 1, step 1)."""
+        values = self._values = spec.get("values")  # None unless explicit
+        if values is not None and any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("explicit stream must be strictly increasing")
-        return cls("explicit", values)
+        self._start, self._step = spec.get("start", 1), spec.get("step", 1)
+        self._last: Optional[int] = None
 
     def least_above(self, x: int) -> int:
         floor = x if self._last is None else max(x, self._last)
-        if self._kind == "arithmetic":
-            start, step = self._payload
+        if self._values is None:
+            start, step = self._start, self._step
             k = max(0, -(-(floor + 1 - start) // step))
             value = start + k * step
             if value <= floor:
                 value += step
         else:
-            values = self._payload
+            values = self._values
             pos = bisect.bisect_right(values, floor)
             if pos >= len(values):
                 raise GenerationError(
@@ -128,69 +121,6 @@ class _TimeSource:
             value = values[pos]
         self._last = value
         return value
-
-
-def stream_from_spec(spec: dict) -> _TimeSource:
-    """Strictly increasing integer stream from a JSON descriptor."""
-    return _TimeSource.from_spec(spec)
-
-
-_PAIR_KEYS = ("cuts", "cprime", "dprime")
-_STREAM_KEYS = {
-    "naturals": ("name",),
-    "arithmetic": ("name", "start", "step"),
-    "explicit": ("name", "values"),
-}
-_CUTS_KEYS = {"constant": ("name", "r"), "affine": ("name", "scale", "offset")}
-_SPEC_KEYS = ("mode", "initial_width", "initial_height", "stages", "rule")
-
-
-def _descriptor(spec, what: str, keys: Optional[tuple] = None) -> dict:
-    """spec itself, or a ValueError when the JSON value is not an object or
-    (unless `keys` is None) has a key outside `keys`."""
-    if not isinstance(spec, dict):
-        raise ValueError(f"{what} descriptor must be a JSON object, not {spec!r}")
-    unknown = sorted(set(spec) - set(keys)) if keys is not None else []
-    if unknown:
-        names = ", ".join(repr(key) for key in unknown)
-        raise ValueError(f"{what} descriptor has unknown key(s) {names}")
-    return spec
-
-
-def _kind_of(spec, what: str, kinds: dict) -> str:
-    """The `name` of a named descriptor, once the descriptor is known to be
-    an object of one of `kinds` holding only that kind's keys."""
-    name = _descriptor(spec, what).get("name")
-    if not isinstance(name, str) or name not in kinds:
-        raise ValueError(f"unknown {what} {name!r}")
-    _descriptor(spec, f"{name} {what}", kinds[name])
-    return name
-
-
-def _required(spec: dict, key: str, what: str):
-    """spec[key], or a ValueError naming the key the descriptor lacks."""
-    if key not in spec:
-        raise ValueError(f"{what} descriptor is missing the key {key!r}")
-    return spec[key]
-
-
-def cuts_from_spec(spec: dict) -> Callable[[int], int]:
-    """Cut-count rule j -> r_j from a JSON descriptor."""
-    if _kind_of(spec, "cuts rule", _CUTS_KEYS) == "constant":
-        r = int(_required(spec, "r", "constant cuts"))
-        return lambda j: r
-    scale = int(spec.get("scale", 1))
-    offset = int(spec.get("offset", 2))
-    return lambda j: scale * j + offset
-
-
-def default_pair_args() -> dict:
-    """Stream and cut choices used when the pair generator is run by name."""
-    return {
-        "cuts": {"name": "affine", "scale": 8, "offset": 8},
-        "cprime": {"name": "naturals"},
-        "dprime": {"name": "naturals"},
-    }
 
 
 class RigidMixingPair:
@@ -207,19 +137,18 @@ class RigidMixingPair:
     spacers, and even stages swap the roles.
     """
 
-    def __init__(
-        self,
-        cprime: _TimeSource,
-        dprime: _TimeSource,
-        cuts: Callable[[int], int],
-        spec_args: dict,
-    ) -> None:
-        self._streams = {1: cprime, 0: dprime}
-        self._cuts = cuts
+    def __init__(self, args: dict) -> None:
+        """`args`: a schema-valid `pair` descriptor holding all three keys."""
+        cuts = args["cuts"]
+        if cuts["name"] == "constant":
+            self._scale, self._offset = 0, cuts["r"]
+        else:
+            self._scale, self._offset = cuts.get("scale", 1), cuts.get("offset", 2)
+        self._streams = {1: _TimeSource(args["cprime"]), 0: _TimeSource(args["dprime"])}
         self._records: list[tuple[int, int, int]] = []  # (r_j, s_j, h_j + s_j)
         self._heights = [1]
-        self.t_params = self._role_params("t", spec_args)
-        self.s_params = self._role_params("s", spec_args)
+        self.t_params = self._role_params("t", args)
+        self.s_params = self._role_params("s", args)
 
     def _role_params(self, role: str, spec_args: dict) -> ConstructionParams:
         spec = _canonical("theorem6", {**spec_args, "role": role})
@@ -232,9 +161,7 @@ class RigidMixingPair:
         while len(self._records) <= j:
             m = len(self._records)
             h = self._heights[m]
-            r = self._cuts(m)
-            if r < 2:
-                raise GenerationError(f"stage {m}: cut rule returned r={r} < 2")
+            r = self._scale * m + self._offset  # at least 2, by the `cuts` schema
             try:
                 value = self._streams[m % 2].least_above(2 * h)
             except GenerationError as exc:
@@ -264,49 +191,136 @@ class RigidMixingPair:
         self._ensure(j)
         return self._records[j][0]
 
+
 def rigid_mixing_pair(spec_args: Optional[dict] = None) -> RigidMixingPair:
-    """Build a pair from JSON descriptors (defaults from default_pair_args)."""
-    args = default_pair_args()
-    if spec_args:
-        args.update(_descriptor(spec_args, "pair", _PAIR_KEYS))
-    return RigidMixingPair(
-        stream_from_spec(args["cprime"]),
-        stream_from_spec(args["dprime"]),
-        cuts_from_spec(args["cuts"]),
-        spec_args=args,
-    )
+    """Build a pair from a `pair` descriptor; a key left out takes its default."""
+    if spec_args is not None:
+        _check("pair", spec_args)
+    defaults = {key: prop["default"] for key, prop in _PAIR.items()}
+    return RigidMixingPair(defaults | (spec_args or {}))
+
+
+# ---------------------------------------------------------------------------
+# JSON descriptors, declared once
+
+# Largest cut count a descriptor or experiment may name (r, r_j, and the affine
+# scale and offset): a stage builds a spacer tuple of r_j entries.
+MAX_CUTS = 1024
+
+_INT = {"type": "integer"}
+_CUT_COUNT = {"type": "integer", "minimum": 2, "maximum": MAX_CUTS}
+
+
+def _closed(properties: dict, required: tuple = ()) -> dict:
+    """An object with exactly these typed properties; `required` comes before
+    `additionalProperties`, so a missing key is the error reported first."""
+    return {"type": "object", "required": list(required), "properties": properties,
+            "additionalProperties": False}
+
+
+def _tagged(arms: dict) -> dict:
+    """A union of the closed objects in `arms`, told apart by their `name`.
+    Each kind is an `if {name: const}` / `then` arm under `allOf`, not a
+    `oneOf` branch, so `best_match` reports the bad key of the kind given."""
+    return {
+        "type": "object",
+        "required": ["name"],
+        "properties": {"name": {"enum": list(arms)}},
+        "allOf": [
+            {
+                "if": {"properties": {"name": {"const": name}}, "required": ["name"]},
+                "then": {**then, "properties": {"name": True, **then["properties"]}},
+            }
+            for name, then in arms.items()
+        ],
+    }
+
+
+_PAIR = {
+    "cuts": {"$ref": "#/$defs/cuts", "default": {"name": "affine", "scale": 8, "offset": 8}},
+    "cprime": {"$ref": "#/$defs/stream", "default": {"name": "naturals"}},
+    "dprime": {"$ref": "#/$defs/stream", "default": {"name": "naturals"}},
+}
+_NO_ARGS = _closed({"args": _closed({})})
+_POSITIVE_RATIONAL = "^0*[1-9][0-9]*(/0*[1-9][0-9]*)?$"  # p or p/q, as params_to_spec writes
+
+DESCRIPTOR_DEFS = {
+    "stream": _tagged({
+        "naturals": _closed({}),
+        "arithmetic": _closed({"start": _INT, "step": {**_INT, "minimum": 1}}),
+        "explicit": _closed({"values": {"type": "array", "items": _INT}}, ("values",)),
+    }),
+    "cuts": _tagged({
+        "constant": _closed({"r": _CUT_COUNT}, ("r",)),
+        "affine": _closed({"scale": {**_CUT_COUNT, "minimum": 0}, "offset": _CUT_COUNT}),
+    }),
+    "pair": _closed(_PAIR),
+    "rule": _tagged({
+        "chacon": _NO_ARGS,
+        "odometer": _closed({"args": _closed({"r": _CUT_COUNT})}),
+        "staircase": _NO_ARGS,
+        "theorem6": _closed({"args": _closed({"role": {"enum": ["t", "s"]}, **_PAIR})}),
+    }),
+    "stage": _closed(
+        {"r": _CUT_COUNT, "spacers": {"type": "array", "items": {**_INT, "minimum": 0}}},
+        ("r", "spacers"),
+    ),
+    "spec": {
+        **_closed(
+            {
+                "mode": {"enum": ["finite", "infinite"]},
+                "initial_width": {"type": "string", "pattern": _POSITIVE_RATIONAL},
+                "initial_height": {**_INT, "minimum": 1},
+                "stages": {"type": "array", "items": {"$ref": "#/$defs/stage"}},
+                "rule": {"$ref": "#/$defs/rule"},
+            },
+            ("mode",),
+        ),
+        "oneOf": [{"required": ["stages"]}, {"required": ["rule"]}],
+    },
+}
+
+BUILTIN_RULES = tuple(DESCRIPTOR_DEFS["rule"]["properties"]["name"]["enum"])
+
+# The validator class of every schema here: JSON Schema 2020-12, as
+# `validator_for` picks, but a 3.0 is no integer, lest a float reach the exact
+# layer as a cut count or index.  Validators are built without the costly
+# metaschema check; the tests make it once for every schema.
+SchemaValidator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool)
+    ),
+)
+
+
+@functools.cache
+def _def_validator(name: str):
+    """One validator per descriptor def, so at most len(DESCRIPTOR_DEFS)."""
+    return SchemaValidator({"$defs": DESCRIPTOR_DEFS, "$ref": f"#/$defs/{name}"})
+
+
+def _check(name: str, value) -> None:
+    """Raise ValueError with the best-matching schema error unless `value`
+    is a valid `name` descriptor."""
+    error = jsonschema.exceptions.best_match(_def_validator(name).iter_errors(value))
+    if error is not None:
+        raise ValueError(f"invalid {name} descriptor at {error.json_path}: {error.message}")
+
+
+def builtin_params(name: str, **args) -> ConstructionParams:
+    """Construction parameters of the `rule` descriptor {name, args}: odometer
+    takes `r`, theorem6 a `role` and the keys of a `pair`, the others none."""
+    _check("rule", {"name": name, "args": args})
+    if name != "theorem6":
+        return {"chacon": chacon, "odometer": odometer, "staircase": staircase}[name](**args)
+    role = args.pop("role", "t")
+    pair = rigid_mixing_pair(args)
+    return pair.t_params if role == "t" else pair.s_params
 
 
 # ---------------------------------------------------------------------------
 # JSON round-trip
-
-
-@lru_cache(maxsize=None)
-def _pair_from_canonical(args_json: str) -> RigidMixingPair:
-    return rigid_mixing_pair(json.loads(args_json))
-
-
-def builtin_params(name: str, **args) -> ConstructionParams:
-    """Construction parameters for a named built-in."""
-    if name == "chacon":
-        return chacon()
-    if name == "odometer":
-        return odometer(int(args.get("r", 2)))
-    if name == "staircase":
-        return staircase()
-    if name == "theorem6":
-        _descriptor(args, "theorem6 args", ("role",) + _PAIR_KEYS)
-        role = args.pop("role", "t").lower()
-        if role not in ("t", "s"):
-            raise ValueError("pair role must be 't' or 's'")
-        merged = default_pair_args()
-        merged.update(args)
-        pair = _pair_from_canonical(json.dumps(merged, sort_keys=True))
-        return pair.t_params if role == "t" else pair.s_params
-    raise ValueError(f"unknown construction {name!r}")
-
-
-BUILTIN_RULES = ("chacon", "odometer", "staircase", "theorem6")
 
 
 def params_to_spec(params: ConstructionParams) -> dict:
@@ -327,36 +341,16 @@ def params_to_spec(params: ConstructionParams) -> dict:
 
 def params_from_spec(spec: dict) -> ConstructionParams:
     """Inverse of params_to_spec, accepting both explicit and named forms."""
-    try:
-        return _params_from_spec(spec)
-    except KeyError as exc:
-        raise ValueError(f"construction spec is missing the key {exc}") from None
-
-
-def _params_from_spec(spec: dict) -> ConstructionParams:
-    mode = _descriptor(spec, "construction spec")["mode"]
-    _descriptor(spec, "construction spec", _SPEC_KEYS)
-    width = Q(str(spec.get("initial_width", "1")))
-    height = int(spec.get("initial_height", 1))
+    _check("spec", spec)
+    mode, height = spec["mode"], spec.get("initial_height", 1)
+    width = Q(spec.get("initial_width", "1"))
     if "stages" in spec:
-        stages = []
-        for st in spec["stages"]:
-            _descriptor(st, "stage", ("r", "spacers"))
-            stages.append((int(st["r"]), tuple(int(x) for x in st["spacers"])))
-        return ConstructionParams(mode, width, height, tuple(stages), None, None, "explicit")
-    rule = spec.get("rule")
-    if not rule:
-        raise ValueError("spec needs either 'stages' or 'rule'")
-    _descriptor(rule, "rule", ("name", "args"))
-    name, args = rule.get("name"), dict(rule.get("args", {}))
-    if name not in BUILTIN_RULES:
-        raise ValueError(f"unknown rule {name!r}")
-    params = builtin_params(name, **args)
-    if (params.measure_mode, params.initial_width, params.initial_height) != (
-        mode,
-        width,
-        height,
-    ):
+        stages = tuple((st["r"], tuple(st["spacers"])) for st in spec["stages"])
+        return ConstructionParams(mode, width, height, stages, None, None, "explicit")
+    rule = spec["rule"]
+    params = builtin_params(rule["name"], **rule.get("args", {}))
+    geometry = (params.measure_mode, params.initial_width, params.initial_height)
+    if geometry != (mode, width, height):
         # Named rules fix their own geometry; honour an explicit override by
         # rebuilding on the same rule.
         params = ConstructionParams(

@@ -21,6 +21,10 @@ from typing import Callable, Optional
 import jsonschema
 
 from .constructions import (
+    BUILTIN_RULES,
+    DESCRIPTOR_DEFS,
+    MAX_CUTS,
+    SchemaValidator,
     builtin_params,
     params_from_spec,
     rigid_mixing_pair,
@@ -78,36 +82,34 @@ class ConfigError(ValueError):
 _TOP_LEVEL_KEYS = {"experiment", "seed", "out", "csv", "depth", "threshold", "params"}
 
 
-def _schema(properties: dict, required: tuple = ()) -> dict:
+def _schema(properties: dict) -> dict:
+    """A closed params object; its descriptors are the `$defs` it carries."""
     return {
         "type": "object",
         "properties": properties,
-        "required": list(required),
         "additionalProperties": False,
+        "$defs": DESCRIPTOR_DEFS,
     }
+
+
+def _object_ref(name: str) -> dict:
+    # `type` beside the `$ref` is what makes the CLI read it from a file
+    return {"type": "object", "$ref": f"#/$defs/{name}"}
 
 
 def _construction_props(default: str) -> dict:
     return {
-        "construction": {
-            "type": "string",
-            "enum": ["chacon", "odometer", "staircase", "theorem6"],
-            "default": default,
-        },
-        "r": {"type": "integer", "minimum": 2},
+        "construction": {"type": "string", "enum": list(BUILTIN_RULES), "default": default},
+        "r": {"type": "integer", "minimum": 2, "maximum": MAX_CUTS},
         "role": {"type": "string", "enum": ["t", "s"]},
-        "spec": {"type": "object"},
+        "spec": _object_ref("spec"),
     }
 
 
 def _construction_from(params: dict):
     if "spec" in params:
         return params_from_spec(params["spec"])
-    args = {}
-    if "r" in params:
-        args["r"] = params["r"]
-    if "role" in params:
-        args["role"] = params["role"]
+    args = {key: params[key] for key in ("r", "role") if key in params}
     return builtin_params(params["construction"], **args)
 
 
@@ -730,7 +732,7 @@ _SPECS = [
         "heights, stage ratios, base-level scan, and finitary-swap defect",
         params_schema=_schema(
             {
-                "pair": {"type": "object"},
+                "pair": _object_ref("pair"),
                 "ratio_stages": _int(9, minimum=1),
                 "certify_from": _int(8, minimum=1),
                 "bound": {"type": "number", "exclusiveMinimum": 0, "default": 0.05},
@@ -751,7 +753,7 @@ _SPECS = [
         "per-stage rigidity/correlation ratios for both constructions",
         params_schema=_schema(
             {
-                "pair": {"type": "object"},
+                "pair": _object_ref("pair"),
                 "stages": {"type": "integer", "minimum": 1, "maximum": 16, "default": 12},
                 "certify_from": _int(8, minimum=1),
                 "bound": {"type": "number", "exclusiveMinimum": 0, "default": 0.05},
@@ -802,7 +804,7 @@ _SPECS = [
         "under a finitary swap, against the exact tower majorant",
         params_schema=_schema(
             {
-                "pair": {"type": "object"},
+                "pair": _object_ref("pair"),
                 **_MC_PROPS,
                 **_WINDOW_PROPS,
                 **_SWAP_PROPS,
@@ -909,7 +911,7 @@ _SPECS = [
         "tower intervals",
         params_schema=_schema(
             {
-                "pair": {"type": "object"},
+                "pair": _object_ref("pair"),
                 **_MC_PROPS,
                 **_WINDOW_PROPS,
                 **_level_range_props("a", 2, 100, 150),
@@ -956,14 +958,11 @@ def default_config(name: str) -> dict:
 
 @functools.cache
 def _params_validator(name: str):
-    """Validator for one catalogue schema, checked against its metaschema once.
+    """Validator for one catalogue schema, built once.
 
     The catalogue is fixed, so this holds at most one entry per experiment.
     """
-    schema = _CATALOGUE[name].params_schema
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    return SchemaValidator(_CATALOGUE[name].params_schema)
 
 
 def resolve_config(raw: dict) -> dict:
@@ -992,7 +991,8 @@ def resolve_config(raw: dict) -> dict:
     errors = _params_validator(name).iter_errors(params)
     error = jsonschema.exceptions.best_match(errors)
     if error is not None:
-        raise ConfigError(f"invalid params for {name!r}: {error.message}")
+        where = f" at {error.json_path}" if len(error.path) > 1 else ""
+        raise ConfigError(f"invalid params for {name!r}{where}: {error.message}")
     for side in ("a", "b"):
         lo, hi = params.get(f"{side}_lo"), params.get(f"{side}_hi")
         if lo is not None and hi is not None and hi <= lo:

@@ -185,7 +185,7 @@ def test_spec_file_with_an_unknown_key_exits_2(tmp_path):
     [
         ({"cuts": {"name": "constant"}}, "'r'"),
         ({"cprime": {"name": "explicit"}}, "'values'"),
-        ({"cuts": 5}, "JSON object"),
+        ({"cuts": 5}, "is not of type 'object'"),
         ({"bogus": 1}, "'bogus'"),
         ({"cuts": {"name": "affine", "scale": 1, "offset": 2, "junk": 1}}, "'junk'"),
         ({"dprime": {"name": "naturals", "step": 2}}, "'step'"),
@@ -205,6 +205,48 @@ def test_pair_file_with_a_missing_key_exits_2(tmp_path, pair, key):
     proc = run_cli("poisson", "--pair-file", str(path), "--samples", "10000")
     assert proc.returncode == 2
     assert "config error" in proc.stderr and key in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "flags, spec, words",
+    [
+        ([], {"mode": "finite", "stages": 5}, "5 is not of type 'array'"),
+        (
+            [],
+            {"mode": "infinite", "rule": {"name": "theorem6", "args": {"role": 5}}},
+            "5 is not one of ['t', 's']",
+        ),
+        (
+            [],
+            {"mode": "finite", "rule": {"name": "odometer", "args": {"r": "3"}}},
+            "'3' is not of type 'integer'",
+        ),
+        (
+            [],
+            {"mode": "finite", "rule": {"name": "chacon", "args": {"bogus": 1}}},
+            "'bogus' was unexpected",
+        ),
+        (["--construction", "chacon", "--r", "3"], None, "'r' was unexpected"),
+        (["--construction", "odometer", "--role", "s"], None, "'role' was unexpected"),
+    ],
+    ids=[
+        "stages-not-a-list",
+        "role-not-a-string",
+        "r-a-string",
+        "chacon-unknown-arg",
+        "chacon-with-r",
+        "odometer-with-role",
+    ],
+)
+def test_ill_typed_or_unused_construction_arguments_exit_2(tmp_path, flags, spec, words):
+    if spec is not None:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        flags = flags + ["--spec-file", str(path)]
+    proc = run_cli("build", *flags)
+    assert proc.returncode == 2
+    assert "config error" in proc.stderr and words in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -242,13 +284,20 @@ def test_subcommand_flags_are_the_schema_properties():
         assert flags == expected | COMMON_FLAGS | {"-h", "--help"}, spec.command
 
 
+# a valid descriptor for each object property (`$ref` of the same name)
+DESCRIPTORS = {
+    "spec": {"mode": "infinite", "rule": {"name": "odometer", "args": {"r": 3}}},
+    "pair": {"cuts": {"name": "constant", "r": 3}},
+}
+
+
 def _flag_value(name: str, prop: dict, tmp_path):
     """A schema-valid value for one property, and its command-line text."""
     kinds = prop["type"] if isinstance(prop["type"], list) else [prop["type"]]
     if "object" in kinds:
         path = tmp_path / f"{name}.json"
-        path.write_text('{"cuts": [3]}', encoding="utf-8")
-        return {"cuts": [3]}, str(path)
+        path.write_text(json.dumps(DESCRIPTORS[name]), encoding="utf-8")
+        return DESCRIPTORS[name], str(path)
     if "array" in kinds:
         items = prop["items"].get("enum", [3, 5])[-2:]
         return items, ",".join(map(str, items))

@@ -4,6 +4,7 @@ import json
 import jsonschema
 import pytest
 
+from ergolab.constructions import DESCRIPTOR_DEFS
 from ergolab.experiments import (
     _CATALOGUE,
     EXPERIMENT_NAMES,
@@ -111,6 +112,17 @@ def test_schema_errors_read_as_jsonschema_validate_words_them():
         with pytest.raises(ConfigError) as got:
             resolve_config({"experiment": name, "params": params})
         assert str(got.value) == f"invalid params for {name!r}: {want.value.message}"
+
+
+def test_every_schema_passes_its_metaschema():
+    # Validators are built without this check, so it is made here, once; the
+    # draft the schemas declare (none: 2020-12) is the one they are run under.
+    for schema in [spec.params_schema for spec in _CATALOGUE.values()] + [
+        {"$defs": DESCRIPTOR_DEFS}
+    ]:
+        cls = jsonschema.validators.validator_for(schema)
+        assert cls is jsonschema.Draft202012Validator
+        cls.check_schema(schema)
 
 
 def test_each_schema_validator_is_built_once():
