@@ -31,6 +31,7 @@ __all__ = [
     "BUILTIN_RULES",
     "DESCRIPTOR_DEFS",
     "MAX_CUTS",
+    "MAX_DEPTH",
     "SchemaValidator",
     "RigidMixingPair",
     "rigid_mixing_pair",
@@ -67,8 +68,8 @@ def chacon() -> ConstructionParams:
 @lru_cache(maxsize=None)
 def odometer(r: int = 2) -> ConstructionParams:
     """r cuts and no spacers at every stage (adding machine)."""
-    if r < 2:
-        raise ValueError("odometer needs at least 2 cuts")
+    if not 2 <= r <= MAX_CUTS:  # which also bounds this cache
+        raise ValueError(f"odometer needs 2 to {MAX_CUTS} cuts, got {r}")
     rule = lambda j, _r=r: (_r, (0,) * _r)
     return ConstructionParams(
         "finite", Q(1), 1, None, rule, _canonical("odometer", {"r": r}), f"odometer-{r}"
@@ -206,6 +207,10 @@ def rigid_mixing_pair(spec_args: Optional[dict] = None) -> RigidMixingPair:
 # Largest cut count a descriptor or experiment may name (r, r_j, and the affine
 # scale and offset): a stage builds a spacer tuple of r_j entries.
 MAX_CUTS = 1024
+# Largest tower depth an experiment may name.  The exact kernels refine no set
+# to the depth, but the copy distances they track still grow with it: a
+# 200-shift scan of the generated pair takes seconds at depth 60.
+MAX_DEPTH = 64
 
 _INT = {"type": "integer"}
 _CUT_COUNT = {"type": "integer", "minimum": 2, "maximum": MAX_CUTS}
@@ -276,7 +281,12 @@ DESCRIPTOR_DEFS = {
             },
             ("mode",),
         ),
-        "oneOf": [{"required": ["stages"]}, {"required": ["rule"]}],
+        # exactly one of `stages` and `rule`, as an if/else rather than a
+        # `oneOf`, so that `best_match` names the key at fault; the `type`
+        # keeps a missing `mode` the error reported first
+        "if": {"required": ["stages"]},
+        "then": {"not": {"required": ["rule"]}},
+        "else": {"type": "object", "required": ["rule"]},
     },
 }
 

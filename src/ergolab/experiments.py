@@ -24,6 +24,7 @@ from .constructions import (
     BUILTIN_RULES,
     DESCRIPTOR_DEFS,
     MAX_CUTS,
+    MAX_DEPTH,
     SchemaValidator,
     builtin_params,
     params_from_spec,
@@ -108,6 +109,12 @@ def _construction_props(default: str) -> dict:
 
 def _construction_from(params: dict):
     if "spec" in params:
+        for key in ("r", "role"):
+            if key in params:
+                raise ConfigError(
+                    f"{key!r} (--{key}) cannot be given beside 'spec' (--spec-file): "
+                    "a spec names its whole construction"
+                )
         return params_from_spec(params["spec"])
     args = {key: params[key] for key in ("r", "role") if key in params}
     return builtin_params(params["construction"], **args)
@@ -115,6 +122,9 @@ def _construction_from(params: dict):
 
 def _int(default: int, minimum: int = 0) -> dict:
     return {"type": "integer", "minimum": minimum, "default": default}
+
+
+_DEPTH = {"type": "integer", "minimum": 0, "maximum": MAX_DEPTH}
 
 
 def _int_array(default: list, min_items: int = 1) -> dict:
@@ -700,7 +710,7 @@ _CALIBRATED_OPERATOR_PROPS = {
 _WINDOW_PROPS = {
     "window_stage": _int(2),
     "window_size": _int(700, minimum=1),
-    "depth": _int(2),
+    "depth": {**_DEPTH, "default": 2},
 }
 
 _SWAP_PROPS = {
@@ -826,7 +836,7 @@ _SPECS = [
                 "a_stage": _int(3),
                 "a_levels": _int_array([0]),
                 "n_max": _int(64, minimum=1),
-                "depth": _int(12),
+                "depth": {**_DEPTH, "default": 12},
                 "theta": {"type": "number", "exclusiveMinimum": 0, "default": 0.05},
                 "expect_rigid": {
                     "type": ["array", "null"],
@@ -860,7 +870,9 @@ _SPECS = [
     ExperimentSpec(
         name="build",
         description="build tower stages and verify the stacking recurrence",
-        params_schema=_schema({**_construction_props("chacon"), "depth": _int(8)}),
+        params_schema=_schema(
+            {**_construction_props("chacon"), "depth": {**_DEPTH, "default": 8}}
+        ),
         runner=_run_build,
         overrides={"depth": "depth"},
         listed=False,
@@ -875,7 +887,7 @@ _SPECS = [
                 "n": {"type": "integer", "default": 1},
                 **_level_range_props("a", 2, 0, 5),
                 **_level_range_props("b", 2, 0, 5),
-                "depth": {"type": "integer", "minimum": 0},
+                "depth": _DEPTH,
             },
         ),
         runner=_run_correlate,

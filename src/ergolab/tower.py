@@ -12,9 +12,9 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
+from math import prod
 from typing import Callable, Iterable, Optional, Sequence
-
-import numpy as np
 
 Q = Fraction
 
@@ -213,77 +213,76 @@ class RationalInterval:
         return self.lo <= x <= self.hi
 
 
-# Hits are counted on bool masks when the two refined sets fill at least
-# 1/_DENSE_SPAN of the span they cover, and by a tally of index differences
-# otherwise (a few copies spread over a very tall tower, as in the generated
-# pairs).  Timed on random sets of 50 to 50000 indices, masks win at 16 for 1
-# shift at every size and for 200 shifts from 2000 indices up, and the tally
-# wins at 64 for 200 shifts; at 16 the masks (one byte per cell, two plus a
-# temporary) also take about the memory of the index tuples themselves.
-_DENSE_SPAN = 16
-
-
-def _outside(idx: Sequence[int], lo: int, hi: int) -> int:
-    """How many of the sorted indices lie outside [lo, hi)."""
-    return len(idx) - bisect_left(idx, hi) + bisect_left(idx, lo)
-
-
-def _mask(idx: Sequence[int], lo: int, span: int) -> np.ndarray:
-    """Bool mask of the sorted indices over [lo, lo + span)."""
-    if idx[-1] < 2**63:
-        offsets = np.array(idx, dtype=np.int64) - lo
-    else:  # offsets are small, the indices themselves beyond int64
-        offsets = np.fromiter((i - lo for i in idx), dtype=np.int64, count=len(idx))
-    mask = np.zeros(span, dtype=bool)
-    mask[offsets] = True
-    return mask
-
-
-def _hit_counts(a_idx: Sequence[int], b_idx: Sequence[int], ns: list) -> list:
-    """Per shift n, how many i in A have i + n in B."""
-    if not a_idx or not b_idx or not ns:
-        return [0] * len(ns)
-    lo = min(a_idx[0], b_idx[0])
-    span = max(a_idx[-1], b_idx[-1]) - lo + 1
-    if span <= _DENSE_SPAN * (len(a_idx) + len(b_idx)):
-        ma = _mask(a_idx, lo, span)
-        mb = ma if b_idx == a_idx else _mask(b_idx, lo, span)
-        out = []
-        for n in ns:
-            if abs(n) >= span:
-                out.append(0)
-            elif n >= 0:
-                out.append(int(np.count_nonzero(ma[: span - n] & mb[n:])))
-            else:
-                out.append(int(np.count_nonzero(ma[-n:] & mb[: span + n])))
-        return out
-    # Sparse: tally the differences j - i that fall in [min(ns), max(ns)].
-    # For a range of shifts this visits at most as many pairs as probing each
-    # shift separately would, and far fewer when the sets are spread out.
-    lo_n, hi_n = min(ns), max(ns)
-    diffs = Counter()
-    for i in a_idx:
-        for j in b_idx[bisect_left(b_idx, i + lo_n) : bisect_right(b_idx, i + hi_n)]:
-            diffs[j - i] += 1
-    return [diffs[n] for n in ns]
-
-
 def _shift_profile(
-    height: int, a_idx: Sequence[int], b_idx: Sequence[int], ns: Iterable[int]
+    params: ConstructionParams, a: LevelSet, b: LevelSet, depth: int, ns: Iterable[int]
 ) -> list[tuple[int, int, int]]:
-    """(hits, lost_a, lost_b) for each shift n, from sorted refined indices.
+    """(hits, lost_a, lost_b) for each shift n of A against B in the depth tower.
 
+    hits counts the indices i of the refined A with i + n in the refined B.
     An A-index is unresolved (lost) when i + n leaves [0, height): those
     points exit through the top (or bottom) of the tower and their image is
     only pinned down by deeper stages.  The B-side count is the mirror image
     under n -> -n.  Every count is an exact integer.
+
+    Neither set is refined past their common stage j.  The stage-j copies in
+    the stage-(t+1) tower sit at P_{t+1} = P_t + column_bases(t), so the
+    number C_t(m) of copy pairs (p, q) with q - p = m obeys C_{t+1}(m) =
+    sum over base pairs (g, g') of C_t(m - g' + g), and hits(n) is
+    sum_d D[d] * C_depth(n - d) over the stage-j differences d = y - x of
+    A x B.  Lost copies are counted by one descent through the cut columns.
     """
+    j = max(a.stage, b.stage)
+    if depth < j:
+        raise ValueError("cannot coarsen a level set")
+    a_idx = refine_set(params, a, j).indices
+    b_idx = refine_set(params, b, j).indices
     ns = list(ns)
-    hits = _hit_counts(a_idx, b_idx, ns)
-    return [
-        (h, _outside(a_idx, -n, height - n), _outside(b_idx, n, height + n))
-        for h, n in zip(hits, ns)
-    ]
+    stages = [build_stage(params, t) for t in range(j, depth + 1)]
+    height, reach = stages[-1].height, stages[-1].height - stages[0].height
+    copies = prod(st.cuts for st in stages[:-1])
+    # C_depth(m) vanishes for |m| > reach, so only these differences count.
+    diffs = Counter()
+    if ns:
+        lo, hi = min(ns) - reach, max(ns) + reach
+        for x in a_idx:
+            for y in b_idx[bisect_left(b_idx, x + lo) : bisect_right(b_idx, x + hi)]:
+                diffs[y - x] += 1
+    keys = sorted(diffs)
+
+    @cache
+    def pairs(t: int, m: int) -> int:
+        """C_t(m), for the stage-j copies in the stage-t tower."""
+        if t == j:
+            return int(m == 0)
+        stage = stages[t - 1 - j]
+        span, bases = stage.height - stages[0].height, stage.column_bases
+        return sum(
+            pairs(t - 1, m - g2 + g)
+            for g in bases
+            for g2 in bases[bisect_left(bases, m + g - span) : bisect_right(bases, m + g + span)]
+        )
+
+    def below(idx: Sequence[int], x: int) -> int:
+        """How many copies of the sorted stage-j indices lie below x."""
+        x, count, per_column = max(x, 0), 0, copies * len(idx)
+        for stage in reversed(stages[:-1]):  # past a column's top, x counts it whole
+            per_column //= stage.cuts
+            k = bisect_right(stage.column_bases, x) - 1
+            count += k * per_column
+            x -= stage.column_bases[k]
+        return count + bisect_left(idx, x)
+
+    def outside(idx: Sequence[int], lo: int, hi: int) -> int:
+        """How many copies of the sorted stage-j indices lie outside [lo, hi)."""
+        return copies * len(idx) - below(idx, hi) + below(idx, lo)
+
+    out = []
+    for n in ns:
+        near = keys[bisect_left(keys, n - reach) : bisect_right(keys, n + reach)]
+        hits = sum(diffs[d] * pairs(depth, n - d) for d in near)
+        out.append((hits, outside(a_idx, -n, height - n), outside(b_idx, n, height + n)))
+    pairs.cache_clear()  # `pairs` refers to itself: free the memo now, not at a gc pass
+    return out
 
 
 def correlation_interval(
@@ -307,9 +306,7 @@ def correlation_interval(
             f"|n|={abs(n)} does not fit in the stage-{depth} tower "
             f"(height {stage.height}); increase the depth"
         )
-    a_idx = refine_set(params, a, depth).indices
-    b_idx = refine_set(params, b, depth).indices
-    [(hits, lost_a, lost_b)] = _shift_profile(stage.height, a_idx, b_idx, [n])
+    [(hits, lost_a, lost_b)] = _shift_profile(params, a, b, depth, [n])
     w = stage.level_width
     lo = hits * w
     return RationalInterval(lo, lo + min(lost_a, lost_b) * w)
@@ -374,7 +371,6 @@ def rigidity_scan(
     if mu == 0:
         raise ValueError("cannot classify against a null set")
     stage = build_stage(params, depth)
-    a_idx = refine_set(params, a, depth).indices
     if n_max >= stage.height:
         raise InsufficientDepthError(
             f"n_max={n_max} does not fit in the stage-{depth} tower "
@@ -382,7 +378,7 @@ def rigidity_scan(
         )
     w = stage.level_width
     out = []
-    profile = _shift_profile(stage.height, a_idx, a_idx, range(1, n_max + 1))
+    profile = _shift_profile(params, a, a, depth, range(1, n_max + 1))
     for n, (hits, lost_a, lost_b) in enumerate(profile, 1):
         lo = hits * w
         corr = RationalInterval(lo, lo + min(lost_a, lost_b) * w)
@@ -476,9 +472,7 @@ def wh_defect(
             f"N={n_terms} does not fit in the stage-{depth} tower"
         )
     supp = supp_level_set(params, swap)
-    a_idx = refine_set(params, a, depth).indices
-    s_idx = refine_set(params, supp, depth).indices
-    profile = _shift_profile(stage.height, a_idx, s_idx, range(1, n_terms + 1))
+    profile = _shift_profile(params, a, supp, depth, range(1, n_terms + 1))
     hits = sum(h for h, _, _ in profile)
     lost = sum(min(lost_a, lost_b) for _, lost_a, lost_b in profile)
     w = stage.level_width / n_terms

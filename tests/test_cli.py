@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from ergolab import cli
+from ergolab.constructions import MAX_DEPTH
 from ergolab.experiments import command_specs, resolve_config
 
 CLI = [sys.executable, "-m", "ergolab"]
@@ -104,6 +105,14 @@ def test_depth_exhaustion_exits_3():
     )
     assert proc.returncode == 3
     assert "ergolab.tower" in proc.stderr
+
+
+def test_depth_is_bounded_by_the_schema():
+    assert run_cli("correlate", "--depth", "30").returncode == 0
+    proc = run_cli("correlate", "--depth", str(MAX_DEPTH + 1))
+    assert proc.returncode == 2
+    assert f"maximum of {MAX_DEPTH}" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_failing_check_exits_1(tmp_path):
@@ -227,16 +236,22 @@ def test_pair_file_with_a_missing_key_exits_2(tmp_path, pair, key):
             {"mode": "finite", "rule": {"name": "chacon", "args": {"bogus": 1}}},
             "'bogus' was unexpected",
         ),
+        ([], {"mode": "finite"}, "'rule' is a required property"),
         (["--construction", "chacon", "--r", "3"], None, "'r' was unexpected"),
         (["--construction", "odometer", "--role", "s"], None, "'role' was unexpected"),
+        (["--r", "3"], {"mode": "finite", "rule": {"name": "chacon"}}, "'r' (--r)"),
+        (["--role", "s"], {"mode": "finite", "rule": {"name": "chacon"}}, "'role' (--role)"),
     ],
     ids=[
         "stages-not-a-list",
         "role-not-a-string",
         "r-a-string",
         "chacon-unknown-arg",
+        "spec-without-stages-or-rule",
         "chacon-with-r",
         "odometer-with-role",
+        "spec-with-r",
+        "spec-with-role",
     ],
 )
 def test_ill_typed_or_unused_construction_arguments_exit_2(tmp_path, flags, spec, words):

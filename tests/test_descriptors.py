@@ -33,8 +33,8 @@ def from_schema(schema: dict) -> st.SearchStrategy:
         return st.sampled_from(schema["allOf"]).flatmap(
             lambda arm: _object(arm["then"], name=arm["if"]["properties"]["name"]["const"])
         )
-    if "oneOf" in schema:  # exactly one of the keys the branches require
-        keys = [branch["required"] for branch in schema["oneOf"]]
+    if "else" in schema:  # exactly one of the keys `if` and `else` require
+        keys = [schema["if"]["required"], schema["else"]["required"]]
         return st.sampled_from(keys).flatmap(
             lambda chosen: _object(schema, require=chosen, omit=sum(keys, []))
         )
@@ -171,6 +171,19 @@ def test_oversized_construction_cut_counts_are_rejected_before_any_stage():
         params_from_spec({"mode": "finite", "stages": stages})
     assert odometer.cache_info().currsize == built
     assert builtin_params("odometer", r=MAX_CUTS).stage_data(0)[0] == MAX_CUTS
+
+
+def test_odometer_cache_is_bounded_by_the_cut_limit():
+    with pytest.raises(ValueError, match=f"2 to {MAX_CUTS} cuts"):
+        odometer(MAX_CUTS + 1)
+    for r in range(2, MAX_CUTS + 100):
+        for args, kwargs in (((r,), {}), ((), {"r": r})):
+            try:
+                odometer(*args, **kwargs)
+            except ValueError:
+                assert r > MAX_CUTS
+    # the cache keys a positional, a keyword and a default r apart
+    assert odometer.cache_info().currsize <= 2 * (MAX_CUTS - 1) + 1
 
 
 @pytest.mark.parametrize(

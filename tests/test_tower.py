@@ -5,7 +5,6 @@ import gc
 import random
 import weakref
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -256,19 +255,32 @@ def test_interval_soundness_property(params, data):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_shift_profile_matches_per_shift_reference(data):
-    # Heights past 2**63 keep the dense branch honest about int64 offsets.
-    offset = data.draw(st.sampled_from([0, 0, 2**64]))
-    size = data.draw(st.integers(1, 300))
-    height = offset + size
-    cells = st.integers(offset, height - 1)
-    a = sorted(data.draw(st.sets(cells, max_size=60)))
-    b = a if data.draw(st.booleans()) else sorted(data.draw(st.sets(cells, max_size=60)))
-    ns = data.draw(st.lists(st.integers(-size - 5, size + 5), max_size=12))
-    # 0 forces the sparse branch, a huge factor the dense one
-    dense_span = data.draw(st.sampled_from([0, tower._DENSE_SPAN, 10**9]))
-    with mock.patch.object(tower, "_DENSE_SPAN", dense_span):
-        got = tower._shift_profile(height, tuple(a), tuple(b), ns)
-    assert got == [shift_counts(height, frozenset(a), frozenset(b), n) for n in ns]
+    kind = data.draw(st.sampled_from(["explicit", "pair", "odometer"]))
+    if kind == "explicit":
+        params = data.draw(small_construction())
+        depth = data.draw(st.integers(0, len(params.stages) - 1))
+    elif kind == "pair":
+        cuts = data.draw(st.sampled_from([{"name": "constant", "r": 2}, {"name": "affine"}]))
+        pair = rigid_mixing_pair({"cuts": cuts})
+        params = data.draw(st.sampled_from([pair.t_params, pair.s_params]))
+        depth = data.draw(st.integers(0, 3))
+    else:  # no spacers: copies reach both ends of the tower
+        params, depth = odometer(data.draw(st.integers(2, 3))), data.draw(st.integers(0, 4))
+    sets = []
+    for _ in "ab":  # each set at its own stage, so A and B may differ in stage
+        stage = data.draw(st.integers(0, depth))
+        cells = st.integers(0, build_stage(params, stage).height - 1)
+        sets.append(LevelSet(stage, tuple(data.draw(st.sets(cells, max_size=6)))))
+    a, b = sets
+    height = build_stage(params, depth).height
+    ns = data.draw(st.lists(st.integers(-height - 3, height + 3), max_size=10))
+    ns += [height - 1, 1 - height, height, -height]  # the extreme shifts
+    a_idx = frozenset(refine_set(params, a, depth).indices)
+    b_idx = frozenset(refine_set(params, b, depth).indices)
+    want = [shift_counts(height, a_idx, b_idx, n) for n in ns]
+    assert tower._shift_profile(params, a, b, depth, ns) == want
+    # one shift at a time, so the differences kept are the fewest
+    assert [tower._shift_profile(params, a, b, depth, [n])[0] for n in ns] == want
 
 
 def test_level_past_stage_height_has_no_interval():
