@@ -19,7 +19,7 @@ from typing import Optional
 
 import jsonschema
 
-from .tower import ConstructionParams, GenerationError
+from .tower import MAX_DEPTH, ConstructionParams, GenerationError
 
 Q = Fraction
 
@@ -207,10 +207,7 @@ def rigid_mixing_pair(spec_args: Optional[dict] = None) -> RigidMixingPair:
 # Largest cut count a descriptor or experiment may name (r, r_j, and the affine
 # scale and offset): a stage builds a spacer tuple of r_j entries.
 MAX_CUTS = 1024
-# Largest tower depth an experiment may name.  The exact kernels refine no set
-# to the depth, but the copy distances they track still grow with it: a
-# 200-shift scan of the generated pair takes seconds at depth 60.
-MAX_DEPTH = 64
+# The largest depth an experiment may name is the tower kernel's MAX_DEPTH.
 
 _INT = {"type": "integer"}
 _CUT_COUNT = {"type": "integer", "minimum": 2, "maximum": MAX_CUTS}

@@ -1,18 +1,24 @@
 """Poisson point configurations over a cutting-and-stacking base.
 
 A model truncates the (typically infinite-measure) tower to a finite window
-of depth-J levels.  Every level carries independent Poisson mass with mean
-equal to its exact rational width, so any counting observable over window
-levels has a known law and covariances reduce to exact level-set measures
-from the tower arithmetic.  Shifting a configuration moves each point up the
-tower by the step map; points whose image leaves the materialized tower are
-tracked as lost mass rather than silently dropped.
+of depth-J levels.  A configuration is drawn as the suspension defines it: a
+Poisson number of points with mean the window's exact measure, each in a
+uniform window level, since every window level has the same width (Kingman,
+*Poisson Processes*, 1993; Roy, "Poisson suspensions and infinite ergodic
+theory", ETDS 29, 2009).  By the colouring theorem the level counts are then
+independent with mean the exact rational level width, so any counting
+observable over window levels has a known law and covariances reduce to
+exact level-set measures from the tower arithmetic.  Every statistic reads
+the points through one weighted sum over their window slots.  Shifting a
+configuration moves each point up the tower by the step map; points whose
+image leaves the materialized tower are tracked as lost mass rather than
+silently dropped.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from math import prod
 
 import numpy as np
 
@@ -42,24 +48,40 @@ __all__ = [
 MAX_WINDOW_LEVELS = 200_000
 
 
+def _locate(indices: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of `values` in the sorted index array, and which are present.
+
+    Both arrays hold Python ints (dtype object), so indices past 2**63 compare
+    exactly; `values` may have any shape.
+    """
+    slots = np.searchsorted(indices, values)
+    found = np.zeros(values.shape, dtype=bool)
+    inside = slots < len(indices)
+    found[inside] = indices[slots[inside]] == values[inside]
+    return slots, found
+
+
+def _exact_indices(levels: LevelSet) -> np.ndarray:
+    return np.array(levels.indices, dtype=object)
+
+
 class PoissonModel:
     """Finite observation window of a tower, with Poisson mass per level."""
 
     def __init__(self, params: ConstructionParams, window: LevelSet, depth: int):
         self.params = params
         self.depth = int(depth)
-        self.stage = build_stage(params, self.depth)
-        refined = refine_set(params, window, self.depth)
-        if len(refined.indices) > MAX_WINDOW_LEVELS:
+        size = len(window) * prod(
+            build_stage(params, t).cuts for t in range(window.stage, self.depth)
+        )
+        if size > MAX_WINDOW_LEVELS:
             raise ValueError(
-                f"window refines to {len(refined.indices)} levels, "
-                f"cap is {MAX_WINDOW_LEVELS}"
+                f"window refines to {size} levels, cap is {MAX_WINDOW_LEVELS}"
             )
-        self.window = refined
-        self.indices = list(refined.indices)
-        self.slot = {x: i for i, x in enumerate(self.indices)}
+        self.stage = build_stage(params, self.depth)
+        # sorted window indices as Python ints: slot s holds level indices[s]
+        self.indices = _exact_indices(refine_set(params, window, self.depth))
         self.level_width = self.stage.level_width
-        self.width_float = float(self.level_width)
 
     @property
     def n_levels(self) -> int:
@@ -69,28 +91,51 @@ class PoissonModel:
     def intensity(self) -> Fraction:
         return self.level_width * self.n_levels
 
-    def member_slots(self, levels: LevelSet) -> list:
+    def member_slots(self, levels: LevelSet) -> np.ndarray:
         """Window slots of a level set; every refined index must be observed."""
-        refined = refine_set(self.params, levels, self.depth)
-        slots = []
-        for x in refined.indices:
-            if x not in self.slot:
-                raise ValueError("level set is not contained in the window")
-            slots.append(self.slot[x])
+        slots, found = _locate(
+            self.indices, _exact_indices(refine_set(self.params, levels, self.depth))
+        )
+        if not found.all():
+            raise ValueError("level set is not contained in the window")
         return slots
 
-    def sample_level_counts(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """(size, n_levels) matrix of independent per-level point counts."""
-        return rng.poisson(self.width_float, size=(size, self.n_levels)).astype(float)
+    def sample_points(
+        self, rng: np.random.Generator, size: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Owner and window slot of every point of `size` configurations.
+
+        Each configuration holds a Poisson(intensity) number of points, and
+        each point sits in a uniform window slot, since every window level
+        has the same width.  Owners come in increasing order.
+        """
+        totals = rng.poisson(float(self.intensity), size=size)
+        owner = np.repeat(np.arange(size), totals)
+        return owner, rng.integers(self.n_levels, size=owner.size)
+
+    def weighted_counts(
+        self, rng: np.random.Generator, size: int, weights: np.ndarray
+    ) -> np.ndarray:
+        """(size, k) per-configuration sums of the weight rows of its points.
+
+        `weights` is an n_levels x k matrix, so an indicator column gives the
+        count of a level set.  Points on all-zero rows are dropped before
+        the sums are taken.
+        """
+        owner, slot = self.sample_points(rng, size)
+        keep = weights.any(axis=1)[slot]
+        owner, slot = owner[keep], slot[keep]
+        k = weights.shape[1]
+        sums = np.zeros((size, k), dtype=np.result_type(weights, np.int64))
+        cells = (owner[:, None] * k + np.arange(k)).ravel()
+        np.add.at(sums.reshape(-1), cells, weights[slot].astype(sums.dtype).ravel())
+        return sums
 
     def sample_configuration(self, rng: np.random.Generator) -> list:
         """One configuration as (level index, intra-level offset) pairs."""
-        counts = rng.poisson(self.width_float, size=self.n_levels)
-        points = []
-        for slot, c in enumerate(counts):
-            for off in rng.random(int(c)):
-                points.append((self.indices[slot], float(off)))
-        return points
+        _, slots = self.sample_points(rng, 1)
+        offsets = rng.random(len(slots))
+        return [(self.indices[s], float(off)) for s, off in zip(slots, offsets)]
 
 
 @dataclass(frozen=True)
@@ -108,6 +153,18 @@ class PoissonCovariance:
             <= self.estimate.value
             <= float(self.exact.hi) + pad
         )
+
+
+def _shift_slots(model: PoissonModel, n: int, a: LevelSet) -> tuple[np.ndarray, int]:
+    """Window slots x with x + n in A, and how many A-levels have no such x.
+
+    A must lie in the window.  An A-level a counts as lost when a - n is
+    not a window level, whether it is outside the tower or only outside
+    the window.
+    """
+    a_idx = model.indices[model.member_slots(a)]
+    slots, found = _locate(model.indices, a_idx - n)
+    return slots[found], len(a_idx) - int(found.sum())
 
 
 def poisson_count_covariance(
@@ -130,27 +187,16 @@ def poisson_count_covariance(
     since points outside the window are independent of every window count.
     """
     n = int(n)
-    a_set = frozenset(refine_set(model.params, a, model.depth).indices)
-    model.member_slots(a)
-    slots_b = model.member_slots(b)
-    height = model.stage.height
-    shifted_slots = [
-        model.slot[x] for x in model.indices if (x + n) in a_set
-    ]
-    lost_levels = sum(
-        1 for x in a_set if not (0 <= x - n < height and (x - n) in model.slot)
-    )
+    shifted, lost_levels = _shift_slots(model, n, a)
+    weights = np.zeros((model.n_levels, 2), dtype=np.int8)
+    weights[shifted, 0] = 1
+    weights[model.member_slots(b), 1] = 1
     lost_mass = model.level_width * lost_levels
     exact = correlation_interval(model.params, -n, a, b, model.depth)
 
-    sel_a = np.array(sorted(shifted_slots), dtype=np.intp)
-    sel_b = np.array(sorted(slots_b), dtype=np.intp)
-
     def stat(rng: np.random.Generator, size: int) -> float:
-        counts = model.sample_level_counts(rng, size)
-        na = counts[:, sel_a].sum(axis=1)
-        nb = counts[:, sel_b].sum(axis=1)
-        return float(np.cov(na, nb, ddof=1)[0, 1])
+        counts = model.weighted_counts(rng, size, weights)
+        return float(np.cov(counts[:, 0], counts[:, 1], ddof=1)[0, 1])
 
     estimate = batch_statistic_estimate(
         stat,
@@ -185,14 +231,17 @@ def poisson_gof(
 ) -> PoissonGof:
     """Chi-square test of the window count against its exact Poisson law.
 
-    The count is assembled by summing per-level draws, so the test exercises
-    the construction path rather than a direct Poisson draw of the total.
+    The count is assembled from per-point slots, the points that fall in the
+    window's levels, so the test exercises the construction path rather
+    than a direct Poisson draw of the total.
     The mean is the exact measure, not fitted, so no degree of freedom is
     deducted for it.
     """
     from scipy import stats  # deferred: scipy.stats dominates import time
 
-    slots = np.array(sorted(model.member_slots(window)), dtype=np.intp)
+    slots = model.member_slots(window)
+    member = np.zeros((model.n_levels, 1), dtype=np.int8)
+    member[slots] = 1
     mu = float(model.level_width * len(slots))
     rng = np.random.default_rng([int(seed), 0x90F])
     upper = int(stats.poisson.isf(1e-9, mu)) + 2
@@ -200,10 +249,8 @@ def poisson_gof(
     remaining = samples
     while remaining > 0:
         size = min(chunk, remaining)
-        totals = model.sample_level_counts(rng, size)[:, slots].sum(axis=1)
-        observed += np.bincount(
-            np.minimum(totals.astype(np.int64), upper), minlength=upper + 1
-        )
+        totals = model.weighted_counts(rng, size, member)[:, 0]
+        observed += np.bincount(np.minimum(totals, upper), minlength=upper + 1)
         remaining -= size
     expected = stats.poisson.pmf(np.arange(upper + 1), mu) * samples
     expected[-1] = samples - expected[:-1].sum()
@@ -243,6 +290,40 @@ class PoissonWhResult:
         return self.estimate.value <= self.majorant + 5.0 * self.estimate.stderr
 
 
+def _swap_weights(
+    model: PoissonModel, swap: FinitarySwap, a: LevelSet, n_terms: int
+) -> tuple[np.ndarray, int]:
+    """Signed window x N matrix of the changes in the count of A, and the
+    number of (window level, time) pairs whose time-i image leaves the tower.
+
+    Column i - 1 is +1 on the window levels x that the swap conjugated to
+    time i moves into A and -1 on those it moves out of A.  Only x with
+    x + i on the swap's support can move, so the walk visits just the pairs
+    of a window level x and a support level y with 1 <= y - x <= N.
+    """
+    a_slots = model.member_slots(a)
+    a_idx = model.indices[a_slots]
+    in_a = np.zeros(model.n_levels, dtype=bool)
+    in_a[a_slots] = True
+    lo, hi, delta = swap_index_map(model.params, swap, model.depth)
+    terms = np.arange(1, n_terms + 1).astype(object)
+    tops = np.searchsorted(model.indices, model.stage.height - terms)
+    lost_levels = int((model.n_levels - tops).sum())
+    signed = np.zeros((model.n_levels, n_terms), dtype=np.int8)
+    for support, step in ((lo, delta), (hi, -delta)):
+        y = np.array(sorted(support), dtype=object)
+        first = np.searchsorted(y, model.indices, side="right")
+        counts = np.searchsorted(y, model.indices + n_terms, side="right") - first
+        slots = np.repeat(np.arange(model.n_levels), counts)
+        y = y[np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(len(slots))]
+        x = model.indices[slots]
+        _, after = _locate(a_idx, x + step)  # the swap moves x by step
+        moved = in_a[slots] != after
+        cols = (y - x - 1).astype(np.int64)
+        signed[slots[moved], cols[moved]] = np.where(after[moved], 1, -1)
+    return signed, lost_levels
+
+
 def poisson_wh_experiment(
     model: PoissonModel,
     swap: FinitarySwap,
@@ -263,42 +344,12 @@ def poisson_wh_experiment(
     """
     if n_terms < 1:
         raise ValueError("need at least one Cesaro term")
-    a_set = frozenset(refine_set(model.params, a, model.depth).indices)
-    model.member_slots(a)
-    lo, hi, delta = swap_index_map(model.params, swap, model.depth)
-    height = model.stage.height
-
-    plus, minus = [], []
-    lost_levels = 0
-    for i in range(1, n_terms + 1):
-        p_i, m_i = [], []
-        for x in model.indices:
-            y = x + i
-            if not 0 <= y < height:
-                lost_levels += 1
-                continue
-            if y in lo:
-                y += delta
-            elif y in hi:
-                y -= delta
-            z = y - i
-            in_a_before = x in a_set
-            in_a_after = z in a_set
-            if in_a_after and not in_a_before:
-                p_i.append(model.slot[x])
-            elif in_a_before and not in_a_after:
-                m_i.append(model.slot[x])
-        plus.append(np.array(p_i, dtype=np.intp))
-        minus.append(np.array(m_i, dtype=np.intp))
+    signed, lost_levels = _swap_weights(model, swap, a, n_terms)
     lost_mass = model.level_width * lost_levels
 
     def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
-        counts = model.sample_level_counts(rng, size)
-        acc = np.zeros(size)
-        for p_i, m_i in zip(plus, minus):
-            diff = counts[:, p_i].sum(axis=1) - counts[:, m_i].sum(axis=1)
-            acc += np.abs(diff)
-        return acc / n_terms
+        diffs = model.weighted_counts(rng, size, signed)
+        return np.abs(diffs).sum(axis=1) / n_terms
 
     estimate = batch_estimate(
         sampler,

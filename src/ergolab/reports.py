@@ -26,10 +26,12 @@ from . import __version__ as TOOL_VERSION
 from .mc import EstimateWithError
 
 RNG_SCHEME = (
-    "batch-seeded/rank-factor: Monte-Carlo batch b draws from numpy "
-    "default_rng([seed, b]); Gaussian shift blocks (gauss, triple-mixing) "
-    "draw min(k, d) latent normals through the QR factor of their k orbit "
-    "rows, wh-gaussian draws all d"
+    "batch-seeded/rank-factor/poisson-points: Monte-Carlo batch b draws from "
+    "numpy default_rng([seed, b]); Gaussian shift blocks (gauss, "
+    "triple-mixing) draw min(k, d) latent normals through the QR factor of "
+    "their k orbit rows, wh-gaussian draws all d; Poisson configurations "
+    "(poisson, wh-poisson) draw a Poisson total per configuration, then a "
+    "uniform window slot per point"
 )
 
 __all__ = [

@@ -18,7 +18,14 @@ from typing import Callable, Iterable, Optional, Sequence
 
 Q = Fraction
 
+# Largest tower depth the shift-count kernel accepts.  It refines no set to the
+# depth, but its copy-pair recursion takes two Python frames per stage, and the
+# copy distances it tracks grow with the depth: a 200-shift scan of the
+# generated pair takes seconds at depth 60.
+MAX_DEPTH = 64
+
 __all__ = [
+    "MAX_DEPTH",
     "ConstructionExhaustedError",
     "InsufficientDepthError",
     "GenerationError",
@@ -213,6 +220,11 @@ class RationalInterval:
         return self.lo <= x <= self.hi
 
 
+def _check_depth(depth: int) -> None:
+    if depth > MAX_DEPTH:
+        raise ValueError(f"depth {depth} exceeds the maximum of {MAX_DEPTH}")
+
+
 def _shift_profile(
     params: ConstructionParams, a: LevelSet, b: LevelSet, depth: int, ns: Iterable[int]
 ) -> list[tuple[int, int, int]]:
@@ -300,6 +312,7 @@ def correlation_interval(
     unresolved masses keeps the answer symmetric under (n, A, B) ->
     (-n, B, A), and the width never exceeds |n| * level_width(J).
     """
+    _check_depth(depth)
     stage = build_stage(params, depth)
     if abs(n) >= stage.height:
         raise InsufficientDepthError(
@@ -367,6 +380,7 @@ def rigidity_scan(
     theta = _as_threshold(theta)
     if depth is None:
         depth = depth_for(params, n_max)
+    _check_depth(depth)
     mu = level_set_measure(params, a)
     if mu == 0:
         raise ValueError("cannot classify against a null set")
@@ -466,6 +480,7 @@ def wh_defect(
     """
     if n_terms < 1:
         raise ValueError("need at least one Cesaro term")
+    _check_depth(depth)
     stage = build_stage(params, depth)
     if n_terms >= stage.height:
         raise InsufficientDepthError(

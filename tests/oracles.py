@@ -10,7 +10,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from ergolab.tower import ConstructionParams, LevelSet, build_stage, refine_set
+from ergolab.tower import (
+    ConstructionParams,
+    FinitarySwap,
+    LevelSet,
+    build_stage,
+    refine_set,
+    swap_index_map,
+)
 
 Q = Fraction
 
@@ -113,6 +120,54 @@ def shift_counts(height: int, a_idx: frozenset, b_idx: frozenset, n: int) -> tup
         if not 0 <= t < height:
             lost_b += 1
     return hits, lost_a, lost_b
+
+
+def poisson_shift_walk(model, n: int, a: LevelSet) -> tuple[list, int]:
+    """Per-level reference for the covariance's window walk.
+
+    Walks every window level x once: returns the sorted slots with x + n in
+    the refined A, and how many A-levels a have no window level a - n.
+    """
+    slot = {x: i for i, x in enumerate(model.indices)}
+    a_set = frozenset(refine_set(model.params, a, model.depth).indices)
+    height = model.stage.height
+    shifted = sorted(slot[x] for x in model.indices if (x + n) in a_set)
+    lost = sum(1 for x in a_set if not (0 <= x - n < height and (x - n) in slot))
+    return shifted, lost
+
+
+def poisson_swap_walk(model, swap: FinitarySwap, a: LevelSet, n_terms: int) -> tuple[list, list, int]:
+    """Per-level reference for the wh experiment's window x N walk.
+
+    For each i <= n_terms, pushes every window level x to x + i, applies the
+    swap and comes back by i: returns, per i, the sorted slots that enter A
+    and those that leave it, and the number of (x, i) whose x + i leaves the
+    tower.
+    """
+    slot = {x: i for i, x in enumerate(model.indices)}
+    a_set = frozenset(refine_set(model.params, a, model.depth).indices)
+    lo, hi, delta = swap_index_map(model.params, swap, model.depth)
+    height = model.stage.height
+    plus, minus, lost = [], [], 0
+    for i in range(1, n_terms + 1):
+        p_i, m_i = [], []
+        for x in model.indices:
+            y = x + i
+            if not 0 <= y < height:
+                lost += 1
+                continue
+            if y in lo:
+                y += delta
+            elif y in hi:
+                y -= delta
+            z = y - i
+            if z in a_set and x not in a_set:
+                p_i.append(slot[x])
+            elif x in a_set and z not in a_set:
+                m_i.append(slot[x])
+        plus.append(sorted(p_i))
+        minus.append(sorted(m_i))
+    return plus, minus, lost
 
 
 def orbit_rows(operator: np.ndarray, vector: np.ndarray, shifts) -> np.ndarray:

@@ -3,8 +3,12 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
+import oracles
+from ergolab import poisson
 from ergolab.poisson import (
     PoissonModel,
+    _shift_slots,
+    _swap_weights,
     poisson_count_covariance,
     poisson_gof,
     poisson_wh_experiment,
@@ -14,6 +18,7 @@ from ergolab.tower import (
     FinitarySwap,
     LevelSet,
     RationalInterval,
+    build_stage,
     correlation_interval,
     supp_level_set,
 )
@@ -38,6 +43,80 @@ def test_window_size_is_capped():
     params = builtin_params("chacon")
     with pytest.raises(ValueError):
         PoissonModel(params, LevelSet(11, range(250_000)), depth=11)
+
+
+def test_window_size_is_checked_before_refining(monkeypatch):
+    def refine_set(*args):
+        raise AssertionError("the window was refined before its size was checked")
+
+    monkeypatch.setattr(poisson, "refine_set", refine_set)
+    with pytest.raises(ValueError, match="window refines to 21504000 levels"):
+        PoissonModel(rigid_mixing_pair().t_params, LevelSet(2, range(700)), depth=5)
+
+
+def _dense_counts(model, owner, slot, size):
+    counts = np.zeros((size, model.n_levels), dtype=np.int64)
+    np.add.at(counts, (owner, slot), 1)
+    return counts
+
+
+@pytest.mark.parametrize("size", [1, 7, 500])
+@pytest.mark.parametrize("window", [range(700), [5], range(0, 300, 3)])
+def test_weighted_counts_equal_the_dense_counts_of_the_same_points(size, window):
+    model = PoissonModel(rigid_mixing_pair().t_params, LevelSet(2, window), depth=2)
+    picks = np.random.default_rng(size)
+    weights = picks.integers(-3, 4, size=(model.n_levels, 6))
+    weights[picks.random(model.n_levels) < 0.5] = 0  # empty rows
+    weights[:, 2] = 0  # an empty column
+    for seed in range(5):
+        owner, slot = model.sample_points(np.random.default_rng(seed), size)
+        dense = _dense_counts(model, owner, slot, size)
+        for w in (weights, weights.astype(np.int8), np.zeros_like(weights)):
+            sums = model.weighted_counts(np.random.default_rng(seed), size, w)
+            assert sums.shape == (size, 6)
+            assert np.array_equal(sums, dense @ w)
+    if len(window) == 1:  # mean 1/128 per configuration: most hold no point
+        assert np.bincount(owner, minlength=size).min() == 0
+
+
+def test_configuration_levels_are_the_window_indices_of_the_drawn_slots(band_model):
+    for seed in range(20):
+        config = band_model.sample_configuration(np.random.default_rng(seed))
+        _, slot = band_model.sample_points(np.random.default_rng(seed), 1)
+        assert [level for level, _ in config] == [band_model.indices[s] for s in slot]
+
+
+def _walk_models():
+    band = PoissonModel(rigid_mixing_pair().t_params, LevelSet(2, range(700)), depth=2)
+    odometer = PoissonModel(builtin_params("odometer"), LevelSet(9, range(300)), depth=9)
+    chacon = builtin_params("chacon")
+    top, top38 = build_stage(chacon, 40).height, build_stage(chacon, 38).height
+    tall = PoissonModel(chacon, LevelSet(40, range(top - 400, top)), depth=40)
+    assert tall.indices[0] > 2**63
+    return [
+        (band, FinitarySwap(1, (1, 3)), LevelSet(2, range(50, 350)),
+         LevelSet(2, range(100, 150)), (0, 3, 17, 73, 699, 700)),
+        (odometer, FinitarySwap(3, (2, 5)), LevelSet(9, range(0, 200)),
+         LevelSet(9, range(40, 240)), (0, 1, 64, 250)),
+        (tall, FinitarySwap(38, (top38 - 30, top38 - 3)), LevelSet(40, range(top - 60, top - 20)),
+         LevelSet(40, range(top - 60, top - 20)), (0, 5, 100, 390, 395)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_vectorized_walks_match_the_per_level_walks(case):
+    model, swap, a, cov_a, shifts = _walk_models()[case]
+    for n in shifts:
+        slots, lost = _shift_slots(model, n, cov_a)
+        assert (sorted(slots.tolist()), lost) == oracles.poisson_shift_walk(model, n, cov_a)
+    for n_terms in (1, 60):
+        signed, lost = _swap_weights(model, swap, a, n_terms)
+        plus, minus, walk_lost = oracles.poisson_swap_walk(model, swap, a, n_terms)
+        assert lost == walk_lost
+        assert [np.flatnonzero(col == 1).tolist() for col in signed.T] == plus
+        assert [np.flatnonzero(col == -1).tolist() for col in signed.T] == minus
+        if n_terms == 60:
+            assert any(plus) and any(minus)
 
 
 def test_configuration_sampler_stays_inside_the_window(band_model):

@@ -302,3 +302,17 @@ def test_dropped_pair_frees_its_stages():
     del pair
     gc.collect()
     assert ref() is None
+
+
+def test_library_depth_is_bounded():
+    p = chacon()
+    a = LevelSet(2, (0,))
+    swap = FinitarySwap(stage=1, pair=(0, 1))
+    for call in (
+        lambda: rigidity_scan(p, a, 5, depth=600),
+        lambda: correlation_interval(p, 3, a, a, 600),
+        lambda: wh_defect(p, swap, a, 5, 600),
+    ):
+        with pytest.raises(ValueError, match=f"maximum of {tower.MAX_DEPTH}"):
+            call()
+    assert correlation_interval(p, 3, a, a, tower.MAX_DEPTH).lo >= 0
