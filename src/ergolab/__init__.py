@@ -20,7 +20,6 @@ from .tower import (
     RationalInterval,
     ScanEntry,
     TowerStage,
-    apply_swap,
     build_stage,
     correlation_interval,
     depth_for,
@@ -38,7 +37,6 @@ from .constructions import (
     chacon,
     odometer,
     params_from_spec,
-    params_to_spec,
     rigid_mixing_pair,
     staircase,
 )

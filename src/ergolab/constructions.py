@@ -1,9 +1,9 @@
-"""Named constructions, parameter serialization and the paired generator.
+"""Named constructions, JSON construction descriptors and the paired generator.
 
 Besides the classical desk examples (chacon, odometer, staircase) this module
 builds matched pairs of infinite-measure constructions whose designated time
 sets interleave: along the times emitted for one map the other map is rigid,
-and vice versa.  Parameters round-trip through a small JSON vocabulary so the
+and vice versa.  Parameters are read from a small JSON vocabulary so the
 command line can name them; its descriptors are declared once, as the JSON
 Schema `$defs` in DESCRIPTOR_DEFS, which both the experiment schemas and the
 library entry points validate against.
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import json
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -35,7 +34,6 @@ __all__ = [
     "SchemaValidator",
     "RigidMixingPair",
     "rigid_mixing_pair",
-    "params_to_spec",
     "params_from_spec",
 ]
 
@@ -53,16 +51,10 @@ def _staircase_rule(j: int) -> tuple[int, tuple[int, ...]]:
     return r, tuple(range(r))
 
 
-def _canonical(name: str, args: dict) -> str:
-    return json.dumps({"name": name, "args": args}, sort_keys=True)
-
-
 @lru_cache(maxsize=None)
 def chacon() -> ConstructionParams:
     """Three cuts, one spacer on the middle column, every stage."""
-    return ConstructionParams(
-        "finite", Q(1), 1, None, _chacon_rule, _canonical("chacon", {}), "chacon"
-    )
+    return ConstructionParams("finite", Q(1), 1, None, _chacon_rule, "chacon")
 
 
 @lru_cache(maxsize=None)
@@ -71,17 +63,13 @@ def odometer(r: int = 2) -> ConstructionParams:
     if not 2 <= r <= MAX_CUTS:  # which also bounds this cache
         raise ValueError(f"odometer needs 2 to {MAX_CUTS} cuts, got {r}")
     rule = lambda j, _r=r: (_r, (0,) * _r)
-    return ConstructionParams(
-        "finite", Q(1), 1, None, rule, _canonical("odometer", {"r": r}), f"odometer-{r}"
-    )
+    return ConstructionParams("finite", Q(1), 1, None, rule, f"odometer-{r}")
 
 
 @lru_cache(maxsize=None)
 def staircase() -> ConstructionParams:
     """Growing cuts r_j = j + 2 with 0, 1, .., r-1 spacers per column."""
-    return ConstructionParams(
-        "finite", Q(1), 1, None, _staircase_rule, _canonical("staircase", {}), "staircase"
-    )
+    return ConstructionParams("finite", Q(1), 1, None, _staircase_rule, "staircase")
 
 
 # ---------------------------------------------------------------------------
@@ -148,15 +136,12 @@ class RigidMixingPair:
         self._streams = {1: _TimeSource(args["cprime"]), 0: _TimeSource(args["dprime"])}
         self._records: list[tuple[int, int, int]] = []  # (r_j, s_j, h_j + s_j)
         self._heights = [1]
-        self.t_params = self._role_params("t", args)
-        self.s_params = self._role_params("s", args)
+        self.t_params = self._role_params("t")
+        self.s_params = self._role_params("s")
 
-    def _role_params(self, role: str, spec_args: dict) -> ConstructionParams:
-        spec = _canonical("theorem6", {**spec_args, "role": role})
-        rule = lambda j, _role=role: self._stage_for(_role, j)
-        return ConstructionParams(
-            "infinite", Q(1), 1, None, rule, spec, f"pair-{role}"
-        )
+    def _role_params(self, role: str) -> ConstructionParams:
+        rule = lambda j: self._stage_for(role, j)
+        return ConstructionParams("infinite", Q(1), 1, None, rule, f"pair-{role}")
 
     def _ensure(self, j: int) -> None:
         while len(self._records) <= j:
@@ -244,7 +229,7 @@ _PAIR = {
     "dprime": {"$ref": "#/$defs/stream", "default": {"name": "naturals"}},
 }
 _NO_ARGS = _closed({"args": _closed({})})
-_POSITIVE_RATIONAL = "^0*[1-9][0-9]*(/0*[1-9][0-9]*)?$"  # p or p/q, as params_to_spec writes
+_POSITIVE_RATIONAL = "^0*[1-9][0-9]*(/0*[1-9][0-9]*)?$"  # p or p/q, both positive
 
 DESCRIPTOR_DEFS = {
     "stream": _tagged({
@@ -327,40 +312,22 @@ def builtin_params(name: str, **args) -> ConstructionParams:
 
 
 # ---------------------------------------------------------------------------
-# JSON round-trip
-
-
-def params_to_spec(params: ConstructionParams) -> dict:
-    """JSON-able description; fails for closure-backed rules without a spec."""
-    out: dict = {"mode": params.measure_mode, "initial_width": str(params.initial_width)}
-    if params.initial_height != 1:
-        out["initial_height"] = params.initial_height
-    if params.stages is not None:
-        out["stages"] = [
-            {"r": r, "spacers": list(spacers)} for r, spacers in params.stages
-        ]
-        return out
-    if params.rule_spec is None:
-        raise ValueError("rule-backed parameters without a descriptor cannot be serialized")
-    out["rule"] = json.loads(params.rule_spec)
-    return out
+# construction from a `spec` descriptor
 
 
 def params_from_spec(spec: dict) -> ConstructionParams:
-    """Inverse of params_to_spec, accepting both explicit and named forms."""
+    """Construction parameters of a `spec` descriptor, explicit or named."""
     _check("spec", spec)
     mode, height = spec["mode"], spec.get("initial_height", 1)
     width = Q(spec.get("initial_width", "1"))
     if "stages" in spec:
         stages = tuple((st["r"], tuple(st["spacers"])) for st in spec["stages"])
-        return ConstructionParams(mode, width, height, stages, None, None, "explicit")
+        return ConstructionParams(mode, width, height, stages, None, "explicit")
     rule = spec["rule"]
     params = builtin_params(rule["name"], **rule.get("args", {}))
     geometry = (params.measure_mode, params.initial_width, params.initial_height)
     if geometry != (mode, width, height):
         # Named rules fix their own geometry; honour an explicit override by
         # rebuilding on the same rule.
-        params = ConstructionParams(
-            mode, width, height, None, params.rule, params.rule_spec, params.name
-        )
+        params = ConstructionParams(mode, width, height, None, params.rule, params.name)
     return params

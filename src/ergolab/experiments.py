@@ -43,6 +43,7 @@ from .ledrapier import (
     symdiff_identity_check,
     triple_measure,
 )
+from .mc import MIN_BATCHES
 from .operators import (
     FiniteRankPerturbation,
     conjugate_defect,
@@ -77,10 +78,10 @@ __all__ = [
 
 
 class ConfigError(ValueError):
-    """Config rejected before dispatch: schema, name, or override problem."""
+    """Config rejected before dispatch: an unknown field, name or bad value."""
 
 
-_TOP_LEVEL_KEYS = {"experiment", "seed", "out", "csv", "depth", "threshold", "params"}
+_TOP_LEVEL_KEYS = {"experiment", "seed", "out", "csv", "params"}
 
 
 def _schema(properties: dict) -> dict:
@@ -680,7 +681,6 @@ class ExperimentSpec:
     description: str
     params_schema: dict
     runner: Callable
-    overrides: dict
     listed: bool = True
     command: Optional[str] = None
 
@@ -696,7 +696,7 @@ class ExperimentSpec:
 
 _MC_PROPS = {
     "samples": _int(100000, minimum=1),
-    "n_batches": _int(40, minimum=30),
+    "n_batches": _int(40, minimum=MIN_BATCHES),
 }
 
 _CALIBRATED_OPERATOR_PROPS = {
@@ -733,7 +733,6 @@ _SPECS = [
             }
         ),
         runner=_run_ledrapier,
-        overrides={},
         command="ledrapier",
     ),
     ExperimentSpec(
@@ -755,7 +754,6 @@ _SPECS = [
             }
         ),
         runner=_run_theorem1,
-        overrides={"threshold": "scan_theta"},
     ),
     ExperimentSpec(
         name="theorem6",
@@ -770,7 +768,6 @@ _SPECS = [
             }
         ),
         runner=_run_theorem6,
-        overrides={"threshold": "bound"},
     ),
     ExperimentSpec(
         name="eq1-sweep",
@@ -785,7 +782,6 @@ _SPECS = [
             }
         ),
         runner=_run_eq1_sweep,
-        overrides={"threshold": "final_bound"},
         command="cesaro",
     ),
     ExperimentSpec(
@@ -806,7 +802,6 @@ _SPECS = [
             }
         ),
         runner=_run_wh_gaussian,
-        overrides={},
     ),
     ExperimentSpec(
         name="wh-poisson",
@@ -824,7 +819,6 @@ _SPECS = [
             }
         ),
         runner=_run_wh_poisson,
-        overrides={"depth": "depth"},
     ),
     ExperimentSpec(
         name="rigidity-scan",
@@ -847,7 +841,6 @@ _SPECS = [
             }
         ),
         runner=_run_rigidity,
-        overrides={"depth": "depth", "threshold": "theta"},
         command="rigidity",
     ),
     ExperimentSpec(
@@ -864,7 +857,6 @@ _SPECS = [
             }
         ),
         runner=_run_triple_mixing,
-        overrides={"threshold": "threshold"},
     ),
     # unlisted ad-hoc commands
     ExperimentSpec(
@@ -874,7 +866,6 @@ _SPECS = [
             {**_construction_props("chacon"), "depth": {**_DEPTH, "default": 8}}
         ),
         runner=_run_build,
-        overrides={"depth": "depth"},
         listed=False,
         command="build",
     ),
@@ -891,7 +882,6 @@ _SPECS = [
             },
         ),
         runner=_run_correlate,
-        overrides={"depth": "depth"},
         listed=False,
         command="correlate",
     ),
@@ -913,7 +903,6 @@ _SPECS = [
             }
         ),
         runner=_run_gauss,
-        overrides={},
         listed=False,
         command="gauss",
     ),
@@ -937,7 +926,6 @@ _SPECS = [
             }
         ),
         runner=_run_poisson_cov,
-        overrides={"depth": "depth"},
         listed=False,
         command="poisson",
     ),
@@ -978,7 +966,7 @@ def _params_validator(name: str):
 
 
 def resolve_config(raw: dict) -> dict:
-    """Validate, merge defaults, and apply overrides; raises ConfigError."""
+    """Validate and merge defaults; raises ConfigError."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(raw) - _TOP_LEVEL_KEYS
@@ -994,12 +982,6 @@ def resolve_config(raw: dict) -> dict:
     if not isinstance(supplied, dict):
         raise ConfigError("params must be a JSON object")
     params.update(copy.deepcopy(supplied))
-    for key in ("depth", "threshold"):
-        if key in raw:
-            target = spec.overrides.get(key)
-            if target is None:
-                raise ConfigError(f"experiment {name!r} takes no {key} override")
-            params[target] = raw[key]
     errors = _params_validator(name).iter_errors(params)
     error = jsonschema.exceptions.best_match(errors)
     if error is not None:

@@ -123,13 +123,9 @@ def hermite_value(k: int, x: np.ndarray) -> np.ndarray:
     return (0.0 - x) + (x * x - 2.0) * x
 
 
-def _batch_layout(samples: int, n_batches: int) -> int:
+def _require_samples(samples: int) -> None:
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples")
-    batch_size = samples // n_batches
-    if batch_size < 1:
-        raise ValueError("more batches than samples")
-    return batch_size
 
 
 @dataclass(frozen=True)
@@ -158,7 +154,7 @@ def gaussian_hermite_correlation(
     """Monte-Carlo E[He_k(X_0) He_k(X_n)] against the k! rho^n closed form."""
     if k not in (1, 2, 3):
         raise ValueError("degree must be 1, 2 or 3")
-    batch_size = _batch_layout(samples, n_batches)
+    _require_samples(samples)
     block = model.block_sampler([0, n])
 
     def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -166,7 +162,7 @@ def gaussian_hermite_correlation(
         return hermite_value(k, x[0]) * hermite_value(k, x[1])
 
     estimate = batch_estimate(
-        sampler, batch_size=batch_size, n_batches=n_batches, seed=seed, jobs=jobs
+        sampler, samples, n_batches=n_batches, seed=seed, jobs=jobs
     )
     rho = model.rho(n)
     return HermiteCorrelation(
@@ -207,7 +203,7 @@ class TripleMixingEntry:
 
     @property
     def within_five_se(self) -> bool:
-        return abs(self.deviation) <= 5.0 * self.estimate.stderr
+        return self.estimate.within(self.product)
 
 
 def triple_correlation_weakmix_check(
@@ -233,7 +229,7 @@ def triple_correlation_weakmix_check(
         raise ValueError("shift sequences must have equal length")
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    batch_size = _batch_layout(samples, n_batches)
+    _require_samples(samples)
     # one orbit chain for every shift of the run; row @ f is exactly model.rho
     shifts = sorted({0, *ms, *ns, *(n - m for m, n in zip(ms, ns))})
     rows = dict(zip(shifts, model.orbit_rows(shifts)))
@@ -254,11 +250,7 @@ def triple_correlation_weakmix_check(
             return ((x[0] <= 0.0) & (x[1] <= 0.0) & (x[2] <= 0.0)).astype(float)
 
         estimate = batch_estimate(
-            sampler,
-            batch_size=batch_size,
-            n_batches=n_batches,
-            seed=seed + idx,
-            jobs=jobs,
+            sampler, samples, n_batches=n_batches, seed=seed + idx, jobs=jobs
         )
         entries.append(
             TripleMixingEntry(
@@ -295,16 +287,12 @@ class GaussianWhResult:
     operator_defect: CesaroDefect
 
     @property
-    def distance(self) -> float:
-        return abs(self.estimate.value)
-
-    @property
     def tracks_exact(self) -> bool:
-        return abs(self.estimate.value - self.exact) <= 5.0 * self.estimate.stderr
+        return self.estimate.within(self.exact)
 
     @property
     def below_majorant(self) -> bool:
-        return self.distance <= self.majorant + 5.0 * self.estimate.stderr
+        return self.estimate.within(-self.majorant, self.majorant)
 
 
 def gaussian_wh_experiment(
@@ -322,7 +310,7 @@ def gaussian_wh_experiment(
         raise ValueError("degree must be 1 or 2")
     if pert.dim != model.dim:
         raise ValueError("perturbation dimension does not match the model")
-    batch_size = _batch_layout(samples, n_batches)
+    _require_samples(samples)
     rows = model.orbit_rows(range(1, n_terms + 1))
     conj_rows = rows @ pert.matrix()
 
@@ -343,7 +331,7 @@ def gaussian_wh_experiment(
         return np.mean(hermite_value(k, y) * hx - hx**2, axis=0)
 
     estimate = batch_estimate(
-        sampler, batch_size=batch_size, n_batches=n_batches, seed=seed, jobs=jobs
+        sampler, samples, n_batches=n_batches, seed=seed, jobs=jobs
     )
     return GaussianWhResult(
         degree=k,

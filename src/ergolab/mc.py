@@ -6,6 +6,13 @@ draws from numpy's default_rng seeded with [seed, b], so results do not
 depend on how batches are scheduled across workers: running ranges in
 parallel and concatenating the batch values in index order reproduces a
 serial run bit for bit.
+
+This module owns the batch layout and the gate.  `samples` are split into
+`n_batches` batches of `samples // n_batches` each (at least MIN_BATCHES
+batches of at least 2 samples, else ValueError), so `n_samples` reports the
+floor-divided total.  An estimate agrees with an exact target when it lies
+within GATE_SE standard errors of it (`EstimateWithError.within`) or below
+a bound plus GATE_SE standard errors (`EstimateWithError.below`).
 """
 from __future__ import annotations
 
@@ -17,6 +24,7 @@ import numpy as np
 
 __all__ = [
     "EstimateWithError",
+    "GATE_SE",
     "MIN_BATCHES",
     "run_batch_stats",
     "combine_batch_means",
@@ -25,6 +33,7 @@ __all__ = [
 ]
 
 MIN_BATCHES = 30
+GATE_SE = 5.0
 
 BatchSampler = Callable[[np.random.Generator, int], np.ndarray]
 
@@ -36,8 +45,16 @@ class EstimateWithError:
     n_samples: int
     seed: int
 
-    def within(self, target: float, n_sigma: float = 5.0) -> bool:
-        return abs(self.value - target) <= n_sigma * self.stderr
+    def within(self, lo: float, hi: float | None = None) -> bool:
+        """Within GATE_SE standard errors of the point `lo`, or of [lo, hi]."""
+        pad = GATE_SE * self.stderr
+        if hi is None:
+            return abs(self.value - lo) <= pad
+        return lo - pad <= self.value <= hi + pad
+
+    def below(self, bound: float) -> bool:
+        """At most `bound` plus GATE_SE standard errors."""
+        return self.value <= bound + GATE_SE * self.stderr
 
 
 def combine_batch_means(
@@ -78,14 +95,19 @@ def _split_ranges(n_batches: int, jobs: int) -> list[range]:
 
 def _pooled_estimate(
     stat: Callable[[np.random.Generator, int], float],
-    batch_size: int,
+    samples: int,
     n_batches: int,
     seed: int,
     jobs: int,
 ) -> EstimateWithError:
-    """Run every batch, split over up to `jobs` threads, and combine."""
+    """Split `samples` into batches, run them over up to `jobs` threads, combine."""
     if n_batches < MIN_BATCHES:
         raise ValueError(f"need at least {MIN_BATCHES} batches for a stable stderr")
+    batch_size = samples // n_batches
+    if batch_size < 2:
+        raise ValueError(
+            f"{samples} samples over {n_batches} batches leave fewer than 2 per batch"
+        )
     if jobs < 1:
         raise ValueError("jobs must be positive")
     if jobs == 1:
@@ -114,23 +136,21 @@ def _mean_statistic(sampler: BatchSampler):
 
 def batch_estimate(
     sampler: BatchSampler,
+    samples: int,
     *,
-    batch_size: int,
-    n_batches: int = 32,
+    n_batches: int,
     seed: int = 0,
     jobs: int = 1,
 ) -> EstimateWithError:
     """Batch-means estimate of E[sample], with a sample-std standard error."""
-    if batch_size < 1:
-        raise ValueError("batch_size must be positive")
-    return _pooled_estimate(_mean_statistic(sampler), batch_size, n_batches, seed, jobs)
+    return _pooled_estimate(_mean_statistic(sampler), samples, n_batches, seed, jobs)
 
 
 def batch_statistic_estimate(
     stat: Callable[[np.random.Generator, int], float],
+    samples: int,
     *,
-    batch_size: int,
-    n_batches: int = 32,
+    n_batches: int,
     seed: int = 0,
     jobs: int = 1,
 ) -> EstimateWithError:
@@ -139,6 +159,4 @@ def batch_statistic_estimate(
     The statistic must be unbiased at the batch size for the combined value to
     be unbiased; the stderr is the spread of the per-batch values.
     """
-    if batch_size < 2:
-        raise ValueError("batch statistics need at least two samples per batch")
-    return _pooled_estimate(stat, batch_size, n_batches, seed, jobs)
+    return _pooled_estimate(stat, samples, n_batches, seed, jobs)

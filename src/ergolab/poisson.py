@@ -31,6 +31,7 @@ from .tower import (
     build_stage,
     correlation_interval,
     refine_set,
+    supp_level_set,
     swap_index_map,
     wh_defect,
 )
@@ -65,19 +66,25 @@ def _exact_indices(levels: LevelSet) -> np.ndarray:
     return np.array(levels.indices, dtype=object)
 
 
+def _refined_size(params: ConstructionParams, levels: LevelSet, depth: int) -> int:
+    """How many depth-`depth` levels `levels` refines to, without refining."""
+    return len(levels) * prod(
+        build_stage(params, t).cuts for t in range(levels.stage, depth)
+    )
+
+
+def _check_cap(what: str, size: int) -> None:
+    if size > MAX_WINDOW_LEVELS:
+        raise ValueError(f"{what} refines to {size} levels, cap is {MAX_WINDOW_LEVELS}")
+
+
 class PoissonModel:
     """Finite observation window of a tower, with Poisson mass per level."""
 
     def __init__(self, params: ConstructionParams, window: LevelSet, depth: int):
         self.params = params
         self.depth = int(depth)
-        size = len(window) * prod(
-            build_stage(params, t).cuts for t in range(window.stage, self.depth)
-        )
-        if size > MAX_WINDOW_LEVELS:
-            raise ValueError(
-                f"window refines to {size} levels, cap is {MAX_WINDOW_LEVELS}"
-            )
+        _check_cap("window", _refined_size(params, window, self.depth))
         self.stage = build_stage(params, self.depth)
         # sorted window indices as Python ints: slot s holds level indices[s]
         self.indices = _exact_indices(refine_set(params, window, self.depth))
@@ -93,6 +100,8 @@ class PoissonModel:
 
     def member_slots(self, levels: LevelSet) -> np.ndarray:
         """Window slots of a level set; every refined index must be observed."""
+        if _refined_size(self.params, levels, self.depth) > self.n_levels:
+            raise ValueError("level set is not contained in the window")
         slots, found = _locate(
             self.indices, _exact_indices(refine_set(self.params, levels, self.depth))
         )
@@ -147,12 +156,7 @@ class PoissonCovariance:
 
     @property
     def within_five_se(self) -> bool:
-        pad = 5.0 * self.estimate.stderr
-        return (
-            float(self.exact.lo) - pad
-            <= self.estimate.value
-            <= float(self.exact.hi) + pad
-        )
+        return self.estimate.within(float(self.exact.lo), float(self.exact.hi))
 
 
 def _shift_slots(model: PoissonModel, n: int, a: LevelSet) -> tuple[np.ndarray, int]:
@@ -199,11 +203,7 @@ def poisson_count_covariance(
         return float(np.cov(counts[:, 0], counts[:, 1], ddof=1)[0, 1])
 
     estimate = batch_statistic_estimate(
-        stat,
-        batch_size=max(2, samples // n_batches),
-        n_batches=n_batches,
-        seed=seed,
-        jobs=jobs,
+        stat, samples, n_batches=n_batches, seed=seed, jobs=jobs
     )
     return PoissonCovariance(
         shift=n, estimate=estimate, exact=exact, lost_mass=lost_mass
@@ -287,7 +287,7 @@ class PoissonWhResult:
 
     @property
     def below_majorant(self) -> bool:
-        return self.estimate.value <= self.majorant + 5.0 * self.estimate.stderr
+        return self.estimate.below(self.majorant)
 
 
 def _swap_weights(
@@ -305,6 +305,8 @@ def _swap_weights(
     a_idx = model.indices[a_slots]
     in_a = np.zeros(model.n_levels, dtype=bool)
     in_a[a_slots] = True
+    supp = supp_level_set(model.params, swap)
+    _check_cap("swap support", _refined_size(model.params, supp, model.depth))
     lo, hi, delta = swap_index_map(model.params, swap, model.depth)
     terms = np.arange(1, n_terms + 1).astype(object)
     tops = np.searchsorted(model.indices, model.stage.height - terms)
@@ -352,11 +354,7 @@ def poisson_wh_experiment(
         return np.abs(diffs).sum(axis=1) / n_terms
 
     estimate = batch_estimate(
-        sampler,
-        batch_size=max(1, samples // n_batches),
-        n_batches=n_batches,
-        seed=seed,
-        jobs=jobs,
+        sampler, samples, n_batches=n_batches, seed=seed, jobs=jobs
     )
     interval = wh_defect(model.params, swap, a, n_terms, model.depth)
     return PoissonWhResult(

@@ -45,7 +45,6 @@ __all__ = [
     "rigidity_scan",
     "wh_defect",
     "supp_level_set",
-    "apply_swap",
 ]
 
 
@@ -69,9 +68,7 @@ class ConstructionParams:
     """Immutable description of a cutting-and-stacking construction.
 
     Stages are either materialized up front (`stages`) or produced on demand
-    by `rule(j) -> (r_j, spacers_j)`.  `rule_spec` keeps a JSON-able
-    description of the rule when one exists, so parameters can round-trip
-    through config files; closure-backed rules simply cannot be serialized.
+    by `rule(j) -> (r_j, spacers_j)`.
     """
 
     measure_mode: str
@@ -79,7 +76,6 @@ class ConstructionParams:
     initial_height: int = 1
     stages: Optional[tuple[tuple[int, tuple[int, ...]], ...]] = None
     rule: Optional[StageRule] = None
-    rule_spec: Optional[str] = None
     name: str = "custom"
     # Stages built so far (see build_stage); lives and dies with the params.
     _stages: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -447,22 +443,6 @@ def swap_index_map(
     lo = refine_set(params, LevelSet(swap.stage, (i,)), depth)
     hi = refine_set(params, LevelSet(swap.stage, (k,)), depth)
     return frozenset(lo.indices), frozenset(hi.indices), k - i
-
-
-def apply_swap(params: ConstructionParams, swap: FinitarySwap, levels: LevelSet) -> LevelSet:
-    """Image of a level set under the swap (stage must be >= swap stage)."""
-    if levels.stage < swap.stage:
-        raise ValueError("refine the level set at least to the swap stage first")
-    lo, hi, delta = swap_index_map(params, swap, levels.stage)
-    moved = []
-    for i in levels.indices:
-        if i in lo:
-            moved.append(i + delta)
-        elif i in hi:
-            moved.append(i - delta)
-        else:
-            moved.append(i)
-    return LevelSet(levels.stage, tuple(moved))
 
 
 def wh_defect(

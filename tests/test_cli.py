@@ -139,12 +139,25 @@ def test_expect_rigid_flag_failing_check_exits_1():
         ["gauss", "--samples", "10"],
         ["cesaro", "--dim", "5"],
         ["poisson", "--window-size", "100000"],
+        ["poisson", "--samples", "10"],
+        ["poisson", "--depth", "5", "--window-stage", "5", "--a-stage", "0", "--a-lo", "0",
+         "--a-hi", "1", "--b-stage", "5", "--b-lo", "0", "--b-hi", "5"],
     ],
 )
 def test_domain_errors_exit_2_without_traceback(argv):
     proc = run_cli(*argv)
     assert proc.returncode == 2
     assert "config error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_swap_support_past_the_cap_exits_2(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    params = {"depth": 6, "window_stage": 6, "a_stage": 6}
+    cfg.write_text(json.dumps({"experiment": "wh-poisson", "params": params}), encoding="utf-8")
+    proc = run_cli("experiment", "wh-poisson", "--config", str(cfg))
+    assert proc.returncode == 2
+    assert "swap support refines to 47185920 levels, cap is 200000" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -1,13 +1,11 @@
-"""Named constructions, the paired generator and JSON round-trips."""
+"""Named constructions, the paired generator and JSON construction descriptors."""
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 import pytest
 
 from ergolab.tower import (
-    ConstructionParams,
     GenerationError,
     LevelSet,
     build_stage,
@@ -20,7 +18,6 @@ from ergolab.constructions import (
     chacon,
     odometer,
     params_from_spec,
-    params_to_spec,
     rigid_mixing_pair,
     staircase,
 )
@@ -119,9 +116,18 @@ def test_builtin_pair_roles_share_one_generator():
         assert build_stage(t, j).height == build_stage(s, j).height
 
 
-def test_json_round_trip_named_and_explicit():
-    for p in (chacon(), odometer(3), staircase(), builtin_params("theorem6", role="t")):
-        q = params_from_spec(json.loads(json.dumps(params_to_spec(p))))
+def test_params_from_spec_named_and_explicit():
+    named = [
+        ({"mode": "finite", "rule": {"name": "chacon"}}, chacon()),
+        ({"mode": "finite", "rule": {"name": "odometer", "args": {"r": 3}}}, odometer(3)),
+        ({"mode": "finite", "initial_width": "1", "rule": {"name": "staircase"}}, staircase()),
+        (
+            {"mode": "infinite", "rule": {"name": "theorem6", "args": {"role": "t"}}},
+            builtin_params("theorem6", role="t"),
+        ),
+    ]
+    for spec, p in named:
+        q = params_from_spec(spec)
         assert (q.measure_mode, q.initial_width) == (p.measure_mode, p.initial_width)
         for j in range(4):
             assert q.stage_data(j) == p.stage_data(j)
@@ -133,9 +139,8 @@ def test_json_round_trip_named_and_explicit():
         }
     )
     assert explicit.initial_width == Q(1, 2)
-    spec = params_to_spec(explicit)
-    assert spec["stages"][1] == {"r": 3, "spacers": [2, 0, 1]}
-    assert params_from_spec(spec).stages == explicit.stages
+    assert explicit.stages == ((2, (0, 1)), (3, (2, 0, 1)))
+    assert explicit.stage_data(1) == (3, (2, 0, 1))
 
 
 def test_serialization_rejects_bad_specs():
@@ -145,11 +150,6 @@ def test_serialization_rejects_bad_specs():
         params_from_spec({"mode": "finite"})
     with pytest.raises(ValueError):
         builtin_params("mystery")
-    closure = ConstructionParams(
-        "finite", Q(1), 1, None, lambda j: (3, (0, 1, 0)), None, "closure"
-    )
-    with pytest.raises(ValueError):
-        params_to_spec(closure)  # closure-backed, no descriptor
 
 
 def test_explicit_stream_spec_must_increase():

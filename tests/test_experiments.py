@@ -1,9 +1,11 @@
 import hashlib
+import inspect
 import json
 
 import jsonschema
 import pytest
 
+from ergolab import experiments, gaussian, mc, poisson
 from ergolab.constructions import DESCRIPTOR_DEFS
 from ergolab.experiments import (
     _CATALOGUE,
@@ -143,13 +145,15 @@ def test_exact_results_bytes_are_frozen_and_reports_name_the_rng_scheme():
         assert "rng_scheme" not in full["results"]
 
 
-def test_threshold_and_depth_overrides_land_in_params():
-    cfg = {"experiment": "rigidity-scan", "threshold": 0.1, "depth": 9}
-    resolved = resolve_config(cfg)
+def test_top_level_depth_and_threshold_are_unknown_fields():
+    for key, value in (("depth", 9), ("threshold", 0.1)):
+        with pytest.raises(ConfigError, match="unknown config field"):
+            resolve_config({"experiment": "rigidity-scan", key: value})
+    resolved = resolve_config(
+        {"experiment": "rigidity-scan", "params": {"theta": 0.1, "depth": 9}}
+    )
     assert resolved["params"]["theta"] == 0.1
     assert resolved["params"]["depth"] == 9
-    with pytest.raises(ConfigError):
-        resolve_config({"experiment": "ledrapier", "depth": 5})
 
 
 def test_ledrapier_experiment_is_exact_and_green():
@@ -257,3 +261,38 @@ def test_report_config_echo_is_re_runnable():
     report = run_experiment(_shrunk("gauss", samples=10**4))
     again = run_experiment(report.config)
     assert again.results_bytes() == report.results_bytes()
+
+
+# Shrunk configs of the five Monte-Carlo entries, with `samples` not a
+# multiple of `n_batches`.
+MC_SHRUNK = {
+    "gauss": {"samples": 10_007, "n_batches": 31, "shifts": [3]},
+    "triple-mixing": {"samples": 10_007, "n_batches": 31, "count": 12, "min_usable": 1},
+    "wh-gaussian": {"samples": 10_007, "n_batches": 31, "n_terms": 20},
+    "poisson": {"samples": 2_007, "n_batches": 31, "ns": [0, 3]},
+    "wh-poisson": {"samples": 2_007, "n_batches": 31, "ns": [50]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MC_SHRUNK))
+def test_each_monte_carlo_row_is_one_mc_call_with_the_floor_layout(monkeypatch, name):
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (experiments, gaussian, poisson):
+        for attr, obj in list(vars(module).items()):
+            if inspect.isfunction(obj) and obj.__module__ == mc.__name__:
+                monkeypatch.setattr(module, attr, counting(obj))
+    params = MC_SHRUNK[name]
+    report = run_experiment(_shrunk(name, **params))
+    rows = [r for r in report.rows if r["provenance"] == "monte-carlo"]
+    assert len(rows) == len(calls) > 0
+    want = params["samples"] // params["n_batches"] * params["n_batches"]
+    assert want < params["samples"]
+    assert all(r["n_samples"] == want for r in rows)

@@ -54,6 +54,38 @@ def test_window_size_is_checked_before_refining(monkeypatch):
         PoissonModel(rigid_mixing_pair().t_params, LevelSet(2, range(700)), depth=5)
 
 
+def test_level_sets_and_swap_supports_are_sized_before_refining(monkeypatch):
+    model = PoissonModel(rigid_mixing_pair().t_params, LevelSet(5, range(700)), depth=5)
+
+    def refuse(*args):
+        raise AssertionError("refined before its size was checked")
+
+    monkeypatch.setattr(poisson, "swap_index_map", refuse)
+    with monkeypatch.context() as patched:
+        patched.setattr(poisson, "refine_set", refuse)
+        # one stage-0 level is 8 * 16 * 24 * 32 * 40 = 3932160 depth-5 levels
+        with pytest.raises(ValueError, match="not contained in the window"):
+            model.member_slots(LevelSet(0, (0,)))
+        with pytest.raises(ValueError, match="not contained in the window"):
+            poisson_count_covariance(model, 0, LevelSet(0, (0,)), LevelSet(5, range(5)), 4000)
+    # each stage-1 swap level has 16 * 24 * 32 * 40 = 491520 depth-5 copies
+    a = LevelSet(5, range(50, 350))
+    with pytest.raises(ValueError, match="swap support refines to 983040 levels"):
+        poisson_wh_experiment(model, FinitarySwap(1, (1, 3)), a, 50, 4000)
+
+
+def test_too_few_samples_per_batch_are_rejected(band_model):
+    a = LevelSet(2, range(100, 150))
+    swap = FinitarySwap(stage=1, pair=(1, 3))
+    for samples in (10, 79):
+        with pytest.raises(ValueError, match="fewer than 2 per batch"):
+            poisson_count_covariance(band_model, 0, a, a, samples)
+        with pytest.raises(ValueError, match="fewer than 2 per batch"):
+            poisson_wh_experiment(band_model, swap, a, 50, samples)
+    assert poisson_count_covariance(band_model, 0, a, a, 119).estimate.n_samples == 80
+    assert poisson_wh_experiment(band_model, swap, a, 50, 119).estimate.n_samples == 80
+
+
 def _dense_counts(model, owner, slot, size):
     counts = np.zeros((size, model.n_levels), dtype=np.int64)
     np.add.at(counts, (owner, slot), 1)

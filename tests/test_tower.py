@@ -17,7 +17,6 @@ from ergolab.tower import (
     InsufficientDepthError,
     LevelSet,
     RationalInterval,
-    apply_swap,
     build_stage,
     correlation_interval,
     depth_for,
@@ -25,6 +24,7 @@ from ergolab.tower import (
     refine_set,
     rigidity_scan,
     supp_level_set,
+    swap_index_map,
     symdiff_interval,
     wh_defect,
 )
@@ -176,13 +176,14 @@ def test_swap_is_measure_preserving_involution():
     swap = FinitarySwap(1, (0, 2))
     supp = supp_level_set(p, swap)
     assert level_set_measure(p, supp) == 2 * Q(1, 3)
-    a = refine_set(p, LevelSet(1, (0, 1)), 3)
-    once = apply_swap(p, swap, a)
-    assert level_set_measure(p, once) == level_set_measure(p, a)
-    assert apply_swap(p, swap, once) == a
-    # away from the support nothing moves
+    # each copy of the lower level moves up by delta onto a copy of the upper
+    # one and back, and copies of other levels do not move
+    lo, hi, delta = swap_index_map(p, swap, 3)
+    assert delta == 2
+    assert {i + delta for i in lo} == hi
+    assert len(lo) == len(hi) == 9
     quiet = refine_set(p, LevelSet(1, (3,)), 3)
-    assert apply_swap(p, swap, quiet) == quiet
+    assert not set(quiet.indices) & (lo | hi)
 
 
 def test_wh_defect_averages_support_correlations():
@@ -206,17 +207,17 @@ def test_error_paths():
     with pytest.raises(InsufficientDepthError):
         correlation_interval(p, 50, LevelSet(1, (0,)), LevelSet(1, (0,)), 2)
     explicit = ConstructionParams(
-        "finite", Q(1), 1, ((2, (0, 1)), (2, (1, 0))), None, None, "short"
+        "finite", Q(1), 1, ((2, (0, 1)), (2, (1, 0))), None, "short"
     )
     with pytest.raises(ConstructionExhaustedError):
         build_stage(explicit, 2)
     with pytest.raises(ValueError):
-        ConstructionParams("finite", Q(1), 1, None, None, None, "empty")
+        ConstructionParams("finite", Q(1), 1, None, None, "empty")
     with pytest.raises(ValueError):
         rigidity_scan(p, LevelSet(2, ()), 5, depth=4)
     with pytest.raises(ValueError):
         FinitarySwap(1, (2, 2))
-    bad = ConstructionParams("finite", Q(1), 1, ((2, (0, -1)),), None, None, "bad")
+    bad = ConstructionParams("finite", Q(1), 1, ((2, (0, -1)),), None, "bad")
     with pytest.raises(ValueError):
         build_stage(bad, 0)
 
@@ -228,7 +229,7 @@ def small_construction(draw):
     for _ in range(n_stages):
         r = draw(st.integers(2, 4))
         stages.append((r, tuple(draw(st.integers(0, 3)) for _ in range(r))))
-    return ConstructionParams("finite", Q(1), 1, tuple(stages), None, None, "hyp")
+    return ConstructionParams("finite", Q(1), 1, tuple(stages), None, "hyp")
 
 
 @settings(max_examples=60, deadline=None)
