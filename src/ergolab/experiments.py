@@ -150,6 +150,12 @@ def _level_range_props(side: str, stage: int, lo: int, hi: int) -> dict:
 # runners: each returns (rows, checks, notes)
 
 
+# generic ledrapier shifts z are distinct points of [-REACH, REACH] x [0, HEIGHT]
+# other than the origin, so at most _GENERIC_BOX of them exist
+_GENERIC_REACH, _GENERIC_HEIGHT = 9, 9
+_GENERIC_BOX = (2 * _GENERIC_REACH + 1) * (_GENERIC_HEIGHT + 1) - 1
+
+
 def _run_ledrapier(params: dict, seed: int, jobs: int):
     mu = event_measure([base_event()])
     rows = [exact_row(item="base", measure=mu)]
@@ -176,7 +182,10 @@ def _run_ledrapier(params: dict, seed: int, jobs: int):
     seen: set = set()
     generic_ok = True
     while len(seen) < params["generic_pairs"]:
-        z = (rng.randint(-9, 9), rng.randint(0, 9))
+        z = (
+            rng.randint(-_GENERIC_REACH, _GENERIC_REACH),
+            rng.randint(0, _GENERIC_HEIGHT),
+        )
         if z == (0, 0) or z in seen:
             continue
         seen.add(z)
@@ -727,7 +736,7 @@ _SPECS = [
             {
                 "k_max": {"type": "integer", "minimum": 1, "maximum": 60, "default": 10},
                 "generic_pairs": {
-                    "type": "integer", "minimum": 0, "maximum": 500, "default": 20,
+                    "type": "integer", "minimum": 0, "maximum": _GENERIC_BOX, "default": 20,
                 },
                 "generic_seed": _int(7),
             }

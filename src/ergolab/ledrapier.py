@@ -8,6 +8,18 @@ inconsistent and 2^-rank otherwise.  The reduction of a single site follows
 the parity of binomial coefficients: x[a,b] is the XOR of x[a+k,0] over the
 submasks k of b, so a height that is a power of two spreads a site into
 exactly two row-0 bits.
+
+Every equation becomes one Python int over the row-0 columns, and one
+kernel serves `event_measure`, `identity_holds` and `reduce_functional`.
+By Lucas's theorem the submasks of b form row b of Pascal's triangle mod
+2, a mask built by one shift per one-bit of b.  Coordinates are divided by
+their common power of two and the site intervals [a, a + b] are laid end to
+end, so the cost is the laid-out width, not 2^popcount(b) or the distance
+between sites.  A system is accepted when its laid-out row fits in
+MAX_ROW_BITS columns.  That covers every dyadic family (2^k, 0), (0, 2^k),
+however large k, and heights of any popcount up to the bound, such as
+2^20 - 1.  A wider system, such as the lone site (0, 2^40 + 1), raises
+ValueError naming its width.
 """
 from __future__ import annotations
 
@@ -18,6 +30,7 @@ from typing import Iterable, Sequence
 Q = Fraction
 
 __all__ = [
+    "MAX_ROW_BITS",
     "SiteFunctional",
     "site_functional",
     "base_event",
@@ -31,7 +44,8 @@ __all__ = [
     "triple_measure",
 ]
 
-_EXPANSION_CAP = 16  # submask expansion is 2**popcount(b); keep it desk-scale
+# widest laid-out row a system may reduce to; a row is one Python int
+MAX_ROW_BITS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -77,53 +91,95 @@ def xor_functionals(*fs: SiteFunctional) -> SiteFunctional:
     return SiteFunctional(frozenset(sites), constant)
 
 
-def _submasks(b: int):
-    sub = b
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & b
+def _lucas_row(b: int) -> int:
+    """Row b of Pascal's triangle mod 2 as a mask: bit k is C(b, k) mod 2.
+
+    By Lucas's theorem C(b, k) is odd exactly when k is a submask of b, so
+    each one-bit 2^i of b doubles the mask by a shift of 2^i.
+    """
+    mask = 1
+    while b:
+        low = b & -b
+        mask |= mask << low
+        b ^= low
+    return mask
+
+
+def _bit_rows(system: Sequence[SiteFunctional]):
+    """Reduce a system to integer bit-rows over its row-0 columns.
+
+    Coordinates are first divided by 2^v, the largest power of two dividing
+    every a and b: the submasks of 2^v b' are 2^v times those of b', so this
+    is a bijection on the columns used.  The site intervals [a, a + b] are
+    then merged and laid end to end, so far-apart sites cost no width.
+    Returns one (row, constant) per equation, the layout as (bit offset,
+    first column, width) per interval, and v.
+    """
+    sites: set = set()
+    for f in system:
+        sites |= f.sites
+    common = 0
+    for a, b in sites:
+        common |= a | b
+    v = (common & -common).bit_length() - 1 if common else 0
+    spans: list = []  # [first column, last column] of each merged interval
+    start = {}
+    for a, b in sorted(sites):
+        a, top = a >> v, (a + b) >> v
+        if spans and a <= spans[-1][1] + 1:
+            if top > spans[-1][1]:
+                spans[-1][1] = top
+        else:
+            spans.append([a, top])
+        start[a] = len(spans) - 1
+    layout = []
+    width = 0
+    for lo, hi in spans:
+        layout.append((width, lo, hi - lo + 1))
+        width += hi - lo + 1
+    if width > MAX_ROW_BITS:
+        raise ValueError(
+            f"system spans {width} row-0 columns, the bound is {MAX_ROW_BITS}"
+        )
+    mask = {}
+    for a, b in sites:
+        offset, lo, _ = layout[start[a >> v]]
+        mask[a, b] = _lucas_row(b >> v) << (offset + (a >> v) - lo)
+    rows = []
+    for f in system:
+        row = 0
+        for site in f.sites:
+            row ^= mask[site]
+        rows.append((row, f.constant))
+    return rows, layout, v
 
 
 def reduce_functional(f: SiteFunctional) -> SiteFunctional:
     """Equivalent equation supported on the generating row b = 0."""
-    row0: set = set()
-    for a, b in f.sites:
-        if b.bit_count() > _EXPANSION_CAP:
-            raise ValueError(f"site height {b} expands beyond the desk-scale cap")
-        for k in _submasks(b):
-            row0 ^= {(a + k, 0)}
-    return SiteFunctional(frozenset(row0), f.constant)
+    [(row, constant)], layout, v = _bit_rows([f])
+    row0 = []
+    for offset, lo, width in layout:
+        bits = bin((row >> offset) & ((1 << width) - 1))[:1:-1]
+        row0.extend(((lo + k) << v, 0) for k, bit in enumerate(bits) if bit == "1")
+    return SiteFunctional(frozenset(row0), constant)
 
 
 def event_measure(system: Iterable[SiteFunctional]) -> Fraction:
     """Exact measure of the intersection event of a finite equation system."""
-    reduced = [reduce_functional(f) for f in system]
-    columns = sorted({a for f in reduced for a, _ in f.sites})
-    slot = {a: i for i, a in enumerate(columns)}
-    rows = []
-    for f in reduced:
-        bits = 0
-        for a, _ in f.sites:
-            bits |= 1 << slot[a]
-        rows.append((bits, f.constant))
-
-    pivots: list[tuple[int, int]] = []  # (row bits, constant), one pivot bit each
-    rank = 0
-    for bits, constant in rows:
-        for p_bits, p_const in pivots:
-            low = p_bits & -p_bits
-            if bits & low:
-                bits ^= p_bits
-                constant ^= p_const
-        if bits == 0:
-            if constant == 1:
-                return Q(0)
-            continue
-        pivots.append((bits, constant))
-        rank += 1
-    return Q(1, 2**rank)
+    rows, _, _ = _bit_rows(list(system))
+    pivots: dict = {}  # lowest bit -> (row, constant)
+    for row, constant in rows:
+        while row:
+            low = row & -row
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = (row, constant)
+                break
+            row ^= pivot[0]
+            constant ^= pivot[1]
+        if not row and constant:
+            return Q(0)
+    return Q(1, 2 ** len(pivots))
 
 
 def identity_holds(z: Sequence[int], w: Sequence[int]) -> bool:
@@ -137,7 +193,8 @@ def identity_holds(z: Sequence[int], w: Sequence[int]) -> bool:
     combined = xor_functionals(
         base, shift_functional(base, z), shift_functional(base, w)
     )
-    return reduce_functional(combined).sites == frozenset()
+    [(row, _)], _, _ = _bit_rows([combined])
+    return row == 0
 
 
 def symdiff_identity_check(k: int) -> bool:

@@ -3,6 +3,8 @@
 Everything here recomputes tower facts from first principles, sharing no
 code path with ergolab.tower: stages are enumerated as literal cell layouts
 and the transformation is iterated one step at a time on every grid cell.
+The GF(2) measures likewise share no code with ergolab.ledrapier: one
+expands sites into column sets, the other enumerates row-0 windows.
 """
 from __future__ import annotations
 
@@ -187,6 +189,44 @@ def orbit_rows(operator: np.ndarray, vector: np.ndarray, shifts) -> np.ndarray:
             cache[s] = g
         rows.append(cache[s])
     return np.stack(rows)
+
+
+def gf2_submask_measure(system) -> Fraction:
+    """Reference measure of a GF(2) equation system by submask expansion.
+
+    Site (a, b) is the XOR of the row-0 sites a + k over the submasks k of
+    b (binomial parity), added to a column set one insertion at a time, so
+    a site costs 2^popcount(b): keep heights to a dozen one-bits.  The
+    reduced equations are eliminated over their sorted columns.
+    """
+    reduced = []
+    for f in system:
+        columns: set = set()
+        for a, b in f.sites:
+            k = b
+            while True:
+                columns ^= {a + k}
+                if k == 0:
+                    break
+                k = (k - 1) & b
+        reduced.append((columns, f.constant))
+    slot = {a: i for i, a in enumerate(sorted(set().union(*(c for c, _ in reduced))))}
+    pivots = []  # (row bits, constant), one pivot bit each
+    for columns, constant in reduced:
+        digits = bytearray(b"0" * (len(slot) + 1))  # binary digits, lowest last
+        for a in columns:
+            digits[-1 - slot[a]] = ord("1")
+        bits = int(digits, 2)
+        for p_bits, p_const in pivots:
+            if bits & p_bits & -p_bits:
+                bits ^= p_bits
+                constant ^= p_const
+        if bits == 0:
+            if constant == 1:
+                return Fraction(0)
+            continue
+        pivots.append((bits, constant))
+    return Fraction(1, 2 ** len(pivots))
 
 
 def gf2_window_measure(system) -> Fraction:

@@ -140,6 +140,7 @@ def test_expect_rigid_flag_failing_check_exits_1():
         ["cesaro", "--dim", "5"],
         ["poisson", "--window-size", "100000"],
         ["poisson", "--samples", "10"],
+        ["ledrapier", "--generic-pairs", "190"],
         ["poisson", "--depth", "5", "--window-stage", "5", "--a-stage", "0", "--a-lo", "0",
          "--a-hi", "1", "--b-stage", "5", "--b-lo", "0", "--b-hi", "5"],
     ],

@@ -16,6 +16,7 @@ from ergolab.experiments import (
     resolve_config,
     run_experiment,
 )
+from ergolab.ledrapier import symdiff_identity_check
 from ergolab.reports import RNG_SCHEME
 
 # sha256 of results_bytes() at seed 3 for the exact entries whose floats do
@@ -163,6 +164,23 @@ def test_ledrapier_experiment_is_exact_and_green():
     assert all(r["provenance"] == "exact" for r in report.rows)
     triples = [r["triple"] for r in report.rows if r.get("item") == "dyadic"]
     assert triples == ["0"] * 10
+
+
+def test_ledrapier_runs_green_at_its_schema_maxima():
+    props = _CATALOGUE["ledrapier"].params_schema["properties"]
+    assert props["generic_pairs"]["maximum"] == 189  # 19 x 10 box less the origin
+    params = {"k_max": props["k_max"]["maximum"], "generic_pairs": 189}
+    report = run_experiment({"experiment": "ledrapier", "params": params})
+    assert report.all_passed
+    dyadic = [r for r in report.rows if r.get("item") == "dyadic"]
+    assert [r["k"] for r in dyadic] == list(range(1, 61))
+    assert all(r["triple"] == "0" and r["identity"] is True for r in dyadic)
+    assert symdiff_identity_check(60)
+    generic = {tuple(r["z"]) for r in report.rows if r.get("item") == "generic"}
+    assert len(generic) == 189
+    assert all(-9 <= a <= 9 and 0 <= b <= 9 for a, b in generic)
+    with pytest.raises(ConfigError, match="maximum of 189"):
+        resolve_config({"experiment": "ledrapier", "params": {"generic_pairs": 190}})
 
 
 def test_rigidity_scan_finds_the_odometer_lattice():

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ergolab.ledrapier import (
+    MAX_ROW_BITS,
     SiteFunctional,
     base_event,
     event_measure,
@@ -16,7 +18,7 @@ from ergolab.ledrapier import (
     triple_measure,
     xor_functionals,
 )
-from oracles import gf2_window_measure
+from oracles import gf2_submask_measure, gf2_window_measure
 
 
 def test_single_site_reduction_spreads_by_binomial_parity():
@@ -122,9 +124,64 @@ def test_sites_below_generating_row_rejected():
         shift_functional(base_event(), (0, -3))
 
 
-def test_wide_heights_hit_expansion_cap():
-    with pytest.raises(ValueError):
-        reduce_functional(site_functional(0, 2**17 - 1))
+def test_height_of_seventeen_ones_reduces_to_its_whole_span():
+    # every k <= 2^17 - 1 is a submask, so all 2^17 row-0 sites survive
+    reduced = reduce_functional(site_functional(0, 2**17 - 1))
+    assert reduced.sites == frozenset((k, 0) for k in range(2**17))
+
+
+def test_heights_past_sixteen_one_bits_are_measured():
+    b = 2**20 - 1
+    system = [site_functional(0, b, 1), site_functional(1, b), site_functional(3, b, 1)]
+    assert event_measure(system) == Q(1, 8)
+    assert pair_measure((0, b)) == Q(1, 4)
+
+
+def test_rows_past_the_width_bound_are_rejected():
+    with pytest.raises(ValueError, match=f"spans {MAX_ROW_BITS + 1} row-0 columns"):
+        event_measure([site_functional(1, MAX_ROW_BITS)])
+    # a lone non-dyadic height keeps its full width after normalization
+    with pytest.raises(ValueError, match=f"spans {2**40 + 2} row-0 columns"):
+        reduce_functional(site_functional(0, 2**40 + 1))
+    # the bound is on the laid-out width, not on how far apart sites are
+    assert pair_measure((2**40 + 1, 0)) == Q(1, 4)
+    assert event_measure([site_functional(0, MAX_ROW_BITS - 1)]) == Q(1, 2)
+
+
+def test_dyadic_scaling_keeps_rows_narrow():
+    for k in (40, 60):
+        reduced = reduce_functional(site_functional(-(2**k), 3 * 2**k))
+        assert reduced.sites == frozenset((j * 2**k, 0) for j in (-1, 0, 1, 2))
+        assert symdiff_identity_check(k)
+
+
+@st.composite
+def gf2_systems(draw):
+    """Random systems: negative columns, heights of up to 12 one-bits,
+    both constants, empty and repeated equations, scaled by 2^j."""
+    reach, top_bit = draw(st.sampled_from([(3, 2), (40, 20)]))  # narrow or wide
+    heights = st.sets(st.integers(0, top_bit), max_size=12).map(
+        lambda bits: sum(1 << i for i in bits)
+    )
+    sites = st.frozensets(st.tuples(st.integers(-reach, reach), heights), max_size=4)
+    equations = draw(st.lists(st.tuples(sites, st.integers(0, 1)), max_size=6))
+    if equations:
+        equations += draw(st.lists(st.sampled_from(equations), max_size=2))
+    j = draw(st.sampled_from([0, 0, 1, 7, 33, 60]))
+    return [
+        SiteFunctional(frozenset((a << j, b << j) for a, b in sites), constant)
+        for sites, constant in equations
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(gf2_systems())
+def test_event_measure_matches_the_reference_oracles(system):
+    measure = event_measure(system)
+    assert measure == gf2_submask_measure(system)
+    sites = [s for f in system for s in f.sites]
+    if sites and max(a + b for a, b in sites) - min(a for a, _ in sites) < 12:
+        assert measure == gf2_window_measure(system)
 
 
 def test_dyadic_identity_is_fast_at_large_k():
