@@ -443,14 +443,14 @@ def _run_wh_gaussian(params: dict, seed: int, jobs: int):
     op, pert, vec = _calibrated_operator(params)
     model = GaussianModel(op, vec)
     rows, checks = [], []
-    for k in params["degrees"]:
+    for row, k in enumerate(params["degrees"]):
         r = gaussian_wh_experiment(
             model,
             pert,
             k,
             params["n_terms"],
             params["samples"],
-            seed=seed + k,
+            seed=(seed, row),
             n_batches=params["n_batches"],
             jobs=jobs,
         )
@@ -481,14 +481,14 @@ def _run_wh_poisson(params: dict, seed: int, jobs: int):
     a = LevelSet(params["a_stage"], range(params["a_lo"], params["a_hi"]))
     rows, checks = [], []
     lost_budget = Q(str(params["lost_budget"])) * model.intensity
-    for n_terms in params["ns"]:
+    for row, n_terms in enumerate(params["ns"]):
         r = poisson_wh_experiment(
             model,
             swap,
             a,
             n_terms,
             params["samples"],
-            seed=seed + n_terms,
+            seed=(seed, row),
             n_batches=params["n_batches"],
             jobs=jobs,
         )
@@ -618,28 +618,28 @@ def _run_gauss(params: dict, seed: int, jobs: int):
         make_rotation_operator(params["dim"]), uniform_unit_vector(params["dim"])
     )
     rows, all_within = [], True
-    for k in params["degrees"]:
-        for n in params["shifts"]:
-            r = gaussian_hermite_correlation(
-                model,
-                k,
-                n,
-                params["samples"],
-                seed=seed + 31 * k + n,
-                n_batches=params["n_batches"],
-                jobs=jobs,
+    pairs = [(k, n) for k in params["degrees"] for n in params["shifts"]]
+    for row, (k, n) in enumerate(pairs):
+        r = gaussian_hermite_correlation(
+            model,
+            k,
+            n,
+            params["samples"],
+            seed=(seed, row),
+            n_batches=params["n_batches"],
+            jobs=jobs,
+        )
+        all_within = all_within and r.within_five_se
+        rows.append(
+            mc_row(
+                r.estimate,
+                degree=k,
+                shift=n,
+                rho=r.rho,
+                prediction=r.prediction,
+                within=r.within_five_se,
             )
-            all_within = all_within and r.within_five_se
-            rows.append(
-                mc_row(
-                    r.estimate,
-                    degree=k,
-                    shift=n,
-                    rho=r.rho,
-                    prediction=r.prediction,
-                    within=r.within_five_se,
-                )
-            )
+        )
     checks = [check("hermite-correlations-within-five-se", all_within)]
     return rows, checks, []
 
@@ -654,14 +654,14 @@ def _run_poisson_cov(params: dict, seed: int, jobs: int):
     a = LevelSet(params["a_stage"], range(params["a_lo"], params["a_hi"]))
     b = LevelSet(params["b_stage"], range(params["b_lo"], params["b_hi"]))
     rows, all_within = [], True
-    for n in params["ns"]:
+    for row, n in enumerate(params["ns"]):
         r = poisson_count_covariance(
             model,
             n,
             a,
             b,
             params["samples"],
-            seed=seed + n,
+            seed=(seed, row),
             n_batches=params["n_batches"],
             jobs=jobs,
         )

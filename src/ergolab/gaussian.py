@@ -147,7 +147,7 @@ def gaussian_hermite_correlation(
     n: int,
     samples: int,
     *,
-    seed: int = 0,
+    seed: int | tuple[int, ...] = 0,
     n_batches: int = 40,
     jobs: int = 1,
 ) -> HermiteCorrelation:
@@ -250,7 +250,7 @@ def triple_correlation_weakmix_check(
             return ((x[0] <= 0.0) & (x[1] <= 0.0) & (x[2] <= 0.0)).astype(float)
 
         estimate = batch_estimate(
-            sampler, samples, n_batches=n_batches, seed=seed + idx, jobs=jobs
+            sampler, samples, n_batches=n_batches, seed=(seed, idx), jobs=jobs
         )
         entries.append(
             TripleMixingEntry(
@@ -302,7 +302,7 @@ def gaussian_wh_experiment(
     n_terms: int,
     samples: int,
     *,
-    seed: int = 0,
+    seed: int | tuple[int, ...] = 0,
     n_batches: int = 40,
     jobs: int = 1,
 ) -> GaussianWhResult:

@@ -1,21 +1,23 @@
 """Batch-means Monte Carlo with reproducible per-batch streams.
 
 Every estimate is the mean of one scalar statistic per batch; a batch-means
-estimate is the case where that statistic is the sample mean.  Each batch b
-draws from numpy's default_rng seeded with [seed, b], so results do not
-depend on how batches are scheduled across workers: running ranges in
-parallel and concatenating the batch values in index order reproduces a
-serial run bit for bit.
-
-This module owns the batch layout and the gate.  `samples` are split into
-`n_batches` batches of `samples // n_batches` each (at least MIN_BATCHES
-batches of at least 2 samples, else ValueError), so `n_samples` reports the
+estimate is the case where that statistic is the sample mean.  This module
+owns the streams, the batch layout and the gate.  An estimate's `seed` is a
+stream key, an int or a tuple of non-negative ints, and batch b draws from
+numpy's default_rng seeded with the key followed by b.  The experiments key
+row r of a report by (seed, r), so no two rows share a stream and a row's
+stream follows its position: reordering `ns` reorders the streams.  Batch
+values are concatenated in index order, so results do not depend on how
+batches are spread over min(jobs, cpu count) threads.  `samples` are split
+into `n_batches` batches of `samples // n_batches` each (at least MIN_BATCHES
+batches of at least 2 samples, else ValueError), so `n_samples` is the
 floor-divided total.  An estimate agrees with an exact target when it lies
-within GATE_SE standard errors of it (`EstimateWithError.within`) or below
-a bound plus GATE_SE standard errors (`EstimateWithError.below`).
+within GATE_SE standard errors of it (`EstimateWithError.within`) or below a
+bound plus GATE_SE standard errors (`EstimateWithError.below`).
 """
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -43,7 +45,6 @@ class EstimateWithError:
     value: float
     stderr: float
     n_samples: int
-    seed: int
 
     def within(self, lo: float, hi: float | None = None) -> bool:
         """Within GATE_SE standard errors of the point `lo`, or of [lo, hi]."""
@@ -57,50 +58,48 @@ class EstimateWithError:
         return self.value <= bound + GATE_SE * self.stderr
 
 
-def combine_batch_means(
-    means: np.ndarray, batch_size: int, seed: int
-) -> EstimateWithError:
+def combine_batch_means(means: np.ndarray, batch_size: int) -> EstimateWithError:
     means = np.asarray(means, dtype=float)
     n_batches = len(means)
     if n_batches < 2:
         raise ValueError("need at least two batch means")
     stderr = float(means.std(ddof=1) / np.sqrt(n_batches))
     stderr = max(stderr, float(np.finfo(float).eps))
-    return EstimateWithError(
-        value=float(means.mean()),
-        stderr=stderr,
-        n_samples=batch_size * n_batches,
-        seed=int(seed),
-    )
+    return EstimateWithError(float(means.mean()), stderr, batch_size * n_batches)
 
 
 def run_batch_stats(
     stat: Callable[[np.random.Generator, int], float],
     batch_size: int,
     batch_range: range,
-    seed: int,
+    seed: int | tuple[int, ...],
 ) -> np.ndarray:
     """One scalar statistic per batch in the given index range."""
+    key = [int(s) for s in (seed if isinstance(seed, tuple) else (seed,))]
+    if min(key) < 0:
+        raise ValueError("a stream key holds non-negative ints")
+    # numpy splits the ints of [*key, b] into these 32-bit words; uint32 seeds faster
+    words = [k >> i & 0xFFFFFFFF for k in key for i in range(0, k.bit_length() or 1, 32)]
     values = np.empty(len(batch_range))
     for slot, b in enumerate(batch_range):
-        rng = np.random.default_rng([int(seed), int(b)])
+        rng = np.random.default_rng(np.array([*words, b], dtype=np.uint32))
         values[slot] = float(stat(rng, batch_size))
     return values
 
 
 def _split_ranges(n_batches: int, jobs: int) -> list[range]:
-    bounds = np.linspace(0, n_batches, jobs + 1).astype(int)
-    return [range(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
+    cuts = [n_batches * i // jobs for i in range(jobs + 1)]
+    return [range(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
 
 
 def _pooled_estimate(
     stat: Callable[[np.random.Generator, int], float],
     samples: int,
     n_batches: int,
-    seed: int,
+    seed: int | tuple[int, ...],
     jobs: int,
 ) -> EstimateWithError:
-    """Split `samples` into batches, run them over up to `jobs` threads, combine."""
+    """Split `samples` into batches, run them over min(jobs, CPUs) threads, combine."""
     if n_batches < MIN_BATCHES:
         raise ValueError(f"need at least {MIN_BATCHES} batches for a stable stderr")
     batch_size = samples // n_batches
@@ -110,16 +109,16 @@ def _pooled_estimate(
         )
     if jobs < 1:
         raise ValueError("jobs must be positive")
-    if jobs == 1:
-        values = run_batch_stats(stat, batch_size, range(n_batches), seed)
+    ranges = _split_ranges(n_batches, min(jobs, os.cpu_count() or 1))
+    if len(ranges) == 1:
+        values = run_batch_stats(stat, batch_size, ranges[0], seed)
     else:
-        ranges = _split_ranges(n_batches, jobs)
         with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
             parts = list(
                 pool.map(lambda r: run_batch_stats(stat, batch_size, r, seed), ranges)
             )
         values = np.concatenate(parts)
-    return combine_batch_means(values, batch_size, seed)
+    return combine_batch_means(values, batch_size)
 
 
 def _mean_statistic(sampler: BatchSampler):
@@ -139,7 +138,7 @@ def batch_estimate(
     samples: int,
     *,
     n_batches: int,
-    seed: int = 0,
+    seed: int | tuple[int, ...] = 0,
     jobs: int = 1,
 ) -> EstimateWithError:
     """Batch-means estimate of E[sample], with a sample-std standard error."""
@@ -151,7 +150,7 @@ def batch_statistic_estimate(
     samples: int,
     *,
     n_batches: int,
-    seed: int = 0,
+    seed: int | tuple[int, ...] = 0,
     jobs: int = 1,
 ) -> EstimateWithError:
     """Batch means of a per-batch scalar statistic (covariances and the like).

@@ -178,7 +178,7 @@ def poisson_count_covariance(
     b: LevelSet,
     samples: int,
     *,
-    seed: int = 0,
+    seed: int | tuple[int, ...] = 0,
     n_batches: int = 40,
     jobs: int = 1,
 ) -> PoissonCovariance:
@@ -333,7 +333,7 @@ def poisson_wh_experiment(
     n_terms: int,
     samples: int,
     *,
-    seed: int = 0,
+    seed: int | tuple[int, ...] = 0,
     n_batches: int = 40,
     jobs: int = 1,
 ) -> PoissonWhResult:

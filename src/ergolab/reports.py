@@ -26,8 +26,9 @@ from . import __version__ as TOOL_VERSION
 from .mc import EstimateWithError
 
 RNG_SCHEME = (
-    "batch-seeded/rank-factor/poisson-points: Monte-Carlo batch b draws from "
-    "numpy default_rng([seed, b]); Gaussian shift blocks (gauss, "
+    "row-batch-seeded/rank-factor/poisson-points: batch b of the Monte-Carlo "
+    "row at report position r draws from numpy default_rng([seed, r, b]), so "
+    "reordering ns reorders the streams; Gaussian shift blocks (gauss, "
     "triple-mixing) draw min(k, d) latent normals through the QR factor of "
     "their k orbit rows, wh-gaussian draws all d; Poisson configurations "
     "(poisson, wh-poisson) draw a Poisson total per configuration, then a "

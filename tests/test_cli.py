@@ -152,6 +152,13 @@ def test_domain_errors_exit_2_without_traceback(argv):
     assert "Traceback" not in proc.stderr
 
 
+def test_negative_shifts_run_at_any_seed():
+    # a row's stream is keyed by its position, not by its shift, so a
+    # negative shift cannot make the stream seed negative
+    proc = run_cli("poisson", "--ns=-3,0", "--seed", "1")
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_swap_support_past_the_cap_exits_2(tmp_path):
     cfg = tmp_path / "cfg.json"
     params = {"depth": 6, "window_stage": 6, "a_stage": 6}

@@ -21,12 +21,21 @@ def test_demos_and_readme_examples_run():
     env.pop("ERGOLAB_SEED", None)
     demos = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
     assert demos
+    stdout = {}
     for demo in demos:
         proc = subprocess.run(
             [sys.executable, demo], capture_output=True, text=True, env=env, timeout=300
         )
         assert proc.returncode == 0, (demo, proc.stderr)
         assert "Traceback" not in proc.stderr, demo
+        stdout[os.path.basename(demo)] = proc.stdout.splitlines()
+
+    # the GF(2) table's identity column: it holds for every dyadic k and for
+    # neither non-dyadic pair
+    table = stdout["gf2_cylinder_tables.py"]
+    dyadic = [line.split()[-1] for line in table if re.match(r"\s*\d+\s+1/4", line)]
+    assert dyadic == ["True"] * 8, table
+    assert [line.split()[-1] for line in table if "identity holds:" in line] == ["False"] * 2
 
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
         blocks = re.findall(r"```python\n(.*?)```", handle.read(), re.S)

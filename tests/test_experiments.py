@@ -263,24 +263,6 @@ def test_gauss_and_poisson_adhoc_runners_shrunk():
     assert run_experiment(_shrunk("poisson", samples=10**4)).all_passed
 
 
-def test_result_bytes_are_seed_deterministic_and_jobs_invariant():
-    cfg = _shrunk("wh-poisson", samples=10**4)
-    a = run_experiment(cfg)
-    b = run_experiment(cfg)
-    assert a.results_bytes() == b.results_bytes()
-    parallel = run_experiment(cfg, jobs=3)
-    assert parallel.results_bytes() == a.results_bytes()
-    cfg2 = _shrunk("wh-poisson", samples=10**4)
-    cfg2["seed"] = 9
-    assert run_experiment(cfg2).results_bytes() != a.results_bytes()
-
-
-def test_report_config_echo_is_re_runnable():
-    report = run_experiment(_shrunk("gauss", samples=10**4))
-    again = run_experiment(report.config)
-    assert again.results_bytes() == report.results_bytes()
-
-
 # Shrunk configs of the five Monte-Carlo entries, with `samples` not a
 # multiple of `n_batches`.
 MC_SHRUNK = {
@@ -292,13 +274,38 @@ MC_SHRUNK = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(MC_SHRUNK))
-def test_each_monte_carlo_row_is_one_mc_call_with_the_floor_layout(monkeypatch, name):
+def test_result_bytes_are_seed_deterministic_and_jobs_invariant():
+    for name, params in MC_SHRUNK.items():
+        cfg = _shrunk(name, **params)
+        a = run_experiment(cfg)
+        assert run_experiment(cfg).results_bytes() == a.results_bytes(), name
+        parallel = run_experiment(cfg, jobs=3)
+        assert parallel.results_bytes() == a.results_bytes(), name
+        cfg["seed"] = 9
+        assert run_experiment(cfg).results_bytes() != a.results_bytes(), name
+
+
+def test_report_config_echo_is_re_runnable():
+    report = run_experiment(_shrunk("gauss", samples=10**4))
+    again = run_experiment(report.config)
+    assert again.results_bytes() == report.results_bytes()
+
+
+# a stream seeded by seed + 31 k + n gives rows (1, 31) and (2, 0) one stream
+GAUSS_CROSSED = {"samples": 10_007, "n_batches": 31, "degrees": [1, 2], "shifts": [0, 31]}
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [pytest.param(n, p, id=n) for n, p in sorted(MC_SHRUNK.items())]
+    + [pytest.param("gauss", GAUSS_CROSSED, id="gauss-crossed")],
+)
+def test_each_monte_carlo_row_is_one_mc_call_with_the_floor_layout(monkeypatch, name, params):
     calls = []
 
     def counting(fn):
         def wrapper(*args, **kwargs):
-            calls.append(fn.__name__)
+            calls.append(kwargs["seed"])
             return fn(*args, **kwargs)
 
         return wrapper
@@ -307,10 +314,11 @@ def test_each_monte_carlo_row_is_one_mc_call_with_the_floor_layout(monkeypatch, 
         for attr, obj in list(vars(module).items()):
             if inspect.isfunction(obj) and obj.__module__ == mc.__name__:
                 monkeypatch.setattr(module, attr, counting(obj))
-    params = MC_SHRUNK[name]
     report = run_experiment(_shrunk(name, **params))
     rows = [r for r in report.rows if r["provenance"] == "monte-carlo"]
     assert len(rows) == len(calls) > 0
+    # every row draws from its own stream key
+    assert len(set(calls)) == len(calls), calls
     want = params["samples"] // params["n_batches"] * params["n_batches"]
     assert want < params["samples"]
     assert all(r["n_samples"] == want for r in rows)

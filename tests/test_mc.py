@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ergolab import mc
 from ergolab.mc import (
     GATE_SE,
     EstimateWithError,
@@ -28,6 +29,10 @@ def test_same_seed_reproduces_bit_for_bit():
     assert a == b
     c = batch_estimate(_uniform_sampler, 3200, n_batches=32, seed=4)
     assert c.value != a.value
+    # a stream key: an int seed s is the key (s,), and a longer key is its own stream
+    assert batch_estimate(_uniform_sampler, 3200, n_batches=32, seed=(3,)) == a
+    row = batch_estimate(_uniform_sampler, 3200, n_batches=32, seed=(3, 0))
+    assert row.value not in (a.value, c.value)
 
 
 def test_parallel_jobs_match_serial_exactly():
@@ -35,6 +40,36 @@ def test_parallel_jobs_match_serial_exactly():
     for jobs in (2, 3, 5):
         par = batch_estimate(_uniform_sampler, 1800, n_batches=36, seed=9, jobs=jobs)
         assert par == serial
+
+
+def test_worker_threads_are_bounded_by_the_cpu_count(monkeypatch):
+    sizes = []
+
+    class InlineExecutor:
+        """Records the pool size it is asked for and runs the ranges inline."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", InlineExecutor)
+    serial = batch_estimate(_uniform_sampler, 1800, n_batches=36, seed=9)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
+    for jobs in (2, 4, 10**6):
+        assert batch_estimate(_uniform_sampler, 1800, n_batches=36, seed=9, jobs=jobs) == serial
+    assert sizes == [2, 4, 4]
+    # an unknown CPU count means one worker: the serial path, no pool
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: None)
+    assert batch_estimate(_uniform_sampler, 1800, n_batches=36, seed=9, jobs=10**6) == serial
+    assert sizes == [2, 4, 4]
 
 
 def _uniform_mean(rng, size):
@@ -46,9 +81,25 @@ def test_manual_range_split_concatenates_to_the_full_run():
     left = run_batch_stats(_uniform_mean, 20, range(0, 12), seed=1)
     right = run_batch_stats(_uniform_mean, 20, range(12, 30), seed=1)
     assert np.array_equal(np.concatenate([left, right]), full)
-    est = combine_batch_means(full, 20, seed=1)
+    est = combine_batch_means(full, 20)
     assert isinstance(est, EstimateWithError)
     assert est == batch_estimate(_uniform_sampler, 600, n_batches=30, seed=1)
+
+
+@pytest.mark.parametrize(
+    "key", [0, 7, 2**32 - 1, 2**32, 2**64 + 3, (0, 0), (5, 12), (2**40 + 5, 7, 2**33)]
+)
+def test_batch_b_draws_from_default_rng_of_the_key_then_b(key):
+    words = list(key) if isinstance(key, tuple) else [key]
+    want = [np.random.default_rng([*words, b]).random() for b in range(3, 9)]
+    got = run_batch_stats(lambda rng, size: rng.random(), 1, range(3, 9), key)
+    assert list(got) == want
+
+
+def test_negative_stream_keys_are_rejected():
+    for key in (-1, (3, -1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            batch_estimate(_uniform_sampler, 300, n_batches=30, seed=key)
 
 
 def test_constant_sampler_hits_the_stderr_floor():
@@ -86,7 +137,7 @@ def test_samples_are_floor_divided_into_batches(samples):
 
 
 def _estimate(value, stderr):
-    return EstimateWithError(value=value, stderr=stderr, n_samples=60, seed=0)
+    return EstimateWithError(value=value, stderr=stderr, n_samples=60)
 
 
 def test_gate_holds_exactly_at_five_standard_errors():

@@ -38,7 +38,7 @@ def test_exact_row_cleans_fractions_and_tags_provenance():
 
 
 def test_mc_row_records_the_error_bar():
-    est = EstimateWithError(value=0.5, stderr=0.01, n_samples=1000, seed=4)
+    est = EstimateWithError(value=0.5, stderr=0.01, n_samples=1000)
     row = mc_row(est, shift=7)
     assert row["provenance"] == "monte-carlo"
     assert row["value"] == 0.5 and row["stderr"] == 0.01
