@@ -9,16 +9,18 @@ theory", ETDS 29, 2009).  By the colouring theorem the level counts are then
 independent with mean the exact rational level width, so any counting
 observable over window levels has a known law and covariances reduce to
 exact level-set measures from the tower arithmetic.  Every statistic reads
-the points through one weighted sum over their window slots.  Shifting a
-configuration moves each point up the tower by the step map; points whose
-image leaves the materialized tower are tracked as lost mass rather than
-silently dropped.
+the points through one prepared kernel: its weight matrix is reduced once to
+the distinct nonzero rows, and a batch costs one point draw, one histogram
+and one small product.  Shifting a configuration moves each point up the
+tower by the step map; points whose image leaves the materialized tower are
+tracked as lost mass rather than silently dropped.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from typing import Callable
 
 import numpy as np
 
@@ -47,6 +49,7 @@ __all__ = [
 ]
 
 MAX_WINDOW_LEVELS = 200_000
+_GOF_CHUNK = 4096  # configurations per goodness-of-fit draw
 
 
 def _locate(indices: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -89,6 +92,7 @@ class PoissonModel:
         # sorted window indices as Python ints: slot s holds level indices[s]
         self.indices = _exact_indices(refine_set(params, window, self.depth))
         self.level_width = self.stage.level_width
+        self._point_mean = float(self.intensity)
 
     @property
     def n_levels(self) -> int:
@@ -118,33 +122,54 @@ class PoissonModel:
         each point sits in a uniform window slot, since every window level
         has the same width.  Owners come in increasing order.
         """
-        totals = rng.poisson(float(self.intensity), size=size)
+        totals = rng.poisson(self._point_mean, size=size)
         owner = np.repeat(np.arange(size), totals)
         return owner, rng.integers(self.n_levels, size=owner.size)
-
-    def weighted_counts(
-        self, rng: np.random.Generator, size: int, weights: np.ndarray
-    ) -> np.ndarray:
-        """(size, k) per-configuration sums of the weight rows of its points.
-
-        `weights` is an n_levels x k matrix, so an indicator column gives the
-        count of a level set.  Points on all-zero rows are dropped before
-        the sums are taken.
-        """
-        owner, slot = self.sample_points(rng, size)
-        keep = weights.any(axis=1)[slot]
-        owner, slot = owner[keep], slot[keep]
-        k = weights.shape[1]
-        sums = np.zeros((size, k), dtype=np.result_type(weights, np.int64))
-        cells = (owner[:, None] * k + np.arange(k)).ravel()
-        np.add.at(sums.reshape(-1), cells, weights[slot].astype(sums.dtype).ravel())
-        return sums
 
     def sample_configuration(self, rng: np.random.Generator) -> list:
         """One configuration as (level index, intra-level offset) pairs."""
         _, slots = self.sample_points(rng, 1)
         offsets = rng.random(len(slots))
         return [(self.indices[s], float(off)) for s, off in zip(slots, offsets)]
+
+
+def _weighted_counts(
+    model: PoissonModel, weights: np.ndarray
+) -> Callable[[np.random.Generator, int], np.ndarray]:
+    """Prepared (size, k) per-configuration sums of the weight rows of its points.
+
+    `weights` is an n_levels x k integer matrix, so an indicator column gives
+    the count of a level set.  Its distinct nonzero rows are found once, and
+    each window slot gets its row's code, 0 for an all-zero row.  A batch then
+    draws the points, histograms them by (owner, code) with one bincount and
+    returns the histogram times the rows as float64.  The sums are integers
+    far below 2**53, so they are exact.
+    """
+    nonzero = np.flatnonzero(weights.any(axis=1))
+    distinct, inverse = np.unique(weights[nonzero], axis=0, return_inverse=True)
+    code = np.zeros(model.n_levels, dtype=np.intp)
+    code[nonzero] = inverse.reshape(-1) + 1
+    rows = np.vstack([np.zeros((1, weights.shape[1])), distinct])
+    n_codes = len(rows)
+
+    def counts(rng: np.random.Generator, size: int) -> np.ndarray:
+        owner, slot = model.sample_points(rng, size)
+        hist = np.bincount(owner * n_codes + code[slot], minlength=size * n_codes)
+        return hist.reshape(size, n_codes).astype(np.float64) @ rows
+
+    return counts
+
+
+def _sample_covariance(x: np.ndarray, y: np.ndarray) -> float:
+    """Unbiased sample covariance of two integer-valued count vectors.
+
+    (n sum xy - sum x sum y) / (n (n - 1)) is taken in Python ints and
+    rounded once, so it depends on neither the summation order nor the BLAS
+    build.
+    """
+    n = len(x)
+    sx, sy, sxy = int(x.sum()), int(y.sum()), int(x @ y)
+    return (n * sxy - sx * sy) / (n * (n - 1))
 
 
 @dataclass(frozen=True)
@@ -198,9 +223,11 @@ def poisson_count_covariance(
     lost_mass = model.level_width * lost_levels
     exact = correlation_interval(model.params, -n, a, b, model.depth)
 
+    counts = _weighted_counts(model, weights)
+
     def stat(rng: np.random.Generator, size: int) -> float:
-        counts = model.weighted_counts(rng, size, weights)
-        return float(np.cov(counts[:, 0], counts[:, 1], ddof=1)[0, 1])
+        both = counts(rng, size)
+        return _sample_covariance(both[:, 0], both[:, 1])
 
     estimate = batch_statistic_estimate(
         stat, samples, n_batches=n_batches, seed=seed, jobs=jobs
@@ -227,7 +254,6 @@ def poisson_gof(
     samples: int,
     *,
     seed: int = 0,
-    chunk: int = 4096,
 ) -> PoissonGof:
     """Chi-square test of the window count against its exact Poisson law.
 
@@ -242,14 +268,15 @@ def poisson_gof(
     slots = model.member_slots(window)
     member = np.zeros((model.n_levels, 1), dtype=np.int8)
     member[slots] = 1
+    count = _weighted_counts(model, member)
     mu = float(model.level_width * len(slots))
     rng = np.random.default_rng([int(seed), 0x90F])
     upper = int(stats.poisson.isf(1e-9, mu)) + 2
     observed = np.zeros(upper + 1, dtype=np.int64)
     remaining = samples
     while remaining > 0:
-        size = min(chunk, remaining)
-        totals = model.weighted_counts(rng, size, member)[:, 0]
+        size = min(_GOF_CHUNK, remaining)
+        totals = count(rng, size)[:, 0].astype(np.int64)
         observed += np.bincount(np.minimum(totals, upper), minlength=upper + 1)
         remaining -= size
     expected = stats.poisson.pmf(np.arange(upper + 1), mu) * samples
@@ -349,9 +376,12 @@ def poisson_wh_experiment(
     signed, lost_levels = _swap_weights(model, swap, a, n_terms)
     lost_mass = model.level_width * lost_levels
 
+    counts = _weighted_counts(model, signed)
+
     def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
-        diffs = model.weighted_counts(rng, size, signed)
-        return np.abs(diffs).sum(axis=1) / n_terms
+        diffs = counts(rng, size)
+        # in place: a second size x n_terms array per batch costs more than the product
+        return np.abs(diffs, out=diffs).sum(axis=1) / n_terms
 
     estimate = batch_estimate(
         sampler, samples, n_batches=n_batches, seed=seed, jobs=jobs

@@ -97,18 +97,38 @@ def _dense_counts(model, owner, slot, size):
 def test_weighted_counts_equal_the_dense_counts_of_the_same_points(size, window):
     model = PoissonModel(rigid_mixing_pair().t_params, LevelSet(2, window), depth=2)
     picks = np.random.default_rng(size)
-    weights = picks.integers(-3, 4, size=(model.n_levels, 6))
+    weights = picks.integers(-3, 4, size=(model.n_levels, 6)).astype(np.int8)
     weights[picks.random(model.n_levels) < 0.5] = 0  # empty rows
     weights[:, 2] = 0  # an empty column
-    for seed in range(5):
-        owner, slot = model.sample_points(np.random.default_rng(seed), size)
-        dense = _dense_counts(model, owner, slot, size)
-        for w in (weights, weights.astype(np.int8), np.zeros_like(weights)):
-            sums = model.weighted_counts(np.random.default_rng(seed), size, w)
-            assert sums.shape == (size, 6)
-            assert np.array_equal(sums, dense @ w)
+    weights[::4] = (1, -3, 0, 3, 0, -1)  # duplicated nonzero rows
+    matrices = (weights, weights.astype(np.int64), np.zeros_like(weights), weights[:, :1])
+    for w in matrices:
+        counts = poisson._weighted_counts(model, w)
+        for seed in range(5):
+            owner, slot = model.sample_points(np.random.default_rng(seed), size)
+            sums = counts(np.random.default_rng(seed), size)
+            assert sums.dtype == np.float64
+            assert sums.shape == (size, w.shape[1])
+            assert np.array_equal(sums, _dense_counts(model, owner, slot, size) @ w)
     if len(window) == 1:  # mean 1/128 per configuration: most hold no point
         assert np.bincount(owner, minlength=size).min() == 0
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sample_covariance_is_the_exact_covariance_rounded_once(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 400))
+    x = rng.poisson(rng.uniform(0.01, 40), size=n)
+    y = x * int(rng.integers(-2, 3)) + rng.poisson(3, size=n)
+    constant = np.full(n, 7)  # covariance 0 with anything
+    pairs = [(x, y), (x, x), (x, constant), (constant, y)]
+    for u, v in pairs:
+        mean_u, mean_v = Q(int(u.sum()), n), Q(int(v.sum()), n)
+        exact = sum((int(a) - mean_u) * (int(b) - mean_v) for a, b in zip(u, v)) / (n - 1)
+        for cast in (np.int64, np.float64):
+            got = poisson._sample_covariance(u.astype(cast), v.astype(cast))
+            assert got == float(exact)
+            assert got == pytest.approx(np.cov(u, v, ddof=1)[0, 1], rel=1e-12, abs=1e-12)
 
 
 def test_configuration_levels_are_the_window_indices_of_the_drawn_slots(band_model):
