@@ -51,13 +51,12 @@ from .ledrapier import (
     triple_measure,
     xor_functionals,
 )
-from .mc import EstimateWithError, batch_estimate, batch_statistic_estimate
+from .mc import EstimateWithError, batch_estimate
 from .operators import (
     CesaroDefect,
     FiniteRankPerturbation,
     conjugate_defect,
     make_rotation_operator,
-    operator_correlation,
 )
 from .gaussian import (
     GaussianModel,

@@ -128,13 +128,17 @@ def _int(default: int, minimum: int = 0) -> dict:
 _DEPTH = {"type": "integer", "minimum": 0, "maximum": MAX_DEPTH}
 
 
-def _int_array(default: list, min_items: int = 1) -> dict:
+def _int_array(default: list) -> dict:
     return {
         "type": "array",
         "items": {"type": "integer", "minimum": 0},
-        "minItems": min_items,
+        "minItems": 1,
         "default": default,
     }
+
+
+def _int_pair(default: list) -> dict:
+    return {**_int_array(default), "minItems": 2, "maxItems": 2}
 
 
 def _level_range_props(side: str, stage: int, lo: int, hi: int) -> dict:
@@ -710,7 +714,7 @@ _MC_PROPS = {
 
 _CALIBRATED_OPERATOR_PROPS = {
     "dim": _int(64, minimum=4),
-    "plane": _int_array([6, 7], min_items=2),
+    "plane": _int_pair([6, 7]),
     "angle": {"type": "number", "default": 0.5},
     "delta": {"type": "number", "exclusiveMinimum": 0, "maximum": 1, "default": 0.02},
     "vector_seed": _int(5),
@@ -724,7 +728,7 @@ _WINDOW_PROPS = {
 
 _SWAP_PROPS = {
     "swap_stage": _int(1),
-    "swap_pair": _int_array([1, 3], min_items=2),
+    "swap_pair": _int_pair([1, 3]),
 }
 
 _SPECS = [

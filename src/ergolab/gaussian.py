@@ -23,7 +23,6 @@ from .operators import (
     CesaroDefect,
     FiniteRankPerturbation,
     conjugate_defect,
-    operator_correlation,
     require_orthogonal,
 )
 
@@ -64,7 +63,7 @@ class GaussianModel:
 
     def rho(self, n: int) -> float:
         """Covariance E[X_0 X_n] = <U^n f, f>, exact up to roundoff."""
-        return operator_correlation(self.operator, self.vector, n)
+        return float(self.orbit_rows([n])[0] @ self.vector)
 
     def orbit_rows(self, shifts: Sequence[int]) -> np.ndarray:
         """Rows U^s f for the requested shifts (repeats allowed).
@@ -84,10 +83,6 @@ class GaussianModel:
                 at = a
                 rows[sign * a] = g
         return np.stack([rows[s] for s in wanted])
-
-    def block_sampler(self, shifts: Sequence[int]):
-        """Batch sampler returning an (n_shifts, size) array of X values."""
-        return factor_sampler(self.orbit_rows(shifts))
 
 
 def factor_sampler(rows: np.ndarray):
@@ -155,16 +150,15 @@ def gaussian_hermite_correlation(
     if k not in (1, 2, 3):
         raise ValueError("degree must be 1, 2 or 3")
     _require_samples(samples)
-    block = model.block_sampler([0, n])
+    rows = model.orbit_rows([0, n])
+    block = factor_sampler(rows)
 
-    def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
+    def stat(rng: np.random.Generator, size: int) -> float:
         x = block(rng, size)
-        return hermite_value(k, x[0]) * hermite_value(k, x[1])
+        return (hermite_value(k, x[0]) * hermite_value(k, x[1])).mean()
 
-    estimate = batch_estimate(
-        sampler, samples, n_batches=n_batches, seed=seed, jobs=jobs
-    )
-    rho = model.rho(n)
+    estimate = batch_estimate(stat, samples, n_batches=n_batches, seed=seed, jobs=jobs)
+    rho = float(rows[1] @ model.vector)  # model.rho(n), from the rows sampled
     return HermiteCorrelation(
         degree=k,
         shift=int(n),
@@ -245,12 +239,12 @@ def triple_correlation_weakmix_check(
         )
         block = factor_sampler(np.stack([rows[0], rows[m], rows[n]]))
 
-        def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
+        def stat(rng: np.random.Generator, size: int) -> float:
             x = block(rng, size)
-            return ((x[0] <= 0.0) & (x[1] <= 0.0) & (x[2] <= 0.0)).astype(float)
+            return ((x[0] <= 0.0) & (x[1] <= 0.0) & (x[2] <= 0.0)).astype(float).mean()
 
         estimate = batch_estimate(
-            sampler, samples, n_batches=n_batches, seed=(seed, idx), jobs=jobs
+            stat, samples, n_batches=n_batches, seed=(seed, idx), jobs=jobs
         )
         entries.append(
             TripleMixingEntry(
@@ -323,16 +317,15 @@ def gaussian_wh_experiment(
     else:
         majorant = math.factorial(k) * k * defect.majorant1
 
-    def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
+    def stat(rng: np.random.Generator, size: int) -> float:
         latent = rng.standard_normal((model.dim, size))
         x = rows @ latent
         y = conj_rows @ latent
         hx = hermite_value(k, x)
-        return np.mean(hermite_value(k, y) * hx - hx**2, axis=0)
+        # per-sample Cesaro means first: one mean over all entries rounds differently
+        return np.mean(hermite_value(k, y) * hx - hx**2, axis=0).mean()
 
-    estimate = batch_estimate(
-        sampler, samples, n_batches=n_batches, seed=seed, jobs=jobs
-    )
+    estimate = batch_estimate(stat, samples, n_batches=n_batches, seed=seed, jobs=jobs)
     return GaussianWhResult(
         degree=k,
         n_terms=int(n_terms),

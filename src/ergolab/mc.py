@@ -1,7 +1,8 @@
 """Batch-means Monte Carlo with reproducible per-batch streams.
 
-Every estimate is the mean of one scalar statistic per batch; a batch-means
-estimate is the case where that statistic is the sample mean.  This module
+One function, `batch_estimate`, makes every estimate: the mean over batches
+of one scalar statistic per batch, the batch's sample mean for a plain
+batch-means estimate and a covariance or the like otherwise.  This module
 owns the streams, the batch layout and the gate.  An estimate's `seed` is a
 stream key, an int or a tuple of non-negative ints, and batch b draws from
 numpy's default_rng seeded with the key followed by b.  The experiments key
@@ -31,13 +32,10 @@ __all__ = [
     "run_batch_stats",
     "combine_batch_means",
     "batch_estimate",
-    "batch_statistic_estimate",
 ]
 
 MIN_BATCHES = 30
 GATE_SE = 5.0
-
-BatchSampler = Callable[[np.random.Generator, int], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -92,14 +90,20 @@ def _split_ranges(n_batches: int, jobs: int) -> list[range]:
     return [range(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
 
 
-def _pooled_estimate(
+def batch_estimate(
     stat: Callable[[np.random.Generator, int], float],
     samples: int,
+    *,
     n_batches: int,
-    seed: int | tuple[int, ...],
-    jobs: int,
+    seed: int | tuple[int, ...] = 0,
+    jobs: int = 1,
 ) -> EstimateWithError:
-    """Split `samples` into batches, run them over min(jobs, CPUs) threads, combine."""
+    """Batch means of a per-batch scalar statistic, over min(jobs, CPUs) threads.
+
+    A plain batch-means estimate of E[X] passes the batch's sample mean.  The
+    statistic must be unbiased at the batch size for the combined value to be
+    unbiased; the stderr is the spread of the per-batch values.
+    """
     if n_batches < MIN_BATCHES:
         raise ValueError(f"need at least {MIN_BATCHES} batches for a stable stderr")
     batch_size = samples // n_batches
@@ -119,43 +123,3 @@ def _pooled_estimate(
             )
         values = np.concatenate(parts)
     return combine_batch_means(values, batch_size)
-
-
-def _mean_statistic(sampler: BatchSampler):
-    """The per-batch statistic of a batch-means estimate: the sample mean."""
-
-    def mean(rng: np.random.Generator, size: int) -> float:
-        values = np.asarray(sampler(rng, size), dtype=float)
-        if values.shape != (size,):
-            raise ValueError(f"sampler returned shape {values.shape}, wanted ({size},)")
-        return values.mean()
-
-    return mean
-
-
-def batch_estimate(
-    sampler: BatchSampler,
-    samples: int,
-    *,
-    n_batches: int,
-    seed: int | tuple[int, ...] = 0,
-    jobs: int = 1,
-) -> EstimateWithError:
-    """Batch-means estimate of E[sample], with a sample-std standard error."""
-    return _pooled_estimate(_mean_statistic(sampler), samples, n_batches, seed, jobs)
-
-
-def batch_statistic_estimate(
-    stat: Callable[[np.random.Generator, int], float],
-    samples: int,
-    *,
-    n_batches: int,
-    seed: int | tuple[int, ...] = 0,
-    jobs: int = 1,
-) -> EstimateWithError:
-    """Batch means of a per-batch scalar statistic (covariances and the like).
-
-    The statistic must be unbiased at the batch size for the combined value to
-    be unbiased; the stderr is the spread of the per-batch values.
-    """
-    return _pooled_estimate(stat, samples, n_batches, seed, jobs)

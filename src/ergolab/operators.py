@@ -27,7 +27,6 @@ __all__ = [
     "vector_with_plane_mass",
     "CesaroDefect",
     "conjugate_defect",
-    "operator_correlation",
 ]
 
 ORTHO_TOL = 1e-10
@@ -229,11 +228,3 @@ def conjugate_defect(
         n_terms=n_terms,
     )
 
-
-def operator_correlation(op: np.ndarray, vec: np.ndarray, n: int) -> float:
-    """<U^n f, f> for integer n (negative n uses the transpose)."""
-    g = np.asarray(vec, dtype=float)
-    step = op if n >= 0 else op.T
-    for _ in range(abs(int(n))):
-        g = step @ g
-    return float(g @ vec)

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mc import EstimateWithError, batch_estimate, batch_statistic_estimate
+from .mc import EstimateWithError, batch_estimate
 from .tower import (
     ConstructionParams,
     FinitarySwap,
@@ -126,12 +126,6 @@ class PoissonModel:
         owner = np.repeat(np.arange(size), totals)
         return owner, rng.integers(self.n_levels, size=owner.size)
 
-    def sample_configuration(self, rng: np.random.Generator) -> list:
-        """One configuration as (level index, intra-level offset) pairs."""
-        _, slots = self.sample_points(rng, 1)
-        offsets = rng.random(len(slots))
-        return [(self.indices[s], float(off)) for s, off in zip(slots, offsets)]
-
 
 def _weighted_counts(
     model: PoissonModel, weights: np.ndarray
@@ -229,9 +223,7 @@ def poisson_count_covariance(
         both = counts(rng, size)
         return _sample_covariance(both[:, 0], both[:, 1])
 
-    estimate = batch_statistic_estimate(
-        stat, samples, n_batches=n_batches, seed=seed, jobs=jobs
-    )
+    estimate = batch_estimate(stat, samples, n_batches=n_batches, seed=seed, jobs=jobs)
     return PoissonCovariance(
         shift=n, estimate=estimate, exact=exact, lost_mass=lost_mass
     )
@@ -378,14 +370,12 @@ def poisson_wh_experiment(
 
     counts = _weighted_counts(model, signed)
 
-    def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
+    def stat(rng: np.random.Generator, size: int) -> float:
         diffs = counts(rng, size)
         # in place: a second size x n_terms array per batch costs more than the product
-        return np.abs(diffs, out=diffs).sum(axis=1) / n_terms
+        return (np.abs(diffs, out=diffs).sum(axis=1) / n_terms).mean()
 
-    estimate = batch_estimate(
-        sampler, samples, n_batches=n_batches, seed=seed, jobs=jobs
-    )
+    estimate = batch_estimate(stat, samples, n_batches=n_batches, seed=seed, jobs=jobs)
     interval = wh_defect(model.params, swap, a, n_terms, model.depth)
     return PoissonWhResult(
         n_terms=int(n_terms),

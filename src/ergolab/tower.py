@@ -23,6 +23,7 @@ Q = Fraction
 # copy distances it tracks grow with the depth: a 200-shift scan of the
 # generated pair takes seconds at depth 60.
 MAX_DEPTH = 64
+_DEPTH_MARGIN = 2  # stages `depth_for` adds past the first tall enough tower
 
 __all__ = [
     "MAX_DEPTH",
@@ -184,17 +185,24 @@ def refine_set(params: ConstructionParams, levels: LevelSet, to_stage: int) -> L
     """Rewrite a level set in stage-`to_stage` indices (measure unchanged)."""
     if to_stage < levels.stage:
         raise ValueError("cannot coarsen a level set")
-    idx: Sequence[int] = levels.indices
     # Refined indices base + i stay in range, so only the input is checked.
-    if idx and (idx[0] < 0 or idx[-1] >= build_stage(params, levels.stage).height):
-        raise ValueError(f"index out of range for stage-{levels.stage} tower")
+    _checked_stage(params, levels)
+    idx: Sequence[int] = levels.indices
     for t in range(levels.stage, to_stage):
         idx = [b + i for b in build_stage(params, t).column_bases for i in idx]
     return LevelSet(to_stage, tuple(idx))
 
 
 def level_set_measure(params: ConstructionParams, levels: LevelSet) -> Fraction:
-    return len(levels) * level_width(params, levels.stage)
+    return len(levels) * _checked_stage(params, levels).level_width
+
+
+def _checked_stage(params: ConstructionParams, levels: LevelSet) -> TowerStage:
+    """The tower of a level set's stage, once every index is one of its levels."""
+    stage, idx = build_stage(params, levels.stage), levels.indices
+    if idx and not 0 <= idx[0] <= idx[-1] < stage.height:
+        raise ValueError(f"index out of range for stage-{levels.stage} tower")
+    return stage
 
 
 @dataclass(frozen=True)
@@ -212,13 +220,37 @@ class RationalInterval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def __contains__(self, x) -> bool:
-        return self.lo <= x <= self.hi
 
+def _profile(
+    params: ConstructionParams, a: LevelSet, b: LevelSet, depth: int, ns: Iterable[int]
+) -> tuple[Fraction, list[tuple[int, int, int]]]:
+    """Level width of the depth tower and `_shift_profile` there, depth checked.
 
-def _check_depth(depth: int) -> None:
+    The one depth policy of the exact layer: the depth is bounded before any
+    stage at it is built (building one recurses through every stage below),
+    and every shift must stay strictly inside the tower height.
+    """
     if depth > MAX_DEPTH:
         raise ValueError(f"depth {depth} exceeds the maximum of {MAX_DEPTH}")
+    stage = build_stage(params, depth)
+    ns = list(ns)
+    far = max(map(abs, ns), default=0)
+    if far >= stage.height:
+        raise InsufficientDepthError(
+            f"shift {far} does not fit in the stage-{depth} tower "
+            f"(height {stage.height}); increase the depth"
+        )
+    return stage.level_width, _shift_profile(params, a, b, depth, ns)
+
+
+def _interval(w: Fraction, hits: int, lost: int) -> RationalInterval:
+    """[hits * w, (hits + lost) * w]: lost mass can only raise the value."""
+    return RationalInterval(hits * w, (hits + lost) * w)
+
+
+def _symdiff(mu: Fraction, corr: RationalInterval) -> RationalInterval:
+    """mu(T^n A symdiff A) = 2 (mu(A) - mu(T^n A intersect A))."""
+    return RationalInterval(2 * (mu - corr.hi), 2 * (mu - corr.lo))
 
 
 def _shift_profile(
@@ -230,7 +262,8 @@ def _shift_profile(
     An A-index is unresolved (lost) when i + n leaves [0, height): those
     points exit through the top (or bottom) of the tower and their image is
     only pinned down by deeper stages.  The B-side count is the mirror image
-    under n -> -n.  Every count is an exact integer.
+    under n -> -n.  Every count is an exact integer.  No depth or shift is
+    checked here; callers enter through `_profile`, which checks both.
 
     Neither set is refined past their common stage j.  The stage-j copies in
     the stage-(t+1) tower sit at P_{t+1} = P_t + column_bases(t), so the
@@ -308,17 +341,8 @@ def correlation_interval(
     unresolved masses keeps the answer symmetric under (n, A, B) ->
     (-n, B, A), and the width never exceeds |n| * level_width(J).
     """
-    _check_depth(depth)
-    stage = build_stage(params, depth)
-    if abs(n) >= stage.height:
-        raise InsufficientDepthError(
-            f"|n|={abs(n)} does not fit in the stage-{depth} tower "
-            f"(height {stage.height}); increase the depth"
-        )
-    [(hits, lost_a, lost_b)] = _shift_profile(params, a, b, depth, [n])
-    w = stage.level_width
-    lo = hits * w
-    return RationalInterval(lo, lo + min(lost_a, lost_b) * w)
+    w, [(hits, lost_a, lost_b)] = _profile(params, a, b, depth, [n])
+    return _interval(w, hits, min(lost_a, lost_b))
 
 
 def symdiff_interval(
@@ -329,16 +353,15 @@ def symdiff_interval(
 ) -> RationalInterval:
     """Exact two-sided bound for mu(T^n A symdiff A) at the given depth."""
     corr = correlation_interval(params, n, a, a, depth)
-    mu = level_set_measure(params, a)
-    return RationalInterval(2 * (mu - corr.hi), 2 * (mu - corr.lo))
+    return _symdiff(level_set_measure(params, a), corr)
 
 
-def depth_for(params: ConstructionParams, n_max: int, extra: int = 2) -> int:
+def depth_for(params: ConstructionParams, n_max: int) -> int:
     """Smallest stage whose tower is taller than n_max, plus a safety margin."""
     j = 0
     while build_stage(params, j).height <= n_max:
         j += 1
-    return j + extra
+    return j + _DEPTH_MARGIN
 
 
 def _as_threshold(theta) -> Fraction:
@@ -376,23 +399,14 @@ def rigidity_scan(
     theta = _as_threshold(theta)
     if depth is None:
         depth = depth_for(params, n_max)
-    _check_depth(depth)
     mu = level_set_measure(params, a)
     if mu == 0:
         raise ValueError("cannot classify against a null set")
-    stage = build_stage(params, depth)
-    if n_max >= stage.height:
-        raise InsufficientDepthError(
-            f"n_max={n_max} does not fit in the stage-{depth} tower "
-            f"(height {stage.height}); increase the depth"
-        )
-    w = stage.level_width
+    w, profile = _profile(params, a, a, depth, range(1, n_max + 1))
     out = []
-    profile = _shift_profile(params, a, a, depth, range(1, n_max + 1))
     for n, (hits, lost_a, lost_b) in enumerate(profile, 1):
-        lo = hits * w
-        corr = RationalInterval(lo, lo + min(lost_a, lost_b) * w)
-        sym = RationalInterval(2 * (mu - corr.hi), 2 * (mu - corr.lo))
+        corr = _interval(w, hits, min(lost_a, lost_b))
+        sym = _symdiff(mu, corr)
         if sym.hi <= theta * mu:
             kind, alpha = "rigid", None
         else:
@@ -460,15 +474,8 @@ def wh_defect(
     """
     if n_terms < 1:
         raise ValueError("need at least one Cesaro term")
-    _check_depth(depth)
-    stage = build_stage(params, depth)
-    if n_terms >= stage.height:
-        raise InsufficientDepthError(
-            f"N={n_terms} does not fit in the stage-{depth} tower"
-        )
     supp = supp_level_set(params, swap)
-    profile = _shift_profile(params, a, supp, depth, range(1, n_terms + 1))
+    w, profile = _profile(params, a, supp, depth, range(1, n_terms + 1))
     hits = sum(h for h, _, _ in profile)
     lost = sum(min(lost_a, lost_b) for _, lost_a, lost_b in profile)
-    w = stage.level_width / n_terms
-    return RationalInterval(hits * w, (hits + lost) * w)
+    return _interval(w / n_terms, hits, lost)

@@ -143,9 +143,18 @@ def test_expect_rigid_flag_failing_check_exits_1():
         ["ledrapier", "--generic-pairs", "190"],
         ["poisson", "--depth", "5", "--window-stage", "5", "--a-stage", "0", "--a-lo", "0",
          "--a-hi", "1", "--b-stage", "5", "--b-lo", "0", "--b-hi", "5"],
+        ["cesaro", "--plane", "6,7,9"],
+        # a dict stands for a config file holding those params
+        ["experiment", "theorem1", "--config", {"swap_pair": [1, 3, 5]}],
     ],
 )
-def test_domain_errors_exit_2_without_traceback(argv):
+def test_domain_errors_exit_2_without_traceback(argv, tmp_path):
+    argv = list(argv)
+    for i, item in enumerate(argv):
+        if isinstance(item, dict):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"params": item}), encoding="utf-8")
+            argv[i] = str(cfg)
     proc = run_cli(*argv)
     assert proc.returncode == 2
     assert "config error" in proc.stderr

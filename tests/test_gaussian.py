@@ -119,12 +119,23 @@ def test_factor_reproduces_the_row_covariance(dim, shifts):
 
 def test_factor_sampler_handles_repeated_shifts(model):
     draws = _IdentityDraws()
-    factor = model.block_sampler([0, 0])(draws, 2)
+    factor = factor_sampler(model.orbit_rows([0, 0]))(draws, 2)
     assert draws.shape == (2, 2)
     assert np.allclose(factor @ factor.T, np.ones((2, 2)), rtol=0.0, atol=1e-12)
-    x = model.block_sampler([5, 5])(np.random.default_rng(0), 100)
+    x = factor_sampler(model.orbit_rows([5, 5]))(np.random.default_rng(0), 100)
     assert x.shape == (2, 100)
     assert np.allclose(x[0], x[1], rtol=0.0, atol=1e-12)
+
+
+def test_rho_matches_matrix_power():
+    op = make_rotation_operator(6)
+    f = random_unit_vector(6, seed=2)
+    model = GaussianModel(op, f)
+    for n in (-9, -1, 0, 1, 5, 23):
+        want = float(np.linalg.matrix_power(op, abs(n)).T @ f @ f) if n < 0 else float(
+            np.linalg.matrix_power(op, n) @ f @ f
+        )
+        assert model.rho(n) == pytest.approx(want, abs=1e-12)
 
 
 def test_prediction_agrees_with_quadrature_oracle(model):

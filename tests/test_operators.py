@@ -9,7 +9,6 @@ from ergolab.operators import (
     conjugate_defect,
     default_angles,
     make_rotation_operator,
-    operator_correlation,
     orthogonality_defect,
     random_unit_vector,
     require_orthogonal,
@@ -171,16 +170,6 @@ def test_invariant_plane_pins_the_cheap_majorant():
     # a generic unit vector cannot get anywhere near that
     loose = conjugate_defect(op, pert, random_unit_vector(64, seed=1), 1500)
     assert loose.majorant2 > 0.1
-
-
-def test_operator_correlation_matches_matrix_power():
-    op = make_rotation_operator(6)
-    f = random_unit_vector(6, seed=2)
-    for n in (-9, -1, 0, 1, 5, 23):
-        want = float(np.linalg.matrix_power(op, abs(n)).T @ f @ f) if n < 0 else float(
-            np.linalg.matrix_power(op, n) @ f @ f
-        )
-        assert operator_correlation(op, f, n) == pytest.approx(want, abs=1e-12)
 
 
 def test_angles_are_equidistributed_enough_to_differ():

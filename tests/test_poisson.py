@@ -132,10 +132,12 @@ def test_sample_covariance_is_the_exact_covariance_rounded_once(seed):
 
 
 def test_configuration_levels_are_the_window_indices_of_the_drawn_slots(band_model):
+    # configuration c holds the levels indices[slot] of the points that c owns
     for seed in range(20):
-        config = band_model.sample_configuration(np.random.default_rng(seed))
-        _, slot = band_model.sample_points(np.random.default_rng(seed), 1)
-        assert [level for level, _ in config] == [band_model.indices[s] for s in slot]
+        owner, slot = band_model.sample_points(np.random.default_rng(seed), 5)
+        totals = np.random.default_rng(seed).poisson(float(band_model.intensity), size=5)
+        assert owner.tolist() == np.repeat(np.arange(5), totals).tolist()
+        assert len(slot) == totals.sum()
 
 
 def _walk_models():
@@ -172,15 +174,10 @@ def test_vectorized_walks_match_the_per_level_walks(case):
 
 
 def test_configuration_sampler_stays_inside_the_window(band_model):
-    rng = np.random.default_rng(4)
-    sizes = []
-    for _ in range(50):
-        config = band_model.sample_configuration(rng)
-        sizes.append(len(config))
-        for level, offset in config:
-            assert 0 <= level < 700
-            assert 0.0 <= offset < 1.0
-    assert 1 <= np.mean(sizes) <= 12
+    owner, slot = band_model.sample_points(np.random.default_rng(4), 50)
+    levels = band_model.indices[slot]
+    assert all(0 <= level < 700 for level in levels)
+    assert 1 <= len(owner) / 50 <= 12
 
 
 def test_autocovariance_at_zero_is_the_measure(band_model):

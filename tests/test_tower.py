@@ -292,6 +292,11 @@ def test_level_past_stage_height_has_no_interval():
         correlation_interval(t_params, 1, far, far, 2)
     with pytest.raises(ValueError, match="out of range"):
         refine_set(t_params, far, 3)
+    # the stage-2 chacon tower has levels 0..12 only
+    chacon_params = chacon()
+    for levels in (LevelSet(2, (0, 99)), LevelSet(2, (-3,))):
+        with pytest.raises(ValueError, match="index out of range for stage-2 tower"):
+            level_set_measure(chacon_params, levels)
 
 
 def test_dropped_pair_frees_its_stages():
@@ -312,8 +317,25 @@ def test_library_depth_is_bounded():
     for call in (
         lambda: rigidity_scan(p, a, 5, depth=600),
         lambda: correlation_interval(p, 3, a, a, 600),
+        lambda: symdiff_interval(p, 3, a, 600),
         lambda: wh_defect(p, swap, a, 5, 600),
     ):
         with pytest.raises(ValueError, match=f"maximum of {tower.MAX_DEPTH}"):
             call()
     assert correlation_interval(p, 3, a, a, tower.MAX_DEPTH).lo >= 0
+
+
+def test_every_shift_stays_below_the_depth_tower_height():
+    p, depth = chacon(), 3
+    height = build_stage(p, depth).height
+    a, swap = LevelSet(2, (0, 4)), FinitarySwap(stage=1, pair=(0, 2))
+    for call in (
+        lambda n: correlation_interval(p, n, a, a, depth),
+        lambda n: correlation_interval(p, -n, a, a, depth),
+        lambda n: symdiff_interval(p, n, a, depth),
+        lambda n: rigidity_scan(p, a, n, depth)[-1].symdiff,
+        lambda n: wh_defect(p, swap, a, n, depth),
+    ):
+        with pytest.raises(InsufficientDepthError, match=f"stage-{depth} tower"):
+            call(height)
+        assert isinstance(call(height - 1), RationalInterval)
