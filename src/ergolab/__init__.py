@@ -24,10 +24,8 @@ from .tower import (
     correlation_interval,
     depth_for,
     level_set_measure,
-    level_width,
     refine_set,
     rigidity_scan,
-    supp_level_set,
     symdiff_interval,
     wh_defect,
 )

@@ -7,7 +7,8 @@ named experiment, optionally from a JSON config file.  Reports are written
 atomically; a failed run leaves no partial file.
 
 Exit codes: 0 all checks passed, 1 a statistical or certified check failed,
-2 config, schema or domain violation, 3 construction depth exhausted.
+2 config, schema or domain violation or an output path that cannot be
+written, 3 construction depth exhausted.
 """
 from __future__ import annotations
 
@@ -173,10 +174,16 @@ def main(argv=None) -> int:
 
     out_path = args.out or report.config.get("out")
     csv_path = args.csv or report.config.get("csv")
-    if out_path:
-        write_report_json(report, out_path)
-    if csv_path:
-        write_rows_csv(report.rows, csv_path)
+    for path, write, content in (
+        (out_path, write_report_json, report),
+        (csv_path, write_rows_csv, report.rows),
+    ):
+        if path:
+            try:
+                write(content, path)
+            except OSError as exc:
+                print(f"ergolab: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+                return 2
 
     print(f"experiment: {report.experiment} (ergolab {report.version})")
     print(f"rows: {len(report.rows)}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -164,10 +165,6 @@ class RigidMixingPair:
             return r, (s,) * (r - 1) + ((r - 1) * s,)
         return r, (2 * s,) * (r - 1) + (0,)
 
-    def shared_height(self, j: int) -> int:
-        self._ensure(max(j - 1, 0))
-        return self._heights[j]
-
     def time_at(self, j: int) -> int:
         """The designated time h_j + s_j materialized at stage j."""
         self._ensure(j)
@@ -274,14 +271,29 @@ DESCRIPTOR_DEFS = {
 
 BUILTIN_RULES = tuple(DESCRIPTOR_DEFS["rule"]["properties"]["name"]["enum"])
 
+
+def _is_number(_, value) -> bool:
+    """A non-bool int or float with a finite float value (compared exactly)."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
 # The validator class of every schema here: JSON Schema 2020-12, as
 # `validator_for` picks, but a 3.0 is no integer, lest a float reach the exact
-# layer as a cut count or index.  Validators are built without the costly
-# metaschema check; the tests make it once for every schema.
+# layer as a cut count or index, and a number has a finite float value.  An
+# integer must be a number too: `minimum` and `maximum` skip any value that is
+# not one.  Validators are built without the costly metaschema check; the
+# tests make it once for every schema.
 SchemaValidator = jsonschema.validators.extend(
     jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool)
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine_many(
+        {
+            "number": _is_number,
+            "integer": lambda _, value: isinstance(value, int) and _is_number(_, value),
+        }
     ),
 )
 

@@ -43,7 +43,7 @@ from .ledrapier import (
     symdiff_identity_check,
     triple_measure,
 )
-from .mc import MIN_BATCHES
+from .mc import DEFAULT_BATCHES, MIN_BATCHES
 from .operators import (
     FiniteRankPerturbation,
     conjugate_defect,
@@ -60,7 +60,6 @@ from .tower import (
     correlation_interval,
     depth_for,
     level_set_measure,
-    level_width,
     rigidity_scan,
     symdiff_interval,
     wh_defect,
@@ -602,7 +601,7 @@ def _run_correlate(params: dict, seed: int, jobs: int):
         depth = depth_for(construction, abs(n) + 1)
     iv = correlation_interval(construction, n, a, b, depth)
     width = iv.hi - iv.lo
-    budget = abs(n) * level_width(construction, depth)
+    budget = abs(n) * build_stage(construction, depth).level_width
     rows = [
         exact_row(
             n=n,
@@ -709,7 +708,7 @@ class ExperimentSpec:
 
 _MC_PROPS = {
     "samples": _int(100000, minimum=1),
-    "n_batches": _int(40, minimum=MIN_BATCHES),
+    "n_batches": _int(DEFAULT_BATCHES, minimum=MIN_BATCHES),
 }
 
 _CALIBRATED_OPERATOR_PROPS = {

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .mc import EstimateWithError, batch_estimate
+from .mc import DEFAULT_BATCHES, EstimateWithError, batch_estimate
 from .operators import (
     CesaroDefect,
     FiniteRankPerturbation,
@@ -143,7 +143,7 @@ def gaussian_hermite_correlation(
     samples: int,
     *,
     seed: int | tuple[int, ...] = 0,
-    n_batches: int = 40,
+    n_batches: int = DEFAULT_BATCHES,
     jobs: int = 1,
 ) -> HermiteCorrelation:
     """Monte-Carlo E[He_k(X_0) He_k(X_n)] against the k! rho^n closed form."""
@@ -192,10 +192,6 @@ class TripleMixingEntry:
     exact: float
 
     @property
-    def deviation(self) -> float:
-        return self.estimate.value - self.product
-
-    @property
     def within_five_se(self) -> bool:
         return self.estimate.within(self.product)
 
@@ -208,7 +204,7 @@ def triple_correlation_weakmix_check(
     threshold: float = 0.02,
     samples: int = 10**5,
     seed: int = 0,
-    n_batches: int = 40,
+    n_batches: int = DEFAULT_BATCHES,
     jobs: int = 1,
 ) -> list[TripleMixingEntry]:
     """Triple-correlation deviations for events {X <= 0} at shifted times.
@@ -297,7 +293,7 @@ def gaussian_wh_experiment(
     samples: int,
     *,
     seed: int | tuple[int, ...] = 0,
-    n_batches: int = 40,
+    n_batches: int = DEFAULT_BATCHES,
     jobs: int = 1,
 ) -> GaussianWhResult:
     if k not in (1, 2):

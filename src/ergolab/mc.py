@@ -10,11 +10,12 @@ row r of a report by (seed, r), so no two rows share a stream and a row's
 stream follows its position: reordering `ns` reorders the streams.  Batch
 values are concatenated in index order, so results do not depend on how
 batches are spread over min(jobs, cpu count) threads.  `samples` are split
-into `n_batches` batches of `samples // n_batches` each (at least MIN_BATCHES
-batches of at least 2 samples, else ValueError), so `n_samples` is the
-floor-divided total.  An estimate agrees with an exact target when it lies
-within GATE_SE standard errors of it (`EstimateWithError.within`) or below a
-bound plus GATE_SE standard errors (`EstimateWithError.below`).
+into `n_batches` batches (DEFAULT_BATCHES unless a caller says otherwise) of
+`samples // n_batches` each (at least MIN_BATCHES batches of at least 2
+samples, else ValueError), so `n_samples` is the floor-divided total.  An
+estimate agrees with an exact target when it lies within GATE_SE standard
+errors of it (`EstimateWithError.within`) or below a bound plus GATE_SE
+standard errors (`EstimateWithError.below`).
 """
 from __future__ import annotations
 
@@ -29,12 +30,14 @@ __all__ = [
     "EstimateWithError",
     "GATE_SE",
     "MIN_BATCHES",
+    "DEFAULT_BATCHES",
     "run_batch_stats",
     "combine_batch_means",
     "batch_estimate",
 ]
 
 MIN_BATCHES = 30
+DEFAULT_BATCHES = 40
 GATE_SE = 5.0
 
 

@@ -40,10 +40,10 @@ def orthogonality_defect(matrix: np.ndarray) -> float:
     return float(np.abs(gram - np.eye(matrix.shape[0])).max())
 
 
-def require_orthogonal(matrix: np.ndarray, tol: float = ORTHO_TOL) -> np.ndarray:
+def require_orthogonal(matrix: np.ndarray) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=float)
     defect = orthogonality_defect(matrix)
-    if defect > tol:
+    if defect > ORTHO_TOL:
         raise ValueError(f"matrix fails the orthogonality certificate: {defect:.3e}")
     return matrix
 

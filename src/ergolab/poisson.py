@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mc import EstimateWithError, batch_estimate
+from .mc import DEFAULT_BATCHES, EstimateWithError, batch_estimate
 from .tower import (
     ConstructionParams,
     FinitarySwap,
@@ -33,8 +33,6 @@ from .tower import (
     build_stage,
     correlation_interval,
     refine_set,
-    supp_level_set,
-    swap_index_map,
     wh_defect,
 )
 
@@ -198,7 +196,7 @@ def poisson_count_covariance(
     samples: int,
     *,
     seed: int | tuple[int, ...] = 0,
-    n_batches: int = 40,
+    n_batches: int = DEFAULT_BATCHES,
     jobs: int = 1,
 ) -> PoissonCovariance:
     """Cov(N_A after n shift steps, N_B) against the exact base measure.
@@ -324,15 +322,15 @@ def _swap_weights(
     a_idx = model.indices[a_slots]
     in_a = np.zeros(model.n_levels, dtype=bool)
     in_a[a_slots] = True
-    supp = supp_level_set(model.params, swap)
+    i, k = swap.pair
+    supp = LevelSet(swap.stage, swap.pair)
     _check_cap("swap support", _refined_size(model.params, supp, model.depth))
-    lo, hi, delta = swap_index_map(model.params, swap, model.depth)
     terms = np.arange(1, n_terms + 1).astype(object)
     tops = np.searchsorted(model.indices, model.stage.height - terms)
     lost_levels = int((model.n_levels - tops).sum())
     signed = np.zeros((model.n_levels, n_terms), dtype=np.int8)
-    for support, step in ((lo, delta), (hi, -delta)):
-        y = np.array(sorted(support), dtype=object)
+    for level, step in ((i, k - i), (k, i - k)):
+        y = _exact_indices(refine_set(model.params, LevelSet(swap.stage, (level,)), model.depth))
         first = np.searchsorted(y, model.indices, side="right")
         counts = np.searchsorted(y, model.indices + n_terms, side="right") - first
         slots = np.repeat(np.arange(model.n_levels), counts)
@@ -353,7 +351,7 @@ def poisson_wh_experiment(
     samples: int,
     *,
     seed: int | tuple[int, ...] = 0,
-    n_batches: int = 40,
+    n_batches: int = DEFAULT_BATCHES,
     jobs: int = 1,
 ) -> PoissonWhResult:
     """Averaged count disturbance of the conjugated swaps, with its certificate.

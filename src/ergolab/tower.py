@@ -37,7 +37,6 @@ __all__ = [
     "FinitarySwap",
     "ScanEntry",
     "build_stage",
-    "level_width",
     "refine_set",
     "level_set_measure",
     "correlation_interval",
@@ -45,7 +44,6 @@ __all__ = [
     "depth_for",
     "rigidity_scan",
     "wh_defect",
-    "supp_level_set",
 ]
 
 
@@ -159,10 +157,6 @@ def _new_stage(params: ConstructionParams, j: int) -> TowerStage:
     for k in range(r - 1):
         bases.append(bases[-1] + height + spacers[k])
     return TowerStage(j, height, width, r, spacers, tuple(bases))
-
-
-def level_width(params: ConstructionParams, j: int) -> Fraction:
-    return build_stage(params, j).level_width
 
 
 @dataclass(frozen=True)
@@ -339,7 +333,7 @@ def correlation_interval(
     either set whose shift leaves the tower is unresolved and can only
     contribute to the upper endpoint.  Taking the smaller of the two
     unresolved masses keeps the answer symmetric under (n, A, B) ->
-    (-n, B, A), and the width never exceeds |n| * level_width(J).
+    (-n, B, A), and the width never exceeds |n| times the depth-J level width.
     """
     w, [(hits, lost_a, lost_b)] = _profile(params, a, b, depth, [n])
     return _interval(w, hits, min(lost_a, lost_b))
@@ -425,7 +419,9 @@ class FinitarySwap:
 
     The swap is an involution supported on exactly two levels; away from its
     support it is the identity, so it perturbs any deeper tower only along
-    the refined copies of those two levels.
+    the refined copies of those two levels.  Its support is
+    `LevelSet(stage, pair)`: at any depth, each copy of level i moves up by
+    k - i onto a copy of level k, and back.
     """
 
     stage: int
@@ -439,24 +435,6 @@ class FinitarySwap:
             raise ValueError("swap levels must be non-negative")
         if i > k:
             object.__setattr__(self, "pair", (k, i))
-
-
-def supp_level_set(params: ConstructionParams, swap: FinitarySwap) -> LevelSet:
-    """Support of the swap as a two-level set (measure 2 * level width)."""
-    height = build_stage(params, swap.stage).height
-    if swap.pair[1] >= height:
-        raise ValueError(f"swap level {swap.pair[1]} exceeds stage height {height}")
-    return LevelSet(swap.stage, swap.pair)
-
-
-def swap_index_map(
-    params: ConstructionParams, swap: FinitarySwap, depth: int
-) -> tuple[frozenset, frozenset, int]:
-    """Refined supports and index offset realizing the swap at `depth`."""
-    i, k = swap.pair
-    lo = refine_set(params, LevelSet(swap.stage, (i,)), depth)
-    hi = refine_set(params, LevelSet(swap.stage, (k,)), depth)
-    return frozenset(lo.indices), frozenset(hi.indices), k - i
 
 
 def wh_defect(
@@ -474,7 +452,8 @@ def wh_defect(
     """
     if n_terms < 1:
         raise ValueError("need at least one Cesaro term")
-    supp = supp_level_set(params, swap)
+    supp = LevelSet(swap.stage, swap.pair)
+    _checked_stage(params, supp)  # an invalid swap is reported before the depth
     w, profile = _profile(params, a, supp, depth, range(1, n_terms + 1))
     hits = sum(h for h, _, _ in profile)
     lost = sum(min(lost_a, lost_b) for _, lost_a, lost_b in profile)

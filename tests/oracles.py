@@ -18,7 +18,6 @@ from ergolab.tower import (
     LevelSet,
     build_stage,
     refine_set,
-    swap_index_map,
 )
 
 Q = Fraction
@@ -148,7 +147,11 @@ def poisson_swap_walk(model, swap: FinitarySwap, a: LevelSet, n_terms: int) -> t
     """
     slot = {x: i for i, x in enumerate(model.indices)}
     a_set = frozenset(refine_set(model.params, a, model.depth).indices)
-    lo, hi, delta = swap_index_map(model.params, swap, model.depth)
+    lo, hi = (
+        frozenset(refine_set(model.params, LevelSet(swap.stage, (level,)), model.depth).indices)
+        for level in swap.pair
+    )
+    delta = swap.pair[1] - swap.pair[0]
     height = model.stage.height
     plus, minus, lost = [], [], 0
     for i in range(1, n_terms + 1):

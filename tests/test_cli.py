@@ -132,6 +132,15 @@ def test_expect_rigid_flag_failing_check_exits_1():
     assert "FAIL  rigid-set-matches-expected" in proc.stdout
 
 
+# NaN, the infinities and ints too large for a float are no JSON Schema numbers
+NOT_NUMBERS = [
+    ["cesaro", "--angle", "nan"],
+    ["cesaro", "--chain-tol", "inf"],
+    ["experiment", "eq1-sweep", "--config", {"angle": float("nan")}],
+    ["experiment", "eq1-sweep", "--config", {"angle": int("9" * 400)}],
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -146,9 +155,14 @@ def test_expect_rigid_flag_failing_check_exits_1():
         ["cesaro", "--plane", "6,7,9"],
         # a dict stands for a config file holding those params
         ["experiment", "theorem1", "--config", {"swap_pair": [1, 3, 5]}],
+        *NOT_NUMBERS,
+        # a swap level past the stage-1 height
+        ["experiment", "wh-poisson", "--config", {"swap_pair": [1, 9999]}],
+        ["experiment", "theorem1", "--config", {"swap_pair": [1, 9999]}],
     ],
 )
 def test_domain_errors_exit_2_without_traceback(argv, tmp_path):
+    not_a_number = argv in NOT_NUMBERS
     argv = list(argv)
     for i, item in enumerate(argv):
         if isinstance(item, dict):
@@ -159,6 +173,21 @@ def test_domain_errors_exit_2_without_traceback(argv, tmp_path):
     assert proc.returncode == 2
     assert "config error" in proc.stderr
     assert "Traceback" not in proc.stderr
+    if not_a_number:
+        assert "is not of type 'number'" in proc.stderr
+
+
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_unwritable_output_exits_2_and_leaves_no_temp_file(tmp_path, flag):
+    existing = tmp_path / "existing"  # its temp file goes beside it, in tmp_path
+    existing.mkdir()
+    for path in (tmp_path / "missing" / "r.json", existing):
+        proc = run_cli("build", flag, str(path))
+        assert proc.returncode == 2
+        assert f"ergolab: cannot write {path}: " in proc.stderr
+        assert "Traceback" not in proc.stderr
+    assert os.listdir(tmp_path) == ["existing"]
+    assert os.listdir(existing) == []
 
 
 def test_negative_shifts_run_at_any_seed():

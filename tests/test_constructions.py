@@ -31,7 +31,6 @@ def test_pair_shares_heights_and_interleaves_times():
         assert (
             build_stage(pair.t_params, j).height
             == build_stage(pair.s_params, j).height
-            == pair.shared_height(j)
         )
     c_times = [pair.time_at(j) for j in range(1, 13, 2)]
     d_times = [pair.time_at(j) for j in range(0, 13, 2)]
@@ -41,14 +40,14 @@ def test_pair_shares_heights_and_interleaves_times():
     merged = sorted(c_times + d_times)
     assert merged == [pair.time_at(j) for j in range(13)]
     for j in range(13):
-        assert pair.time_at(j) > 2 * pair.shared_height(j)
+        assert pair.time_at(j) > 2 * build_stage(pair.t_params, j).height
 
 
 def test_pair_spacer_shapes():
     pair = rigid_mixing_pair()
     for j in range(6):
         r = pair.cuts_at(j)
-        s = pair.time_at(j) - pair.shared_height(j)
+        s = pair.time_at(j) - build_stage(pair.t_params, j).height
         t_r, t_spacers = pair.t_params.stage_data(j)
         s_r, s_spacers = pair.s_params.stage_data(j)
         assert t_r == s_r == r

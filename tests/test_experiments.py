@@ -96,6 +96,10 @@ def test_config_rejection_paths():
         resolve_config({"experiment": "ledrapier", "seed": True})
     with pytest.raises(ConfigError):
         resolve_config({"experiment": "ledrapier", "params": []})
+    # `maximum` skips a value that is no number, so an int too large for a
+    # float must be no integer either, or it would pass every bound
+    with pytest.raises(ConfigError, match="is not of type 'integer'"):
+        resolve_config({"experiment": "ledrapier", "params": {"k_max": 10**400}})
     with pytest.raises(ConfigError):
         resolve_config([])
 

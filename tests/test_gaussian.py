@@ -204,7 +204,7 @@ def test_triple_zero_shifts_are_flagged_and_large(model):
     assert entry.failed_pairs == ("m", "n", "n-m")
     assert entry.exact == pytest.approx(0.5, abs=1e-12)
     assert abs(entry.estimate.value - 0.5) <= 5 * entry.estimate.stderr
-    assert entry.deviation > 0.3
+    assert entry.estimate.value - entry.product > 0.3
 
 
 def test_triple_condition_met_deviations_vanish(flat_model):

@@ -20,7 +20,6 @@ from ergolab.tower import (
     RationalInterval,
     build_stage,
     correlation_interval,
-    supp_level_set,
 )
 from ergolab.constructions import builtin_params, rigid_mixing_pair
 
@@ -60,7 +59,6 @@ def test_level_sets_and_swap_supports_are_sized_before_refining(monkeypatch):
     def refuse(*args):
         raise AssertionError("refined before its size was checked")
 
-    monkeypatch.setattr(poisson, "swap_index_map", refuse)
     with monkeypatch.context() as patched:
         patched.setattr(poisson, "refine_set", refuse)
         # one stage-0 level is 8 * 16 * 24 * 32 * 40 = 3932160 depth-5 levels
@@ -68,7 +66,16 @@ def test_level_sets_and_swap_supports_are_sized_before_refining(monkeypatch):
             model.member_slots(LevelSet(0, (0,)))
         with pytest.raises(ValueError, match="not contained in the window"):
             poisson_count_covariance(model, 0, LevelSet(0, (0,)), LevelSet(5, range(5)), 4000)
-    # each stage-1 swap level has 16 * 24 * 32 * 40 = 491520 depth-5 copies
+    # each stage-1 swap level has 16 * 24 * 32 * 40 = 491520 depth-5 copies; A
+    # still refines, the swap levels may not
+    real_refine_set = poisson.refine_set
+
+    def refuse_swap_levels(params, levels, to_stage):
+        if levels.stage == 1:
+            refuse()
+        return real_refine_set(params, levels, to_stage)
+
+    monkeypatch.setattr(poisson, "refine_set", refuse_swap_levels)
     a = LevelSet(5, range(50, 350))
     with pytest.raises(ValueError, match="swap support refines to 983040 levels"):
         poisson_wh_experiment(model, FinitarySwap(1, (1, 3)), a, 50, 4000)
@@ -267,7 +274,6 @@ def test_wh_statistic_sits_below_its_majorant(band_model):
 
 def test_wh_swap_outside_the_window_is_exactly_silent(band_model):
     swap = FinitarySwap(stage=2, pair=(1200, 1205))
-    assert supp_level_set(band_model.params, swap).stage == 2
     a = LevelSet(2, range(50, 350))
     r = poisson_wh_experiment(band_model, swap, a, 50, 10**4, seed=1)
     assert r.estimate.value == 0.0

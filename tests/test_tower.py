@@ -23,8 +23,6 @@ from ergolab.tower import (
     level_set_measure,
     refine_set,
     rigidity_scan,
-    supp_level_set,
-    swap_index_map,
     symdiff_interval,
     wh_defect,
 )
@@ -174,13 +172,12 @@ def test_depth_for_clears_requested_shift():
 def test_swap_is_measure_preserving_involution():
     p = chacon()
     swap = FinitarySwap(1, (0, 2))
-    supp = supp_level_set(p, swap)
+    supp = LevelSet(swap.stage, swap.pair)
     assert level_set_measure(p, supp) == 2 * Q(1, 3)
-    # each copy of the lower level moves up by delta onto a copy of the upper
+    # each copy of the lower level moves up by k - i onto a copy of the upper
     # one and back, and copies of other levels do not move
-    lo, hi, delta = swap_index_map(p, swap, 3)
-    assert delta == 2
-    assert {i + delta for i in lo} == hi
+    lo, hi = (set(refine_set(p, LevelSet(1, (level,)), 3).indices) for level in swap.pair)
+    assert {i + 2 for i in lo} == hi
     assert len(lo) == len(hi) == 9
     quiet = refine_set(p, LevelSet(1, (3,)), 3)
     assert not set(quiet.indices) & (lo | hi)
@@ -190,7 +187,7 @@ def test_wh_defect_averages_support_correlations():
     p = chacon()
     swap = FinitarySwap(1, (0, 2))
     a = LevelSet(1, (1,))
-    supp = supp_level_set(p, swap)
+    supp = LevelSet(swap.stage, swap.pair)
     n_terms = 12
     acc_lo = acc_hi = Q(0)
     for i in range(1, n_terms + 1):
@@ -217,6 +214,11 @@ def test_error_paths():
         rigidity_scan(p, LevelSet(2, ()), 5, depth=4)
     with pytest.raises(ValueError):
         FinitarySwap(1, (2, 2))
+    # a swap level past the stage height is a domain error, reported before
+    # the depth is found too shallow for the shifts
+    for depth in (1, 4):
+        with pytest.raises(ValueError, match="index out of range for stage-1 tower"):
+            wh_defect(p, FinitarySwap(1, (0, 5)), LevelSet(1, (1,)), 10, depth)
     bad = ConstructionParams("finite", Q(1), 1, ((2, (0, -1)),), None, "bad")
     with pytest.raises(ValueError):
         build_stage(bad, 0)
