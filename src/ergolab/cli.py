@@ -4,7 +4,8 @@ One experiment per invocation.  Ad-hoc subcommands (build, correlate,
 rigidity, ledrapier, cesaro, gauss, poisson) assemble a config from flags
 generated from their experiment's params schema; `experiment <name>` runs a
 named experiment, optionally from a JSON config file.  Reports are written
-atomically; a failed run leaves no partial file.
+atomically, the JSON and the CSV together; a failed run leaves no partial
+file and no lone one.
 
 Exit codes: 0 all checks passed, 1 a statistical or certified check failed,
 2 config, schema or domain violation or an output path that cannot be
@@ -24,7 +25,7 @@ from .experiments import (
     describe_experiments,
     run_experiment,
 )
-from .reports import write_report_json, write_rows_csv
+from .reports import write_report_files
 from .tower import (
     ConstructionExhaustedError,
     GenerationError,
@@ -174,16 +175,11 @@ def main(argv=None) -> int:
 
     out_path = args.out or report.config.get("out")
     csv_path = args.csv or report.config.get("csv")
-    for path, write, content in (
-        (out_path, write_report_json, report),
-        (csv_path, write_rows_csv, report.rows),
-    ):
-        if path:
-            try:
-                write(content, path)
-            except OSError as exc:
-                print(f"ergolab: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
-                return 2
+    try:
+        write_report_files(report, out_path, csv_path)
+    except OSError as exc:
+        print(f"ergolab: cannot write {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
 
     print(f"experiment: {report.experiment} (ergolab {report.version})")
     print(f"rows: {len(report.rows)}")

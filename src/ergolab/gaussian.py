@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 MIN_SAMPLES = 10**4
+_COLUMNS = 256  # samples per slice of the wh-gaussian statistic
 
 
 @dataclass(frozen=True)
@@ -315,11 +316,23 @@ def gaussian_wh_experiment(
 
     def stat(rng: np.random.Generator, size: int) -> float:
         latent = rng.standard_normal((model.dim, size))
-        x = rows @ latent
-        y = conj_rows @ latent
-        hx = hermite_value(k, x)
         # per-sample Cesaro means first: one mean over all entries rounds differently
-        return np.mean(hermite_value(k, y) * hx - hx**2, axis=0).mean()
+        means = np.empty(size)
+        # Slices of _COLUMNS samples keep the n_terms x columns temporaries
+        # small enough to reuse their pages; full-width ones fault them in
+        # anew on every batch.  The last slice also takes the remainder, since
+        # a narrow ragged product can round apart from the full-width one
+        # (OpenBLAS does), and it goes first: a slice wider than the ones
+        # before it grows the heap, which is then trimmed and faulted in again
+        # on every batch.
+        n_slices = max(1, size // _COLUMNS)
+        edges = [i * _COLUMNS for i in range(n_slices)] + [size]
+        for lo, hi in reversed(list(zip(edges, edges[1:]))):
+            block = latent[:, lo:hi]
+            hx = hermite_value(k, rows @ block)
+            hy = hermite_value(k, conj_rows @ block)
+            means[lo:hi] = np.mean(hy * hx - hx**2, axis=0)
+        return means.mean()
 
     estimate = batch_estimate(stat, samples, n_batches=n_batches, seed=seed, jobs=jobs)
     return GaussianWhResult(

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import ceil, erfc, exp, lgamma, log, prod, sqrt
 from typing import Callable
 
 import numpy as np
@@ -227,6 +227,43 @@ def poisson_count_covariance(
     )
 
 
+def _pmf(k: float, mu: float) -> float:
+    """e^-mu mu^k / Gamma(k + 1): the Poisson pmf at an integer k, and the
+    half-integer terms of the odd-df chi-square tail."""
+    return exp(k * log(mu) - lgamma(k + 1) - mu)
+
+
+def _isf(q: float, mu: float) -> int:
+    """Smallest k with P(X > k) <= q for X ~ Poisson(mu), mu > 0.
+
+    The tail is summed from the top down, never formed as 1 - cdf.  It
+    starts at k = mu + 11 sqrt(mu) + 40, where Bernstein's inequality puts
+    it below e^-60.
+    """
+    k = ceil(mu + 11 * sqrt(mu) + 40)
+    tail = 0.0  # P(X > k)
+    while True:
+        below = tail + _pmf(k, mu)  # P(X > k - 1)
+        if below > q:
+            return k
+        tail, k = below, k - 1
+
+
+def _chi2_sf(x: float, df: int) -> float:
+    """P(chi-square with integer df > x), as a finite sum.
+
+    With h = x / 2 it is sum_{i < df/2} e^-h h^i / i! for even df, and
+    erfc(sqrt(h)) plus sum_{i < (df-1)/2} e^-h h^(i+1/2) / Gamma(i + 3/2)
+    for odd df.
+    """
+    h = x / 2
+    if h <= 0.0:
+        return 1.0
+    odd = df % 2
+    head = erfc(sqrt(h)) if odd else 0.0
+    return head + sum(_pmf(i + odd / 2, h) for i in range(df // 2))
+
+
 @dataclass(frozen=True)
 class PoissonGof:
     mean: float
@@ -251,17 +288,16 @@ def poisson_gof(
     window's levels, so the test exercises the construction path rather
     than a direct Poisson draw of the total.
     The mean is the exact measure, not fitted, so no degree of freedom is
-    deducted for it.
+    deducted for it.  The p-value is the closed-form chi-square tail for
+    integer degrees of freedom.
     """
-    from scipy import stats  # deferred: scipy.stats dominates import time
-
     slots = model.member_slots(window)
     member = np.zeros((model.n_levels, 1), dtype=np.int8)
     member[slots] = 1
     count = _weighted_counts(model, member)
     mu = float(model.level_width * len(slots))
     rng = np.random.default_rng([int(seed), 0x90F])
-    upper = int(stats.poisson.isf(1e-9, mu)) + 2
+    upper = _isf(1e-9, mu) + 2
     observed = np.zeros(upper + 1, dtype=np.int64)
     remaining = samples
     while remaining > 0:
@@ -269,7 +305,7 @@ def poisson_gof(
         totals = count(rng, size)[:, 0].astype(np.int64)
         observed += np.bincount(np.minimum(totals, upper), minlength=upper + 1)
         remaining -= size
-    expected = stats.poisson.pmf(np.arange(upper + 1), mu) * samples
+    expected = np.array([_pmf(k, mu) for k in range(upper + 1)]) * samples
     expected[-1] = samples - expected[:-1].sum()
 
     # merge from both tails until every bin expects at least 5 counts
@@ -288,7 +324,7 @@ def poisson_gof(
     if len(obs_bins) < 2:
         raise ValueError("window mean too small for a multi-bin test")
     chi2 = float(((np.array(obs_bins) - np.array(exp_bins)) ** 2 / np.array(exp_bins)).sum())
-    p_value = float(stats.chi2.sf(chi2, df=len(obs_bins) - 1))
+    p_value = _chi2_sf(chi2, len(obs_bins) - 1)
     return PoissonGof(
         mean=mu, p_value=p_value, n_samples=samples, n_bins=len(obs_bins)
     )

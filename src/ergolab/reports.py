@@ -43,6 +43,7 @@ __all__ = [
     "exact_row",
     "mc_row",
     "rational",
+    "write_report_files",
     "write_report_json",
     "write_rows_csv",
 ]
@@ -125,29 +126,44 @@ class ExperimentReport:
         }
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    """Write via a same-directory temp file so failures leave no partial file."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ergolab-", suffix=".tmp")
+def _write_atomically(files: dict) -> None:
+    """Write each path's text so that every file lands or none does.
+
+    Every text goes to a same-directory temp file before any is renamed into
+    place.  On a failure every temp is removed, and so is every target
+    already renamed (its earlier content was replaced anyway), so no partial
+    or lone file is left.  An OSError names the target it failed on.
+    """
+    staged: list = []  # (temp, target)
+    placed: list = []
+    path = None
     try:
-        # newline="" keeps the text's line ends as given (CSV rows end in \r\n)
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        for path, text in files.items():
+            directory = os.path.dirname(os.path.abspath(path)) or "."
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ergolab-", suffix=".tmp")
+            staged.append((tmp, path))
+            # newline="" keeps the text's line ends as given (CSV rows end in \r\n)
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+            placed.append(path)
+    except BaseException as exc:
+        for leftover in [tmp for tmp, _ in staged] + placed:
+            try:
+                os.unlink(leftover)
+            except OSError:
+                pass  # a temp already renamed into place
+        if isinstance(exc, OSError):
+            exc.filename = path
         raise
 
 
-def write_report_json(report: ExperimentReport, path: str) -> None:
-    _atomic_write_text(path, json.dumps(report.to_dict(), indent=2) + "\n")
+def _report_text(report: ExperimentReport) -> str:
+    return json.dumps(report.to_dict(), indent=2) + "\n"
 
 
-def write_rows_csv(rows: list, path: str) -> None:
-    """Flat CSV of the result rows; columns in first-appearance order."""
+def _rows_text(rows: list) -> str:
     fieldnames: list = []
     for row in rows:
         for key in row:
@@ -157,4 +173,29 @@ def write_rows_csv(rows: list, path: str) -> None:
     writer = csv.DictWriter(buffer, fieldnames=fieldnames, restval="")
     writer.writeheader()
     writer.writerows(rows)
-    _atomic_write_text(path, buffer.getvalue())
+    return buffer.getvalue()
+
+
+def write_report_json(report: ExperimentReport, path: str) -> None:
+    _write_atomically({path: _report_text(report)})
+
+
+def write_rows_csv(rows: list, path: str) -> None:
+    """Flat CSV of the result rows; columns in first-appearance order."""
+    _write_atomically({path: _rows_text(rows)})
+
+
+def write_report_files(
+    report: ExperimentReport, json_path: str | None, csv_path: str | None
+) -> None:
+    """The JSON report and the CSV rows, each where a path is given.
+
+    Both land or neither does: a path that cannot be written leaves the
+    other unwritten too.
+    """
+    files = {}
+    if json_path:
+        files[json_path] = _report_text(report)
+    if csv_path:
+        files[csv_path] = _rows_text(report.rows)
+    _write_atomically(files)

@@ -290,3 +290,17 @@ def random_orthogonal(dim: int, seed: int) -> np.ndarray:
     from scipy.stats import ortho_group
 
     return ortho_group.rvs(dim, random_state=np.random.default_rng([int(seed), 0x0E7]))
+
+
+def unblocked_wh_statistic(rows: np.ndarray, conj_rows: np.ndarray, k: int):
+    """`gaussian_wh_experiment`'s per-batch statistic over the whole batch at
+    once: both products and the Hermite terms as full-width arrays, then the
+    per-sample Cesaro means and their mean."""
+    from ergolab.gaussian import hermite_value
+
+    def stat(rng: np.random.Generator, size: int) -> float:
+        latent = rng.standard_normal((rows.shape[1], size))
+        hx = hermite_value(k, rows @ latent)
+        return np.mean(hermite_value(k, conj_rows @ latent) * hx - hx**2, axis=0).mean()
+
+    return stat

@@ -179,10 +179,12 @@ def test_domain_errors_exit_2_without_traceback(argv, tmp_path):
 
 @pytest.mark.parametrize("flag", ["--out", "--csv"])
 def test_unwritable_output_exits_2_and_leaves_no_temp_file(tmp_path, flag):
+    # the other output can be written, and is not left behind either
+    other = {"--out": "--csv", "--csv": "--out"}[flag]
     existing = tmp_path / "existing"  # its temp file goes beside it, in tmp_path
     existing.mkdir()
     for path in (tmp_path / "missing" / "r.json", existing):
-        proc = run_cli("build", flag, str(path))
+        proc = run_cli("build", flag, str(path), other, str(tmp_path / "ok"))
         assert proc.returncode == 2
         assert f"ergolab: cannot write {path}: " in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -416,6 +418,18 @@ def test_fresh_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+    # and no code path needs it: the goodness-of-fit test runs with scipy
+    # unimportable, on criterion 07's model and first window
+    gof = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from ergolab import LevelSet, PoissonModel, poisson_gof, rigid_mixing_pair\n"
+        "model = PoissonModel(rigid_mixing_pair().t_params, LevelSet(2, range(700)), depth=2)\n"
+        "g = poisson_gof(model, LevelSet(2, range(100, 150)), 2 * 10**4, seed=400)\n"
+        "print(g.n_bins, g.passed(0.001))"
+    )
+    proc = subprocess.run([sys.executable, "-c", gof], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["5", "True"]
 
 
 def test_env_seed_overrides_config_seed(tmp_path):

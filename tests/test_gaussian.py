@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import hermite_e
 
+import ergolab
 from ergolab.gaussian import (
     GaussianModel,
     factor_sampler,
@@ -270,6 +274,43 @@ def test_wh_generic_plane_also_tracks():
     r = gaussian_wh_experiment(model, pert, 2, 100, 10**4, seed=11)
     assert r.tracks_exact
     assert r.below_majorant
+
+
+_SLICED_VS_UNBLOCKED = """
+from ergolab.gaussian import GaussianModel, gaussian_wh_experiment
+from ergolab.mc import batch_estimate
+from ergolab.operators import (
+    FiniteRankPerturbation, make_rotation_operator, vector_with_plane_mass,
+)
+from oracles import unblocked_wh_statistic
+
+pert = FiniteRankPerturbation.from_coordinates(64, 6, 7, angle=0.5)
+model = GaussianModel(make_rotation_operator(64), vector_with_plane_mass(64, pert, delta=0.02, seed=5))
+rows = model.orbit_rows(range(1, 101))
+for samples in (12000, 30000, 40000):  # batches of 300, 750 and 1000 samples
+    for k in (1, 2):
+        got = gaussian_wh_experiment(model, pert, k, 100, samples, seed=7, n_batches=40)
+        ref = batch_estimate(
+            unblocked_wh_statistic(rows, rows @ pert.matrix(), k), samples, n_batches=40, seed=7
+        )
+        print(got.estimate == ref, got.estimate.value != 0.0)
+"""
+
+
+def test_wh_column_slices_equal_the_unblocked_statistic():
+    # batch sizes that are not multiples of the 256-column slice: one slice
+    # of 300 columns, slices of 256 and 494, and of 256, 256 and 488.  One
+    # BLAS thread, as the benchmark runs: a threaded GEMM may split a slice's
+    # rows differently from the full batch's and round apart.
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ergolab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([here, src]))
+    env.update({v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+    proc = subprocess.run(
+        [sys.executable, "-c", _SLICED_VS_UNBLOCKED], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"] * 12
 
 
 def test_wh_rejects_bad_degree_or_dimension(model):

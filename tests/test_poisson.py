@@ -2,6 +2,8 @@ from fractions import Fraction as Q
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+from scipy import stats
 
 import oracles
 from ergolab import poisson
@@ -250,6 +252,62 @@ def test_gof_handles_a_sparse_window(band_model):
     g = poisson_gof(band_model, LevelSet(2, [5]), 2 * 10**4, seed=6)
     assert g.mean == pytest.approx(1 / 128)
     assert g.passed()
+
+
+# scipy is the oracle for the closed forms behind `poisson_gof`
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 1500.0), st.integers(1, 200))
+@example(0.0, 1)
+@example(1e-300, 1)
+@example(1350.0, 163)
+def test_chi2_tail_matches_scipy(x, df):
+    ref = stats.chi2.sf(x, df)
+    assume(ref > 1e-290)  # relative error is meaningless near underflow
+    assert poisson._chi2_sf(x, df) == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(2.0**-10, 300.0), st.floats(0.0, 1.0))
+@example(1 / 128, 1.0)
+@example(300.0, 1.0)
+def test_pmf_matches_scipy(mu, u):
+    # k anywhere in the goodness-of-fit range 0..upper, for mu up to 300
+    # (every mean the tests, demos and benchmark use is below 6); at
+    # mu = 5000 both forms round an exponent of ~1e5 and differ by ~1e-11
+    k = round(u * (int(stats.poisson.isf(1e-9, mu)) + 2))
+    assert poisson._pmf(k, mu) == pytest.approx(stats.poisson.pmf(k, mu), rel=1e-12, abs=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(2.0**-10, 5000.0))
+@example(1 / 128)
+@example(25 / 64)
+@example(0.78125)
+@example(5.46875)
+@example(300.0)
+@example(5000.0)
+def test_gof_range_matches_scipy_isf(mu):
+    assert poisson._isf(1e-9, mu) == int(stats.poisson.isf(1e-9, mu))
+
+
+# criterion 07's windows at 10**5 samples, seeds 400-404: (mean, n_bins,
+# p-value) as scipy's isf, pmf and chi2.sf gave them; every verdict at alpha
+# 0.001 is a pass
+_CRITERION_07_GOF = [
+    (range(100, 150), 25 / 64, 6, 0.8075570816907159),
+    (range(0, 700), 5.46875, 18, 0.2639463158506682),
+    (range(650, 700), 25 / 64, 6, 0.9924264201317295),
+    ([5], 1 / 128, 2, 0.016228812541794178),
+    (range(0, 300, 3), 0.78125, 7, 0.8495578372476476),
+]
+
+
+def test_gof_bins_and_verdicts_match_the_scipy_test(band_model):
+    for idx, (levels, mean, n_bins, p_value) in enumerate(_CRITERION_07_GOF):
+        g = poisson_gof(band_model, LevelSet(2, levels), 10**5, seed=400 + idx)
+        assert (g.mean, g.n_bins, g.passed(0.001)) == (mean, n_bins, True)
+        assert g.p_value == pytest.approx(p_value, rel=1e-12)
 
 
 def test_gof_needs_enough_mass():
