@@ -69,7 +69,7 @@ from .poisson import (
     poisson_gof,
     poisson_wh_experiment,
 )
-from .reports import ExperimentReport, write_report_json, write_rows_csv
+from .reports import ExperimentReport
 from .experiments import (
     EXPERIMENT_NAMES,
     ConfigError,

@@ -43,7 +43,6 @@ from .ledrapier import (
     symdiff_identity_check,
     triple_measure,
 )
-from .mc import DEFAULT_BATCHES, MIN_BATCHES
 from .operators import (
     FiniteRankPerturbation,
     conjugate_defect,
@@ -405,17 +404,23 @@ def _calibrated_operator(params: dict):
     return op, pert, vec
 
 
+# Slack of the defect chain.  When the perturbed plane is a rotation block of
+# the operator, every U^-i K U^i f is K f and the defect equals majorant1 in
+# exact arithmetic; the float defect can then exceed the float majorant1, by
+# about 1e-15 at N = 10^4 on the defaults.
+_CHAIN_TOL = 1e-9
+
+
 def _run_eq1_sweep(params: dict, seed: int, jobs: int):
     op, pert, vec = _calibrated_operator(params)
-    tol = params["chain_tol"]
     rows, chain_ok = [], True
     final = None
     for n_terms in params["ns"]:
         d = conjugate_defect(op, pert, vec, n_terms)
         chain_ok = (
             chain_ok
-            and d.defect <= d.majorant1 + tol
-            and d.majorant1 <= d.majorant2 + tol
+            and d.defect <= d.majorant1 + _CHAIN_TOL
+            and d.majorant1 <= d.majorant2 + _CHAIN_TOL
         )
         final = d.majorant2
         rows.append(
@@ -427,7 +432,7 @@ def _run_eq1_sweep(params: dict, seed: int, jobs: int):
             )
         )
     checks = [
-        check("defect-chain-holds-at-every-n", chain_ok, detail=f"tolerance {tol}"),
+        check("defect-chain-holds-at-every-n", chain_ok, detail=f"tolerance {_CHAIN_TOL}"),
         check(
             "final-majorant-below-bound",
             final is not None and final <= params["final_bound"],
@@ -454,7 +459,6 @@ def _run_wh_gaussian(params: dict, seed: int, jobs: int):
             params["n_terms"],
             params["samples"],
             seed=(seed, row),
-            n_batches=params["n_batches"],
             jobs=jobs,
         )
         rows.append(
@@ -492,7 +496,6 @@ def _run_wh_poisson(params: dict, seed: int, jobs: int):
             n_terms,
             params["samples"],
             seed=(seed, row),
-            n_batches=params["n_batches"],
             jobs=jobs,
         )
         rows.append(
@@ -529,7 +532,6 @@ def _run_triple_mixing(params: dict, seed: int, jobs: int):
         threshold=params["threshold"],
         samples=params["samples"],
         seed=seed,
-        n_batches=params["n_batches"],
         jobs=jobs,
     )
     rows, usable, within_ok = [], 0, True
@@ -629,7 +631,6 @@ def _run_gauss(params: dict, seed: int, jobs: int):
             n,
             params["samples"],
             seed=(seed, row),
-            n_batches=params["n_batches"],
             jobs=jobs,
         )
         all_within = all_within and r.within_five_se
@@ -665,7 +666,6 @@ def _run_poisson_cov(params: dict, seed: int, jobs: int):
             b,
             params["samples"],
             seed=(seed, row),
-            n_batches=params["n_batches"],
             jobs=jobs,
         )
         all_within = all_within and r.within_five_se
@@ -706,10 +706,7 @@ class ExperimentSpec:
         }
 
 
-_MC_PROPS = {
-    "samples": _int(100000, minimum=1),
-    "n_batches": _int(DEFAULT_BATCHES, minimum=MIN_BATCHES),
-}
+_MC_PROPS = {"samples": _int(100000, minimum=1)}
 
 _CALIBRATED_OPERATOR_PROPS = {
     "dim": _int(64, minimum=4),
@@ -789,7 +786,6 @@ _SPECS = [
             {
                 **_CALIBRATED_OPERATOR_PROPS,
                 "ns": _int_array([100, 1000, 10000]),
-                "chain_tol": {"type": "number", "exclusiveMinimum": 0, "default": 1e-9},
                 "final_bound": {"type": "number", "exclusiveMinimum": 0, "default": 0.05},
             }
         ),

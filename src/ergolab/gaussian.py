@@ -18,11 +18,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .mc import DEFAULT_BATCHES, EstimateWithError, batch_estimate
+from .mc import EstimateWithError, batch_estimate
 from .operators import (
     CesaroDefect,
     FiniteRankPerturbation,
     conjugate_defect,
+    orbit,
     require_orthogonal,
 )
 
@@ -39,7 +40,6 @@ __all__ = [
     "gaussian_wh_experiment",
 ]
 
-MIN_SAMPLES = 10**4
 _COLUMNS = 256  # samples per slice of the wh-gaussian statistic
 
 
@@ -69,20 +69,17 @@ class GaussianModel:
     def orbit_rows(self, shifts: Sequence[int]) -> np.ndarray:
         """Rows U^s f for the requested shifts (repeats allowed).
 
-        One matvec chain per direction walks the distinct |s| in increasing
-        order, each row continuing from the last, so every row is the same
-        floating-point product as U applied s times to f (bit for bit what
-        `rho` computes) and the whole call costs max |s| matvecs a direction.
+        One `orbit` walk per direction runs to the largest |s| and keeps only
+        the requested rows, so every row is the same floating-point product as
+        U applied s times to f (bit for bit what `rho` computes) and the whole
+        call costs max |s| matvecs a direction.
         """
         wanted = [int(s) for s in shifts]
-        rows = {}
+        rows = {0: self.vector}
         for sign, step in ((1, self.operator), (-1, self.operator.T)):
-            g, at = self.vector, 0
-            for a in sorted({sign * s for s in wanted if sign * s >= 0}):
-                for _ in range(a - at):
-                    g = step @ g
-                at = a
-                rows[sign * a] = g
+            need = {sign * s for s in wanted if sign * s > 0}
+            walk = orbit(step, self.vector, max(need, default=0))
+            rows.update((sign * a, g) for a, g in enumerate(walk, 1) if a in need)
         return np.stack([rows[s] for s in wanted])
 
 
@@ -119,11 +116,6 @@ def hermite_value(k: int, x: np.ndarray) -> np.ndarray:
     return (0.0 - x) + (x * x - 2.0) * x
 
 
-def _require_samples(samples: int) -> None:
-    if samples < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples")
-
-
 @dataclass(frozen=True)
 class HermiteCorrelation:
     degree: int
@@ -144,13 +136,11 @@ def gaussian_hermite_correlation(
     samples: int,
     *,
     seed: int | tuple[int, ...] = 0,
-    n_batches: int = DEFAULT_BATCHES,
     jobs: int = 1,
 ) -> HermiteCorrelation:
     """Monte-Carlo E[He_k(X_0) He_k(X_n)] against the k! rho^n closed form."""
     if k not in (1, 2, 3):
         raise ValueError("degree must be 1, 2 or 3")
-    _require_samples(samples)
     rows = model.orbit_rows([0, n])
     block = factor_sampler(rows)
 
@@ -158,7 +148,7 @@ def gaussian_hermite_correlation(
         x = block(rng, size)
         return (hermite_value(k, x[0]) * hermite_value(k, x[1])).mean()
 
-    estimate = batch_estimate(stat, samples, n_batches=n_batches, seed=seed, jobs=jobs)
+    estimate = batch_estimate(stat, samples, seed=seed, jobs=jobs)
     rho = float(rows[1] @ model.vector)  # model.rho(n), from the rows sampled
     return HermiteCorrelation(
         degree=k,
@@ -205,7 +195,6 @@ def triple_correlation_weakmix_check(
     threshold: float = 0.02,
     samples: int = 10**5,
     seed: int = 0,
-    n_batches: int = DEFAULT_BATCHES,
     jobs: int = 1,
 ) -> list[TripleMixingEntry]:
     """Triple-correlation deviations for events {X <= 0} at shifted times.
@@ -220,7 +209,6 @@ def triple_correlation_weakmix_check(
         raise ValueError("shift sequences must have equal length")
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    _require_samples(samples)
     # one orbit chain for every shift of the run; row @ f is exactly model.rho
     shifts = sorted({0, *ms, *ns, *(n - m for m, n in zip(ms, ns))})
     rows = dict(zip(shifts, model.orbit_rows(shifts)))
@@ -240,9 +228,7 @@ def triple_correlation_weakmix_check(
             x = block(rng, size)
             return ((x[0] <= 0.0) & (x[1] <= 0.0) & (x[2] <= 0.0)).astype(float).mean()
 
-        estimate = batch_estimate(
-            stat, samples, n_batches=n_batches, seed=(seed, idx), jobs=jobs
-        )
+        estimate = batch_estimate(stat, samples, seed=(seed, idx), jobs=jobs)
         entries.append(
             TripleMixingEntry(
                 m=int(m),
@@ -294,14 +280,12 @@ def gaussian_wh_experiment(
     samples: int,
     *,
     seed: int | tuple[int, ...] = 0,
-    n_batches: int = DEFAULT_BATCHES,
     jobs: int = 1,
 ) -> GaussianWhResult:
     if k not in (1, 2):
         raise ValueError("degree must be 1 or 2")
     if pert.dim != model.dim:
         raise ValueError("perturbation dimension does not match the model")
-    _require_samples(samples)
     rows = model.orbit_rows(range(1, n_terms + 1))
     conj_rows = rows @ pert.matrix()
 
@@ -334,7 +318,7 @@ def gaussian_wh_experiment(
             means[lo:hi] = np.mean(hy * hx - hx**2, axis=0)
         return means.mean()
 
-    estimate = batch_estimate(stat, samples, n_batches=n_batches, seed=seed, jobs=jobs)
+    estimate = batch_estimate(stat, samples, seed=seed, jobs=jobs)
     return GaussianWhResult(
         degree=k,
         n_terms=int(n_terms),

@@ -10,12 +10,11 @@ row r of a report by (seed, r), so no two rows share a stream and a row's
 stream follows its position: reordering `ns` reorders the streams.  Batch
 values are concatenated in index order, so results do not depend on how
 batches are spread over min(jobs, cpu count) threads.  `samples` are split
-into `n_batches` batches (DEFAULT_BATCHES unless a caller says otherwise) of
-`samples // n_batches` each (at least MIN_BATCHES batches of at least 2
-samples, else ValueError), so `n_samples` is the floor-divided total.  An
-estimate agrees with an exact target when it lies within GATE_SE standard
-errors of it (`EstimateWithError.within`) or below a bound plus GATE_SE
-standard errors (`EstimateWithError.below`).
+into BATCHES batches of `samples // BATCHES` each (at least 2 samples, else
+ValueError), so `n_samples` is the floor-divided total.  An estimate agrees
+with an exact target when it lies within GATE_SE standard errors of it
+(`EstimateWithError.within`) or below a bound plus GATE_SE standard errors
+(`EstimateWithError.below`).
 """
 from __future__ import annotations
 
@@ -29,15 +28,13 @@ import numpy as np
 __all__ = [
     "EstimateWithError",
     "GATE_SE",
-    "MIN_BATCHES",
-    "DEFAULT_BATCHES",
+    "BATCHES",
     "run_batch_stats",
     "combine_batch_means",
     "batch_estimate",
 ]
 
-MIN_BATCHES = 30
-DEFAULT_BATCHES = 40
+BATCHES = 40  # sets only the stderr's estimate; 10-40 is usual (Schmeiser, Oper. Res. 1982)
 GATE_SE = 5.0
 
 
@@ -61,12 +58,12 @@ class EstimateWithError:
 
 def combine_batch_means(means: np.ndarray, batch_size: int) -> EstimateWithError:
     means = np.asarray(means, dtype=float)
-    n_batches = len(means)
-    if n_batches < 2:
+    count = len(means)
+    if count < 2:
         raise ValueError("need at least two batch means")
-    stderr = float(means.std(ddof=1) / np.sqrt(n_batches))
+    stderr = float(means.std(ddof=1) / np.sqrt(count))
     stderr = max(stderr, float(np.finfo(float).eps))
-    return EstimateWithError(float(means.mean()), stderr, batch_size * n_batches)
+    return EstimateWithError(float(means.mean()), stderr, batch_size * count)
 
 
 def run_batch_stats(
@@ -88,8 +85,8 @@ def run_batch_stats(
     return values
 
 
-def _split_ranges(n_batches: int, jobs: int) -> list[range]:
-    cuts = [n_batches * i // jobs for i in range(jobs + 1)]
+def _split_ranges(jobs: int) -> list[range]:
+    cuts = [BATCHES * i // jobs for i in range(jobs + 1)]
     return [range(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
 
 
@@ -97,7 +94,6 @@ def batch_estimate(
     stat: Callable[[np.random.Generator, int], float],
     samples: int,
     *,
-    n_batches: int,
     seed: int | tuple[int, ...] = 0,
     jobs: int = 1,
 ) -> EstimateWithError:
@@ -107,16 +103,14 @@ def batch_estimate(
     statistic must be unbiased at the batch size for the combined value to be
     unbiased; the stderr is the spread of the per-batch values.
     """
-    if n_batches < MIN_BATCHES:
-        raise ValueError(f"need at least {MIN_BATCHES} batches for a stable stderr")
-    batch_size = samples // n_batches
+    batch_size = samples // BATCHES
     if batch_size < 2:
         raise ValueError(
-            f"{samples} samples over {n_batches} batches leave fewer than 2 per batch"
+            f"{samples} samples over {BATCHES} batches leave fewer than 2 per batch"
         )
     if jobs < 1:
         raise ValueError("jobs must be positive")
-    ranges = _split_ranges(n_batches, min(jobs, os.cpu_count() or 1))
+    ranges = _split_ranges(min(jobs, os.cpu_count() or 1))
     if len(ranges) == 1:
         values = run_batch_stats(stat, batch_size, ranges[0], seed)
     else:

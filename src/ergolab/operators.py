@@ -25,6 +25,7 @@ __all__ = [
     "uniform_unit_vector",
     "FiniteRankPerturbation",
     "vector_with_plane_mass",
+    "orbit",
     "CesaroDefect",
     "conjugate_defect",
 ]
@@ -170,7 +171,8 @@ def vector_with_plane_mass(
     return math.sqrt(max(0.0, 1.0 - delta * delta)) * g + delta * in_plane
 
 
-def _orbit(op: np.ndarray, vec: np.ndarray, n_terms: int):
+def orbit(op: np.ndarray, vec: np.ndarray, n_terms: int):
+    """Yield op^i vec for i = 1..n_terms, each one matvec on from the last."""
     g = np.asarray(vec, dtype=float)
     for _ in range(n_terms):
         g = op @ g
@@ -213,7 +215,7 @@ def conjugate_defect(
     ks = []
     sum_k = 0.0
     sum_proj = 0.0
-    for g in _orbit(op, vec, n_terms):
+    for g in orbit(op, vec, n_terms):
         k = pert.apply_k(g)
         ks.append(k)
         sum_k += float(np.linalg.norm(k))

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mc import DEFAULT_BATCHES, EstimateWithError, batch_estimate
+from .mc import EstimateWithError, batch_estimate
 from .tower import (
     ConstructionParams,
     FinitarySwap,
@@ -196,7 +196,6 @@ def poisson_count_covariance(
     samples: int,
     *,
     seed: int | tuple[int, ...] = 0,
-    n_batches: int = DEFAULT_BATCHES,
     jobs: int = 1,
 ) -> PoissonCovariance:
     """Cov(N_A after n shift steps, N_B) against the exact base measure.
@@ -221,7 +220,7 @@ def poisson_count_covariance(
         both = counts(rng, size)
         return _sample_covariance(both[:, 0], both[:, 1])
 
-    estimate = batch_estimate(stat, samples, n_batches=n_batches, seed=seed, jobs=jobs)
+    estimate = batch_estimate(stat, samples, seed=seed, jobs=jobs)
     return PoissonCovariance(
         shift=n, estimate=estimate, exact=exact, lost_mass=lost_mass
     )
@@ -387,7 +386,6 @@ def poisson_wh_experiment(
     samples: int,
     *,
     seed: int | tuple[int, ...] = 0,
-    n_batches: int = DEFAULT_BATCHES,
     jobs: int = 1,
 ) -> PoissonWhResult:
     """Averaged count disturbance of the conjugated swaps, with its certificate.
@@ -409,7 +407,7 @@ def poisson_wh_experiment(
         # in place: a second size x n_terms array per batch costs more than the product
         return (np.abs(diffs, out=diffs).sum(axis=1) / n_terms).mean()
 
-    estimate = batch_estimate(stat, samples, n_batches=n_batches, seed=seed, jobs=jobs)
+    estimate = batch_estimate(stat, samples, seed=seed, jobs=jobs)
     interval = wh_defect(model.params, swap, a, n_terms, model.depth)
     return PoissonWhResult(
         n_terms=int(n_terms),

@@ -44,8 +44,6 @@ __all__ = [
     "mc_row",
     "rational",
     "write_report_files",
-    "write_report_json",
-    "write_rows_csv",
 ]
 
 
@@ -159,11 +157,8 @@ def _write_atomically(files: dict) -> None:
         raise
 
 
-def _report_text(report: ExperimentReport) -> str:
-    return json.dumps(report.to_dict(), indent=2) + "\n"
-
-
 def _rows_text(rows: list) -> str:
+    """Flat CSV of the result rows; columns in first-appearance order."""
     fieldnames: list = []
     for row in rows:
         for key in row:
@@ -176,15 +171,6 @@ def _rows_text(rows: list) -> str:
     return buffer.getvalue()
 
 
-def write_report_json(report: ExperimentReport, path: str) -> None:
-    _write_atomically({path: _report_text(report)})
-
-
-def write_rows_csv(rows: list, path: str) -> None:
-    """Flat CSV of the result rows; columns in first-appearance order."""
-    _write_atomically({path: _rows_text(rows)})
-
-
 def write_report_files(
     report: ExperimentReport, json_path: str | None, csv_path: str | None
 ) -> None:
@@ -195,7 +181,7 @@ def write_report_files(
     """
     files = {}
     if json_path:
-        files[json_path] = _report_text(report)
+        files[json_path] = json.dumps(report.to_dict(), indent=2) + "\n"
     if csv_path:
         files[csv_path] = _rows_text(report.rows)
     _write_atomically(files)

@@ -135,7 +135,7 @@ def test_expect_rigid_flag_failing_check_exits_1():
 # NaN, the infinities and ints too large for a float are no JSON Schema numbers
 NOT_NUMBERS = [
     ["cesaro", "--angle", "nan"],
-    ["cesaro", "--chain-tol", "inf"],
+    ["cesaro", "--final-bound", "inf"],
     ["experiment", "eq1-sweep", "--config", {"angle": float("nan")}],
     ["experiment", "eq1-sweep", "--config", {"angle": int("9" * 400)}],
 ]

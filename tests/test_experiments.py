@@ -30,21 +30,30 @@ EXACT_RESULT_DIGESTS = {
     "correlate": "5a8c07644ccedb5202ced4ea6818f44759bfe835396a14cb20e78a5d05cb60b6",
 }
 
+# sha256 of results_bytes() at seed 3 for the MC_SHRUNK configs of the two
+# Poisson entries.  Their rows are integer count sums rounded once, so they do
+# not depend on the BLAS build; they do follow numpy's Generator.poisson and
+# Generator.integers streams, so a numpy that changes those moves them.
+POISSON_RESULT_DIGESTS = {
+    "poisson": "f18637b3301586f7fed29c8d95be356217c049668f6f243033ebc7047fa730b8",
+    "wh-poisson": "00ca2a645f9db33fdb14a44663d019604facee392baf9daea9f2aa592bf95230",
+}
+
 # sha256 of json.dumps(default_config(name), sort_keys=True) for every entry,
 # so that a default lost or changed in the schema shows
 DEFAULT_CONFIG_DIGESTS = {
     "ledrapier": "dce104f1332695df53ea500c96b2a26992313b94c1f9ed6e893ba7672519b5d6",
     "theorem1": "62c054ab3a5aa811b2121edf5c95f4ac47311571f547cdfc5d0026afde290b8e",
     "theorem6": "609764891055c52cc789c9e633aa171482cc6f6eb40eb63d9d5d3bc93333ac33",
-    "eq1-sweep": "04f5960ad8c14dbdc6a3a0472e980df612c9eb387bbe0a4fcbe0bc4a4ecfcb18",
-    "wh-gaussian": "33bb16c57dedc8de1e65258488326fa3ec48e81ea243805d5d049766f32d2196",
-    "wh-poisson": "75923a042472e24e36bcf5f112a00f6fe08ddaadd4c2bb8b668efa69c7a17bd2",
+    "eq1-sweep": "a95b39c3dcc6b2c258699a56cd65b27add37c92b41463d66b38f2bc815ebff13",
+    "wh-gaussian": "a0d2fdb243f4c02f2aafd1ec628ef8d6a09a520860451e3bf9a13f9b0d76f83c",
+    "wh-poisson": "66be8d2bfaa88ab2a8d18a7ea8bcedba4c2798278c66b5a67b4eb0c1526698b6",
     "rigidity-scan": "a899b8ebf5c856c159c1213eee228a4f2dbd30ad5a345bb8fcea4654a484ca84",
-    "triple-mixing": "6de33317c9a48b0eff7b27c457ae6befabd794fb42a1f62f8de235a159f4ecc0",
+    "triple-mixing": "eb3115f2279808569cb59d0f77ebaa50c32889456206ccbbe50753fd342b2148",
     "build": "6ca36304d631730bbb48a6b0889d86240004871d5baad176c6ffd3693672fbc2",
     "correlate": "bfdfcb7c6677ac94301191f62c1533bb9cbad1e8f9a762b8d9ebd882dae7f8b8",
-    "gauss": "0238b651efdd2da17384c474772c38ac001cf244328e4c461b60c5acdebd3d7b",
-    "poisson": "db705d82a5b89f3a965fbe0c01d74a7765b7d135f07b5ebb45be7702f8e50fde",
+    "gauss": "18c2b396d011ed2bb46f2d736c0b558ebb5930fc30564ee592869471581a83f2",
+    "poisson": "8e4e21ee6361b668f55cbe5b9e7e532fb68c619bc1b8338ab84e905845922789",
 }
 
 
@@ -102,6 +111,11 @@ def test_config_rejection_paths():
         resolve_config({"experiment": "ledrapier", "params": {"k_max": 10**400}})
     with pytest.raises(ConfigError):
         resolve_config([])
+    # the batch count and the defect-chain slack are constants, not params
+    with pytest.raises(ConfigError, match="'n_batches' was unexpected"):
+        resolve_config({"experiment": "gauss", "params": {"n_batches": 40}})
+    with pytest.raises(ConfigError, match="'chain_tol' was unexpected"):
+        resolve_config({"experiment": "eq1-sweep", "params": {"chain_tol": 1e-9}})
 
 
 def test_schema_errors_read_as_jsonschema_validate_words_them():
@@ -268,14 +282,21 @@ def test_gauss_and_poisson_adhoc_runners_shrunk():
 
 
 # Shrunk configs of the five Monte-Carlo entries, with `samples` not a
-# multiple of `n_batches`.
+# multiple of `mc.BATCHES`.
 MC_SHRUNK = {
-    "gauss": {"samples": 10_007, "n_batches": 31, "shifts": [3]},
-    "triple-mixing": {"samples": 10_007, "n_batches": 31, "count": 12, "min_usable": 1},
-    "wh-gaussian": {"samples": 10_007, "n_batches": 31, "n_terms": 20},
-    "poisson": {"samples": 2_007, "n_batches": 31, "ns": [0, 3]},
-    "wh-poisson": {"samples": 2_007, "n_batches": 31, "ns": [50]},
+    "gauss": {"samples": 10_007, "shifts": [3]},
+    "triple-mixing": {"samples": 10_007, "count": 12, "min_usable": 1},
+    "wh-gaussian": {"samples": 10_007, "n_terms": 20},
+    "poisson": {"samples": 2_007, "ns": [0, 3]},
+    "wh-poisson": {"samples": 2_007, "ns": [50]},
 }
+
+
+def test_poisson_results_bytes_are_frozen():
+    for name, digest in POISSON_RESULT_DIGESTS.items():
+        cfg = _shrunk(name, **MC_SHRUNK[name])
+        cfg["seed"] = 3
+        assert hashlib.sha256(run_experiment(cfg).results_bytes()).hexdigest() == digest, name
 
 
 def test_result_bytes_are_seed_deterministic_and_jobs_invariant():
@@ -296,7 +317,7 @@ def test_report_config_echo_is_re_runnable():
 
 
 # a stream seeded by seed + 31 k + n gives rows (1, 31) and (2, 0) one stream
-GAUSS_CROSSED = {"samples": 10_007, "n_batches": 31, "degrees": [1, 2], "shifts": [0, 31]}
+GAUSS_CROSSED = {"samples": 10_007, "degrees": [1, 2], "shifts": [0, 31]}
 
 
 @pytest.mark.parametrize(
@@ -323,6 +344,6 @@ def test_each_monte_carlo_row_is_one_mc_call_with_the_floor_layout(monkeypatch, 
     assert len(rows) == len(calls) > 0
     # every row draws from its own stream key
     assert len(set(calls)) == len(calls), calls
-    want = params["samples"] // params["n_batches"] * params["n_batches"]
+    want = params["samples"] // mc.BATCHES * mc.BATCHES
     assert want < params["samples"]
     assert all(r["n_samples"] == want for r in rows)

@@ -183,8 +183,10 @@ def test_estimates_are_seed_reproducible(model):
 def test_degree_and_sample_guards(model):
     with pytest.raises(ValueError):
         gaussian_hermite_correlation(model, 4, 1, 10**4)
-    with pytest.raises(ValueError):
-        gaussian_hermite_correlation(model, 1, 1, 500)
+    # mc's floor of 2 samples in each of its 40 batches is the only one
+    with pytest.raises(ValueError, match="79 samples over 40 batches leave fewer than 2"):
+        gaussian_hermite_correlation(model, 1, 1, 79)
+    assert gaussian_hermite_correlation(model, 1, 1, 80).estimate.n_samples == 80
 
 
 def test_orthant_formula_matches_scipy():
@@ -230,9 +232,7 @@ def test_triple_condition_met_deviations_vanish(flat_model):
 
 def test_triple_correlations_are_exactly_rho(model):
     ms, ns = [0, 3, 17, 40, -6], [0, 7, 34, 25, 9]
-    entries = triple_correlation_weakmix_check(
-        model, ms, ns, samples=10**4, seed=4, n_batches=30
-    )
+    entries = triple_correlation_weakmix_check(model, ms, ns, samples=10**4, seed=4)
     for e, m, n in zip(entries, ms, ns):
         assert (e.rho_m, e.rho_n, e.rho_gap) == (
             model.rho(m),
@@ -289,9 +289,9 @@ model = GaussianModel(make_rotation_operator(64), vector_with_plane_mass(64, per
 rows = model.orbit_rows(range(1, 101))
 for samples in (12000, 30000, 40000):  # batches of 300, 750 and 1000 samples
     for k in (1, 2):
-        got = gaussian_wh_experiment(model, pert, k, 100, samples, seed=7, n_batches=40)
+        got = gaussian_wh_experiment(model, pert, k, 100, samples, seed=7)
         ref = batch_estimate(
-            unblocked_wh_statistic(rows, rows @ pert.matrix(), k), samples, n_batches=40, seed=7
+            unblocked_wh_statistic(rows, rows @ pert.matrix(), k), samples, seed=7
         )
         print(got.estimate == ref, got.estimate.value != 0.0)
 """

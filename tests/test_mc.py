@@ -16,28 +16,28 @@ def _uniform_mean(rng, size):
 
 
 def test_uniform_mean_within_five_sigma():
-    est = batch_estimate(_uniform_mean, 16000, n_batches=40, seed=7)
+    est = batch_estimate(_uniform_mean, 16000, seed=7)
     assert est.n_samples == 16000
     assert est.within(0.5)
     assert 0.0 < est.stderr < 0.01
 
 
 def test_same_seed_reproduces_bit_for_bit():
-    a = batch_estimate(_uniform_mean, 3200, n_batches=32, seed=3)
-    b = batch_estimate(_uniform_mean, 3200, n_batches=32, seed=3)
+    a = batch_estimate(_uniform_mean, 3200, seed=3)
+    b = batch_estimate(_uniform_mean, 3200, seed=3)
     assert a == b
-    c = batch_estimate(_uniform_mean, 3200, n_batches=32, seed=4)
+    c = batch_estimate(_uniform_mean, 3200, seed=4)
     assert c.value != a.value
     # a stream key: an int seed s is the key (s,), and a longer key is its own stream
-    assert batch_estimate(_uniform_mean, 3200, n_batches=32, seed=(3,)) == a
-    row = batch_estimate(_uniform_mean, 3200, n_batches=32, seed=(3, 0))
+    assert batch_estimate(_uniform_mean, 3200, seed=(3,)) == a
+    row = batch_estimate(_uniform_mean, 3200, seed=(3, 0))
     assert row.value not in (a.value, c.value)
 
 
 def test_parallel_jobs_match_serial_exactly():
-    serial = batch_estimate(_uniform_mean, 1800, n_batches=36, seed=9)
+    serial = batch_estimate(_uniform_mean, 1800, seed=9)
     for jobs in (2, 3, 5):
-        par = batch_estimate(_uniform_mean, 1800, n_batches=36, seed=9, jobs=jobs)
+        par = batch_estimate(_uniform_mean, 1800, seed=9, jobs=jobs)
         assert par == serial
 
 
@@ -60,25 +60,25 @@ def test_worker_threads_are_bounded_by_the_cpu_count(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(mc, "ThreadPoolExecutor", InlineExecutor)
-    serial = batch_estimate(_uniform_mean, 1800, n_batches=36, seed=9)
+    serial = batch_estimate(_uniform_mean, 1800, seed=9)
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
     for jobs in (2, 4, 10**6):
-        assert batch_estimate(_uniform_mean, 1800, n_batches=36, seed=9, jobs=jobs) == serial
+        assert batch_estimate(_uniform_mean, 1800, seed=9, jobs=jobs) == serial
     assert sizes == [2, 4, 4]
     # an unknown CPU count means one worker: the serial path, no pool
     monkeypatch.setattr(mc.os, "cpu_count", lambda: None)
-    assert batch_estimate(_uniform_mean, 1800, n_batches=36, seed=9, jobs=10**6) == serial
+    assert batch_estimate(_uniform_mean, 1800, seed=9, jobs=10**6) == serial
     assert sizes == [2, 4, 4]
 
 
 def test_manual_range_split_concatenates_to_the_full_run():
-    full = run_batch_stats(_uniform_mean, 20, range(0, 30), seed=1)
+    full = run_batch_stats(_uniform_mean, 20, range(0, mc.BATCHES), seed=1)
     left = run_batch_stats(_uniform_mean, 20, range(0, 12), seed=1)
-    right = run_batch_stats(_uniform_mean, 20, range(12, 30), seed=1)
+    right = run_batch_stats(_uniform_mean, 20, range(12, mc.BATCHES), seed=1)
     assert np.array_equal(np.concatenate([left, right]), full)
     est = combine_batch_means(full, 20)
     assert isinstance(est, EstimateWithError)
-    assert est == batch_estimate(_uniform_mean, 600, n_batches=30, seed=1)
+    assert est == batch_estimate(_uniform_mean, 20 * mc.BATCHES, seed=1)
 
 
 @pytest.mark.parametrize(
@@ -94,27 +94,22 @@ def test_batch_b_draws_from_default_rng_of_the_key_then_b(key):
 def test_negative_stream_keys_are_rejected():
     for key in (-1, (3, -1)):
         with pytest.raises(ValueError, match="non-negative"):
-            batch_estimate(_uniform_mean, 300, n_batches=30, seed=key)
+            batch_estimate(_uniform_mean, 300, seed=key)
 
 
 def test_constant_sampler_hits_the_stderr_floor():
-    est = batch_estimate(lambda rng, size: 2.5, 300, n_batches=30, seed=0)
+    est = batch_estimate(lambda rng, size: 2.5, 300, seed=0)
     assert est.value == 2.5
     assert est.stderr == np.finfo(float).eps
-
-
-def test_too_few_batches_rejected():
-    with pytest.raises(ValueError):
-        batch_estimate(_uniform_mean, 80, n_batches=8, seed=0)
 
 
 def test_array_valued_statistic_fails_loudly():
     # a batch holds at least 2 samples, so a per-sample array cannot pass as a scalar
     with pytest.raises(TypeError):
-        batch_estimate(lambda rng, size: rng.random(size), 300, n_batches=30, seed=0)
+        batch_estimate(lambda rng, size: rng.random(size), 300, seed=0)
 
 
-@pytest.mark.parametrize("samples", [59, 60, 61, 89, 1000])
+@pytest.mark.parametrize("samples", [59, 60, 61, 79, 80, 81, 89, 119, 1000])
 def test_samples_are_floor_divided_into_batches(samples):
     sizes = []
 
@@ -122,13 +117,15 @@ def test_samples_are_floor_divided_into_batches(samples):
         sizes.append(size)
         return float(rng.random())
 
-    if samples < 60:
-        with pytest.raises(ValueError, match="fewer than 2 per batch"):
-            batch_estimate(stat, samples, n_batches=30, seed=0)
+    assert mc.BATCHES == 40
+    if samples < 80:
+        want = f"{samples} samples over 40 batches leave fewer than 2 per batch"
+        with pytest.raises(ValueError, match=want):
+            batch_estimate(stat, samples, seed=0)
         return
-    est = batch_estimate(stat, samples, n_batches=30, seed=0)
-    assert est.n_samples == samples // 30 * 30
-    assert set(sizes) == {samples // 30}
+    est = batch_estimate(stat, samples, seed=0)
+    assert est.n_samples == samples // 40 * 40
+    assert set(sizes) == {samples // 40}
 
 
 def _estimate(value, stderr):

@@ -14,8 +14,7 @@ from ergolab.reports import (
     exact_row,
     mc_row,
     rational,
-    write_report_json,
-    write_rows_csv,
+    write_report_files,
 )
 
 
@@ -50,11 +49,11 @@ def test_check_entries():
     assert check("y", 0, detail="why")["detail"] == "why"
 
 
-def _sample_report(wall: float) -> ExperimentReport:
+def _sample_report(wall: float, rows: list | None = None) -> ExperimentReport:
     return ExperimentReport(
         experiment="demo",
         config={"experiment": "demo", "seed": 0, "params": {}},
-        rows=[exact_row(a=1)],
+        rows=[exact_row(a=1)] if rows is None else rows,
         checks=[check("ok", True)],
         notes=["n"],
         wall_clock_seconds=wall,
@@ -77,7 +76,7 @@ def test_report_json_round_trip(tmp_path):
     path = tmp_path / "out" / "report.json"
     os.makedirs(path.parent)
     rep = _sample_report(0.25)
-    write_report_json(rep, str(path))
+    write_report_files(rep, str(path), None)
     loaded = json.loads(path.read_text(encoding="utf-8"))
     assert loaded["experiment"] == "demo"
     assert loaded["results"]["rows"] == rep.rows
@@ -92,7 +91,7 @@ def test_failed_serialization_leaves_no_file(tmp_path):
     rep = _sample_report(0.1)
     rep.config["params"]["bad"] = object()
     with pytest.raises(TypeError):
-        write_report_json(rep, str(path))
+        write_report_files(rep, str(path), None)
     assert not path.exists()
     assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
 
@@ -103,7 +102,7 @@ def test_csv_columns_keep_first_appearance_order(tmp_path):
         {"n": 1, "value": "1/4", "provenance": "exact"},
         {"n": 2, "value": 0.5, "stderr": 0.1, "provenance": "monte-carlo"},
     ]
-    write_rows_csv(rows, str(path))
+    write_report_files(_sample_report(0.1, rows), None, str(path))
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "n,value,provenance,stderr"
     assert lines[1] == "1,1/4,exact,"
@@ -116,7 +115,7 @@ def test_csv_bytes_match_a_dictwriter_reference(tmp_path):
         {"item": 'a, "quoted"\nvalue', "z": [1, 2], "provenance": "exact"},
     ]
     path = tmp_path / "rows.csv"
-    write_rows_csv(rows, str(path))
+    write_report_files(_sample_report(0.1, rows), None, str(path))
     reference = tmp_path / "reference.csv"
     with open(reference, "w", encoding="utf-8", newline="") as handle:
         writer = csv.DictWriter(
@@ -131,7 +130,7 @@ def test_csv_bytes_match_a_dictwriter_reference(tmp_path):
 def test_failed_csv_write_leaves_no_file(tmp_path):
     path = tmp_path / "rows.csv"
     with pytest.raises(UnicodeEncodeError):
-        write_rows_csv([{"item": "\ud800"}], str(path))
+        write_report_files(_sample_report(0.1, [{"item": "\ud800"}]), None, str(path))
     assert os.listdir(tmp_path) == []
 
 
