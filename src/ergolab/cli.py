@@ -71,8 +71,6 @@ def _add_param_flags(sub: argparse.ArgumentParser, schema: dict) -> None:
             sub.add_argument(flag + "-file", dest=name, metavar="FILE")
         elif kind == "array":
             sub.add_argument(flag, type=_int_list)
-        elif kind == "boolean":
-            sub.add_argument(flag, action=argparse.BooleanOptionalAction)
         else:
             sub.add_argument(
                 flag, type=_SCALAR_TYPES[kind], choices=prop.get("enum")
@@ -140,12 +138,6 @@ def _config_from_args(args: argparse.Namespace) -> dict:
         config = {"experiment": spec.name, "params": params}
     if args.seed is not None:
         config["seed"] = args.seed
-    env_seed = os.environ.get("ERGOLAB_SEED")
-    if env_seed is not None:
-        try:
-            config["seed"] = int(env_seed)
-        except ValueError:
-            raise ConfigError(f"ERGOLAB_SEED is not an integer: {env_seed!r}")
     return config
 
 
@@ -159,6 +151,10 @@ def main(argv=None) -> int:
         return 0
 
     try:
+        if args.out and args.csv and (
+            os.path.realpath(args.out) == os.path.realpath(args.csv)
+        ):
+            raise ConfigError(f"--out and --csv name one file: {args.out}")
         config = _config_from_args(args)
         report = run_experiment(config, jobs=max(1, args.jobs))
     except _DEPTH_ERRORS as exc:
@@ -173,10 +169,8 @@ def main(argv=None) -> int:
         print(f"ergolab: config error: {exc}", file=sys.stderr)
         return 2
 
-    out_path = args.out or report.config.get("out")
-    csv_path = args.csv or report.config.get("csv")
     try:
-        write_report_files(report, out_path, csv_path)
+        write_report_files(report, args.out, args.csv)
     except OSError as exc:
         print(f"ergolab: cannot write {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
         return 2
@@ -189,10 +183,10 @@ def main(argv=None) -> int:
         print(f"{mark}  {entry['name']}{detail}")
     for note in report.notes:
         print(f"note: {note}")
-    if out_path:
-        print(f"report written to {out_path}")
-    if csv_path:
-        print(f"rows written to {csv_path}")
+    if args.out:
+        print(f"report written to {args.out}")
+    if args.csv:
+        print(f"rows written to {args.csv}")
     passed = sum(1 for c in report.checks if c["passed"])
     print(f"result: {'PASS' if report.all_passed else 'FAIL'} "
           f"({passed}/{len(report.checks)} checks)")

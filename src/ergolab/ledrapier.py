@@ -10,7 +10,7 @@ submasks k of b, so a height that is a power of two spreads a site into
 exactly two row-0 bits.
 
 Every equation becomes one Python int over the row-0 columns, and one
-kernel serves `event_measure`, `identity_holds` and `reduce_functional`.
+kernel serves `event_measure` and `identity_holds`.
 By Lucas's theorem the submasks of b form row b of Pascal's triangle mod
 2, a mask built by one shift per one-bit of b.  Coordinates are divided by
 their common power of two and the site intervals [a, a + b] are laid end to
@@ -36,7 +36,6 @@ __all__ = [
     "base_event",
     "shift_functional",
     "xor_functionals",
-    "reduce_functional",
     "event_measure",
     "identity_holds",
     "symdiff_identity_check",
@@ -112,8 +111,7 @@ def _bit_rows(system: Sequence[SiteFunctional]):
     every a and b: the submasks of 2^v b' are 2^v times those of b', so this
     is a bijection on the columns used.  The site intervals [a, a + b] are
     then merged and laid end to end, so far-apart sites cost no width.
-    Returns one (row, constant) per equation, the layout as (bit offset,
-    first column, width) per interval, and v.
+    Returns one (row, constant) per equation.
     """
     sites: set = set()
     for f in system:
@@ -132,10 +130,10 @@ def _bit_rows(system: Sequence[SiteFunctional]):
         else:
             spans.append([a, top])
         start[a] = len(spans) - 1
-    layout = []
+    layout = []  # (bit offset, first column) of each interval
     width = 0
     for lo, hi in spans:
-        layout.append((width, lo, hi - lo + 1))
+        layout.append((width, lo))
         width += hi - lo + 1
     if width > MAX_ROW_BITS:
         raise ValueError(
@@ -143,7 +141,7 @@ def _bit_rows(system: Sequence[SiteFunctional]):
         )
     mask = {}
     for a, b in sites:
-        offset, lo, _ = layout[start[a >> v]]
+        offset, lo = layout[start[a >> v]]
         mask[a, b] = _lucas_row(b >> v) << (offset + (a >> v) - lo)
     rows = []
     for f in system:
@@ -151,24 +149,13 @@ def _bit_rows(system: Sequence[SiteFunctional]):
         for site in f.sites:
             row ^= mask[site]
         rows.append((row, f.constant))
-    return rows, layout, v
-
-
-def reduce_functional(f: SiteFunctional) -> SiteFunctional:
-    """Equivalent equation supported on the generating row b = 0."""
-    [(row, constant)], layout, v = _bit_rows([f])
-    row0 = []
-    for offset, lo, width in layout:
-        bits = bin((row >> offset) & ((1 << width) - 1))[:1:-1]
-        row0.extend(((lo + k) << v, 0) for k, bit in enumerate(bits) if bit == "1")
-    return SiteFunctional(frozenset(row0), constant)
+    return rows
 
 
 def event_measure(system: Iterable[SiteFunctional]) -> Fraction:
     """Exact measure of the intersection event of a finite equation system."""
-    rows, _, _ = _bit_rows(list(system))
     pivots: dict = {}  # lowest bit -> (row, constant)
-    for row, constant in rows:
+    for row, constant in _bit_rows(list(system)):
         while row:
             low = row & -row
             pivot = pivots.get(low)
@@ -193,7 +180,7 @@ def identity_holds(z: Sequence[int], w: Sequence[int]) -> bool:
     combined = xor_functionals(
         base, shift_functional(base, z), shift_functional(base, w)
     )
-    [(row, _)], _, _ = _bit_rows([combined])
+    [(row, _)] = _bit_rows([combined])
     return row == 0
 
 

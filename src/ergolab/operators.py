@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -49,11 +47,6 @@ def require_orthogonal(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def _near_rational(x: float, max_den: int = 64, tol: float = 1e-9) -> bool:
-    approx = Fraction(x).limit_denominator(max_den)
-    return abs(x - float(approx)) <= tol
-
-
 def default_angles(n_blocks: int) -> np.ndarray:
     """Angles 2*pi*frac(k*sqrt(2)), equidistributed and safely irrational."""
     ks = np.arange(1, n_blocks + 1, dtype=float)
@@ -66,28 +59,17 @@ def _rotation_block(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def make_rotation_operator(
-    dim: int, angles: Optional[Sequence[float]] = None
-) -> np.ndarray:
+def make_rotation_operator(dim: int) -> np.ndarray:
     """Block-diagonal plane rotation on an even-dimensional space.
 
-    Angles whose fraction of a full turn is within 1e-9 of a rational with
-    denominator at most 64 are rejected: a short exact period would make the
-    averaging experiments trivially periodic instead of slowly equidistributing.
+    Block k turns by `default_angles(dim // 2)[k]`, far from every turn of
+    short rational period, so the averaging experiments equidistribute
+    slowly instead of repeating.
     """
     if dim < 2 or dim % 2:
         raise ValueError("rotation operator needs an even dimension >= 2")
-    if angles is None:
-        angles = default_angles(dim // 2)
-    angles = np.asarray(angles, dtype=float)
-    if angles.shape != (dim // 2,):
-        raise ValueError(f"expected {dim // 2} angles, got {angles.shape}")
-    for theta in angles:
-        turn = (theta / (2.0 * math.pi)) % 1.0
-        if _near_rational(turn):
-            raise ValueError(f"angle {theta} is a near-rational turn")
     operator = np.zeros((dim, dim))
-    for k, theta in enumerate(angles):
+    for k, theta in enumerate(default_angles(dim // 2)):
         operator[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = _rotation_block(theta)
     return operator
 

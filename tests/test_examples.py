@@ -18,7 +18,6 @@ def test_demos_and_readme_examples_run():
     src = os.path.dirname(os.path.dirname(os.path.abspath(ergolab.__file__)))
     paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    env.pop("ERGOLAB_SEED", None)
     demos = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
     assert demos
     stdout = {}

@@ -116,6 +116,21 @@ def test_config_rejection_paths():
         resolve_config({"experiment": "gauss", "params": {"n_batches": 40}})
     with pytest.raises(ConfigError, match="'chain_tol' was unexpected"):
         resolve_config({"experiment": "eq1-sweep", "params": {"chain_tol": 1e-9}})
+    # output paths come from --out and --csv only, and the all-none scan check
+    # is the caller's own assert on the rows
+    for key in ("out", "csv"):
+        with pytest.raises(ConfigError, match=f"unknown config field.*'{key}'"):
+            resolve_config({"experiment": "build", key: "x.json"})
+    with pytest.raises(ConfigError, match="'expect_all_none' was unexpected"):
+        resolve_config({"experiment": "rigidity-scan", "params": {"expect_all_none": True}})
+
+
+def test_operator_dim_is_capped_before_anything_is_allocated():
+    # every experiment that builds a dim x dim operator shares one cap
+    for name in ("eq1-sweep", "wh-gaussian", "triple-mixing", "gauss"):
+        assert resolve_config({"experiment": name, "params": {"dim": 4096}})
+        with pytest.raises(ConfigError, match="60000 is greater than the maximum of 4096"):
+            resolve_config({"experiment": name, "params": {"dim": 60000}})
 
 
 def test_schema_errors_read_as_jsonschema_validate_words_them():
@@ -217,7 +232,6 @@ def test_rigidity_scan_staircase_variant_sees_no_rigidity():
         n_max=50,
         depth=6,
         expect_rigid=None,
-        expect_all_none=True,
     )
     report = run_experiment(cfg)
     assert report.all_passed

@@ -11,7 +11,6 @@ from ergolab.ledrapier import (
     event_measure,
     identity_holds,
     pair_measure,
-    reduce_functional,
     shift_functional,
     site_functional,
     symdiff_identity_check,
@@ -21,15 +20,25 @@ from ergolab.ledrapier import (
 from oracles import gf2_submask_measure, gf2_window_measure
 
 
+def _reduces_to(a: int, b: int, columns) -> bool:
+    """Whether x[a, b] is the XOR of x[c, 0] over the row-0 columns given.
+
+    The row-0 bits are independent fair coins, so {x[a, b] + sum x[c, 0] = 1}
+    is empty exactly when the sum vanishes identically, and the columns that
+    make it vanish are unique.
+    """
+    sites = frozenset((c, 0) for c in columns) ^ {(a, b)}
+    return event_measure([SiteFunctional(sites, 1)]) == 0
+
+
 def test_single_site_reduction_spreads_by_binomial_parity():
     # height 2^k expands to exactly the two endpoints of the submask range
     for k in range(0, 7):
-        reduced = reduce_functional(site_functional(0, 2**k, 1))
-        assert reduced.sites == frozenset({(0, 0), (2**k, 0)})
-        assert reduced.constant == 1
+        assert _reduces_to(0, 2**k, {0, 2**k})
+        assert not _reduces_to(0, 2**k, {0})
     # height 3 has all of 0..3 as submasks
-    reduced = reduce_functional(site_functional(5, 3))
-    assert reduced.sites == frozenset({(5, 0), (6, 0), (7, 0), (8, 0)})
+    assert _reduces_to(5, 3, {5, 6, 7, 8})
+    assert not _reduces_to(5, 3, {5, 8})
 
 
 def test_dyadic_family_exact_values():
@@ -125,9 +134,14 @@ def test_sites_below_generating_row_rejected():
 
 
 def test_height_of_seventeen_ones_reduces_to_its_whole_span():
-    # every k <= 2^17 - 1 is a submask, so all 2^17 row-0 sites survive
-    reduced = reduce_functional(site_functional(0, 2**17 - 1))
-    assert reduced.sites == frozenset((k, 0) for k in range(2**17))
+    # every k <= 2^17 - 1 is a submask, so all 2^17 row-0 sites survive.
+    # Naming them costs a full-width row each; instead, with S the columns
+    # of x[0, b], x[1, b] has columns S + 1, and the one finite S whose
+    # symmetric difference with S + 1 is {0, 2^17} is 0..2^17 - 1
+    b = 2**17 - 1
+    sites = frozenset({(0, b), (1, b), (0, 0), (2**17, 0)})
+    assert event_measure([SiteFunctional(sites, 1)]) == 0
+    assert event_measure([SiteFunctional(sites - {(0, 0)}, 1)]) == Q(1, 2)
 
 
 def test_heights_past_sixteen_one_bits_are_measured():
@@ -142,7 +156,7 @@ def test_rows_past_the_width_bound_are_rejected():
         event_measure([site_functional(1, MAX_ROW_BITS)])
     # a lone non-dyadic height keeps its full width after normalization
     with pytest.raises(ValueError, match=f"spans {2**40 + 2} row-0 columns"):
-        reduce_functional(site_functional(0, 2**40 + 1))
+        event_measure([site_functional(0, 2**40 + 1)])
     # the bound is on the laid-out width, not on how far apart sites are
     assert pair_measure((2**40 + 1, 0)) == Q(1, 4)
     assert event_measure([site_functional(0, MAX_ROW_BITS - 1)]) == Q(1, 2)
@@ -150,8 +164,7 @@ def test_rows_past_the_width_bound_are_rejected():
 
 def test_dyadic_scaling_keeps_rows_narrow():
     for k in (40, 60):
-        reduced = reduce_functional(site_functional(-(2**k), 3 * 2**k))
-        assert reduced.sites == frozenset((j * 2**k, 0) for j in (-1, 0, 1, 2))
+        assert _reduces_to(-(2**k), 3 * 2**k, {j * 2**k for j in (-1, 0, 1, 2)})
         assert symdiff_identity_check(k)
 
 

@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
+from ergolab.experiments import _CATALOGUE
 from ergolab.operators import (
     FiniteRankPerturbation,
     conjugate_defect,
@@ -45,13 +47,17 @@ def test_all_operator_kinds_pass_the_orthogonality_certificate():
         assert require_orthogonal(op).tobytes() == op.tobytes()
 
 
-def test_near_rational_angles_are_rejected():
-    with pytest.raises(ValueError):
-        make_rotation_operator(2, [2 * math.pi / 3])
-    with pytest.raises(ValueError):
-        make_rotation_operator(2, [2 * math.pi * (13 / 64 + 1e-12)])
-    # the default angles all survive the same filter
-    make_rotation_operator(64)
+def test_default_angles_are_far_from_short_rational_turns():
+    # up to the schema's dim cap, no block turns within 1e-9 of a rational
+    # with denominator at most 64: none repeats with a short exact period
+    (cap,) = {
+        spec.params_schema["properties"]["dim"]["maximum"]
+        for spec in _CATALOGUE.values()
+        if "dim" in spec.params_schema["properties"]
+    }
+    for theta in default_angles(cap // 2):
+        turn = float(theta) / (2.0 * math.pi)
+        assert abs(turn - float(Fraction(turn).limit_denominator(64))) > 1e-9
 
 
 def test_rotation_dimension_must_be_even():
