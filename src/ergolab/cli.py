@@ -42,12 +42,21 @@ def _int_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer of at least 1: {text!r}")
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=None, help="base seed (default 0)")
     sub.add_argument("--out", default=None, help="write the JSON report here")
     sub.add_argument("--csv", default=None, help="also write result rows as CSV")
     sub.add_argument(
-        "--jobs", type=int, default=1, help="worker cap for Monte-Carlo batches"
+        "--jobs", type=_positive_int, default=1, help="worker cap for Monte-Carlo batches"
     )
 
 
@@ -68,7 +77,14 @@ def _add_param_flags(sub: argparse.ArgumentParser, schema: dict) -> None:
         flag = "--" + name.replace("_", "-")
         kind = _kind(prop)
         if kind == "object":
-            sub.add_argument(flag + "-file", dest=name, metavar="FILE")
+            ref = prop["$ref"].rsplit("/", 1)[-1]
+            sub.add_argument(
+                flag + "-file",
+                dest=name,
+                metavar="FILE",
+                help=f"JSON file holding a `{ref}` descriptor; "
+                "see Construction descriptors in the README",
+            )
         elif kind == "array":
             sub.add_argument(flag, type=_int_list)
         else:
@@ -156,7 +172,7 @@ def main(argv=None) -> int:
         ):
             raise ConfigError(f"--out and --csv name one file: {args.out}")
         config = _config_from_args(args)
-        report = run_experiment(config, jobs=max(1, args.jobs))
+        report = run_experiment(config, jobs=args.jobs)
     except _DEPTH_ERRORS as exc:
         module = type(exc).__module__
         print(

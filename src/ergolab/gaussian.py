@@ -1,13 +1,14 @@
-"""Stationary Gaussian sequences driven by a finite orthogonal operator.
+"""Stationary Gaussian sequences driven by a block rotation.
 
-The sequence is X_i = <U^i f, xi> with xi a standard normal vector, so every
-finite block of X values is an exact linear image of a Gaussian and the
-covariance E[X_0 X_n] equals <U^n f, f> to machine precision.  A block at k
-shifts is sampled from rank-many latent normals: with R the triangular factor
-of a QR of the k x d orbit rows, R^T z for z standard normal in min(k, d)
-coordinates has exactly the law of the rows applied to xi, so sampling stays
-exact in law while drawing min(k, d) normals per sample instead of d.
-Hermite polynomials in the X's then have closed-form cross moments, which the
+The sequence is X_i = <U^i f, xi> with xi a standard normal vector and U the
+block rotation given by its angles, so every finite block of X values is an
+exact linear image of a Gaussian and the covariance E[X_0 X_n] equals
+<U^n f, f> to machine precision.  A block at k shifts is sampled from
+rank-many latent normals: with R the triangular factor of a QR of the k x d
+orbit rows, R^T z for z standard normal in min(k, d) coordinates has
+exactly the law of the rows applied to xi, so sampling stays exact in law
+while drawing min(k, d) normals per sample instead of d.  Hermite
+polynomials in the X's then have closed-form cross moments, which the
 Monte-Carlo estimators here are tested against.
 """
 from __future__ import annotations
@@ -19,13 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .mc import EstimateWithError, batch_estimate
-from .operators import (
-    CesaroDefect,
-    FiniteRankPerturbation,
-    conjugate_defect,
-    orbit,
-    require_orthogonal,
-)
+from .operators import CesaroDefect, FiniteRankPerturbation, conjugate_defect, rotate
 
 __all__ = [
     "GaussianModel",
@@ -45,42 +40,30 @@ _COLUMNS = 256  # samples per slice of the wh-gaussian statistic
 
 @dataclass(frozen=True)
 class GaussianModel:
-    """Orthogonal operator plus a unit cyclic vector."""
+    """Block rotation, given by its angle vector, plus a unit cyclic vector."""
 
-    operator: np.ndarray
+    angles: np.ndarray
     vector: np.ndarray
 
     def __post_init__(self):
-        require_orthogonal(self.operator)
         vec = np.asarray(self.vector, dtype=float)
-        if vec.ndim != 1 or vec.shape[0] != self.operator.shape[0]:
+        if vec.ndim != 1 or vec.shape[0] != self.dim:
             raise ValueError("vector does not match the operator dimension")
         if abs(np.linalg.norm(vec) - 1.0) > 1e-10:
             raise ValueError("cyclic vector must have unit norm")
 
     @property
     def dim(self) -> int:
-        return self.operator.shape[0]
+        return 2 * len(self.angles)
 
     def rho(self, n: int) -> float:
         """Covariance E[X_0 X_n] = <U^n f, f>, exact up to roundoff."""
         return float(self.orbit_rows([n])[0] @ self.vector)
 
     def orbit_rows(self, shifts: Sequence[int]) -> np.ndarray:
-        """Rows U^s f for the requested shifts (repeats allowed).
-
-        One `orbit` walk per direction runs to the largest |s| and keeps only
-        the requested rows, so every row is the same floating-point product as
-        U applied s times to f (bit for bit what `rho` computes) and the whole
-        call costs max |s| matvecs a direction.
-        """
-        wanted = [int(s) for s in shifts]
-        rows = {0: self.vector}
-        for sign, step in ((1, self.operator), (-1, self.operator.T)):
-            need = {sign * s for s in wanted if sign * s > 0}
-            walk = orbit(step, self.vector, max(need, default=0))
-            rows.update((sign * a, g) for a, g in enumerate(walk, 1) if a in need)
-        return np.stack([rows[s] for s in wanted])
+        """Rows U^s f for the requested shifts (repeats allowed), in closed
+        form: each row is the one `rho` takes for its shift, bit for bit."""
+        return rotate(self.angles, self.vector, shifts)
 
 
 def factor_sampler(rows: np.ndarray):
@@ -184,7 +167,7 @@ class TripleMixingEntry:
 
     @property
     def within_five_se(self) -> bool:
-        return self.estimate.within(self.product)
+        return self.estimate.within(self.exact)
 
 
 def triple_correlation_weakmix_check(
@@ -209,7 +192,7 @@ def triple_correlation_weakmix_check(
         raise ValueError("shift sequences must have equal length")
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    # one orbit chain for every shift of the run; row @ f is exactly model.rho
+    # one closed-form call for every shift of the run; row @ f is exactly model.rho
     shifts = sorted({0, *ms, *ns, *(n - m for m, n in zip(ms, ns))})
     rows = dict(zip(shifts, model.orbit_rows(shifts)))
     entries = []
@@ -287,12 +270,12 @@ def gaussian_wh_experiment(
     if pert.dim != model.dim:
         raise ValueError("perturbation dimension does not match the model")
     rows = model.orbit_rows(range(1, n_terms + 1))
-    conj_rows = rows @ pert.matrix()
+    conj_rows = pert.right_multiply(rows)
 
     c_series = np.einsum("ij,ij->i", rows, conj_rows)
     exact = float(np.mean(math.factorial(k) * (c_series**k - 1.0)))
 
-    defect = conjugate_defect(model.operator, pert, model.vector, n_terms)
+    defect = conjugate_defect(model.angles, pert, model.vector, n_terms)
     if k == 1:
         majorant = defect.defect
     else:

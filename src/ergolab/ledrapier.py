@@ -139,15 +139,12 @@ def _bit_rows(system: Sequence[SiteFunctional]):
         raise ValueError(
             f"system spans {width} row-0 columns, the bound is {MAX_ROW_BITS}"
         )
-    mask = {}
-    for a, b in sites:
-        offset, lo = layout[start[a >> v]]
-        mask[a, b] = _lucas_row(b >> v) << (offset + (a >> v) - lo)
     rows = []
     for f in system:
         row = 0
-        for site in f.sites:
-            row ^= mask[site]
+        for a, b in f.sites:
+            offset, lo = layout[start[a >> v]]
+            row ^= _lucas_row(b >> v) << (offset + (a >> v) - lo)
         rows.append((row, f.constant))
     return rows
 

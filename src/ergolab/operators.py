@@ -1,11 +1,11 @@
 """Finite-dimensional orthogonal models for Cesaro-average experiments.
 
-Everything here is dense numpy: operators are d x d orthogonal matrices,
-vectors are unit vectors, and time averages are computed by iterating the
-matrix on a vector.  A small finite-rank perturbation class supports the
-conjugation experiments, where the interesting quantity is how far the time
-average of an orbit moves under a rank-two rotation S = I + Q(R - I)Q^T and
-how cheaply that motion can be certified from above.
+The operator U is a block rotation given by its angle vector: U^s turns block
+k by s * theta_k, so `rotate` applies any power in closed form, with no
+matrix and no orbit walk.  A small finite-rank perturbation class supports
+the conjugation experiments, where the interesting quantity is how far the
+time average of an orbit moves under a rank-two rotation S = I + Q(R - I)Q^T
+and how cheaply that motion can be certified from above.
 """
 from __future__ import annotations
 
@@ -15,36 +15,21 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "orthogonality_defect",
-    "require_orthogonal",
     "default_angles",
     "make_rotation_operator",
+    "rotate",
     "random_unit_vector",
     "uniform_unit_vector",
     "FiniteRankPerturbation",
     "vector_with_plane_mass",
-    "orbit",
     "CesaroDefect",
     "conjugate_defect",
 ]
 
 ORTHO_TOL = 1e-10
 
-
-def orthogonality_defect(matrix: np.ndarray) -> float:
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("operator must be a square matrix")
-    gram = matrix.T @ matrix
-    return float(np.abs(gram - np.eye(matrix.shape[0])).max())
-
-
-def require_orthogonal(matrix: np.ndarray) -> np.ndarray:
-    matrix = np.asarray(matrix, dtype=float)
-    defect = orthogonality_defect(matrix)
-    if defect > ORTHO_TOL:
-        raise ValueError(f"matrix fails the orthogonality certificate: {defect:.3e}")
-    return matrix
+# shifts per block of `conjugate_defect`, so its memory does not grow with N
+_SHIFT_BLOCK = 1024
 
 
 def default_angles(n_blocks: int) -> np.ndarray:
@@ -54,24 +39,33 @@ def default_angles(n_blocks: int) -> np.ndarray:
     return 2.0 * math.pi * frac
 
 
-def _rotation_block(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
 def make_rotation_operator(dim: int) -> np.ndarray:
-    """Block-diagonal plane rotation on an even-dimensional space.
+    """Angles of the block-diagonal plane rotation on an even-dimensional space.
 
-    Block k turns by `default_angles(dim // 2)[k]`, far from every turn of
-    short rational period, so the averaging experiments equidistribute
-    slowly instead of repeating.
+    Block k (coordinates 2k and 2k + 1) turns by `default_angles(dim // 2)[k]`,
+    far from every turn of short rational period, so the averaging
+    experiments equidistribute slowly instead of repeating.
     """
     if dim < 2 or dim % 2:
         raise ValueError("rotation operator needs an even dimension >= 2")
-    operator = np.zeros((dim, dim))
-    for k, theta in enumerate(default_angles(dim // 2)):
-        operator[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = _rotation_block(theta)
-    return operator
+    return default_angles(dim // 2)
+
+
+def rotate(angles: np.ndarray, vecs: np.ndarray, shifts) -> np.ndarray:
+    """Rows U^s v, one per shift s: block k of v turned by s * theta_k.
+
+    `vecs` is one vector, shared by every shift, or one row per shift.  Each
+    row depends only on its own shift and vector, so repeated shifts give
+    identical rows, and a shift of 10^9 costs what a shift of 1 does.
+    """
+    turns = np.multiply.outer(np.asarray(shifts, dtype=float), angles)
+    cos, sin = np.cos(turns), np.sin(turns)
+    v = np.broadcast_to(vecs, (len(turns), 2 * len(angles)))
+    x, y = v[:, 0::2], v[:, 1::2]
+    rows = np.empty(v.shape)
+    rows[:, 0::2] = cos * x - sin * y
+    rows[:, 1::2] = sin * x + cos * y
+    return rows
 
 
 def random_unit_vector(dim: int, seed: int = 0) -> np.ndarray:
@@ -102,7 +96,8 @@ class FiniteRankPerturbation:
             raise ValueError("plane basis is not orthonormal")
         self.plane = plane
         self.angle = float(angle)
-        self._r_minus_i = _rotation_block(self.angle) - np.eye(2)
+        c, s = math.cos(self.angle), math.sin(self.angle)
+        self._r_minus_i = np.array([[c - 1.0, -s], [s, c - 1.0]])
 
     @classmethod
     def from_coordinates(cls, dim: int, i: int, j: int, angle: float):
@@ -123,11 +118,13 @@ class FiniteRankPerturbation:
     def dim(self) -> int:
         return self.plane.shape[0]
 
-    def matrix(self) -> np.ndarray:
-        return np.eye(self.dim) + self.plane @ self._r_minus_i @ self.plane.T
-
     def apply_k(self, vec: np.ndarray) -> np.ndarray:
+        """K vec for K = S - I; a (d, n) array maps column by column."""
         return self.plane @ (self._r_minus_i @ (self.plane.T @ vec))
+
+    def right_multiply(self, rows: np.ndarray) -> np.ndarray:
+        """rows @ S from the factored form, without a d x d array."""
+        return rows + ((rows @ self.plane) @ self._r_minus_i) @ self.plane.T
 
     def plane_component_norm(self, vec: np.ndarray) -> float:
         return float(np.linalg.norm(self.plane.T @ vec))
@@ -153,14 +150,6 @@ def vector_with_plane_mass(
     return math.sqrt(max(0.0, 1.0 - delta * delta)) * g + delta * in_plane
 
 
-def orbit(op: np.ndarray, vec: np.ndarray, n_terms: int):
-    """Yield op^i vec for i = 1..n_terms, each one matvec on from the last."""
-    g = np.asarray(vec, dtype=float)
-    for _ in range(n_terms):
-        g = op @ g
-        yield g
-
-
 @dataclass(frozen=True)
 class CesaroDefect:
     """How far conjugation moves the Cesaro average, with two certificates.
@@ -179,36 +168,32 @@ class CesaroDefect:
 
 
 def conjugate_defect(
-    op: np.ndarray,
+    angles: np.ndarray,
     pert: FiniteRankPerturbation,
     vec: np.ndarray,
     n_terms: int,
 ) -> CesaroDefect:
-    """The defect of (1/N) sum U^-i S U^i f and its two majorants, one pass.
+    """The defect of (1/N) sum U^-i S U^i f and its two majorants.
 
-    Writing S = I + K, f minus the average is -(1/N) sum U^-i K U^i f, built
-    from the stored K-images by a backward Horner recurrence, so N forward and
-    N backward matvecs replace N matrix powers.
+    Writing S = I + K, f minus the average is -(1/N) sum U^-i K U^i f.  The
+    forward rows U^i f, their K-images and the rotations U^-i back are all
+    closed-form `rotate` calls, taken `_SHIFT_BLOCK` shifts at a time.
     """
     if n_terms < 1:
         raise ValueError("need at least one term")
     if pert.dim != len(vec):
         raise ValueError("perturbation and vector dimensions differ")
-    ks = []
-    sum_k = 0.0
-    sum_proj = 0.0
-    for g in orbit(op, vec, n_terms):
-        k = pert.apply_k(g)
-        ks.append(k)
-        sum_k += float(np.linalg.norm(k))
-        sum_proj += pert.plane_component_norm(g)
-    back = np.zeros(len(vec))
-    for k in reversed(ks):
-        back = op.T @ (k + back)
+    back, sum_k, sum_proj = np.zeros(len(vec)), 0.0, 0.0
+    for lo in range(1, n_terms + 1, _SHIFT_BLOCK):
+        shifts = np.arange(lo, min(lo + _SHIFT_BLOCK, n_terms + 1))
+        rows = rotate(angles, vec, shifts)
+        ks = pert.apply_k(rows.T).T
+        sum_k += float(np.linalg.norm(ks, axis=1).sum())
+        sum_proj += float(np.linalg.norm(rows @ pert.plane, axis=1).sum())
+        back += rotate(angles, ks, -shifts).sum(axis=0)
     return CesaroDefect(
         defect=float(np.linalg.norm(back)) / n_terms,
         majorant1=sum_k / n_terms,
         majorant2=2.0 * sum_proj / n_terms,
         n_terms=n_terms,
     )
-

@@ -175,23 +175,40 @@ def poisson_swap_walk(model, swap: FinitarySwap, a: LevelSet, n_terms: int) -> t
     return plus, minus, lost
 
 
-def orbit_rows(operator: np.ndarray, vector: np.ndarray, shifts) -> np.ndarray:
-    """Per-shift reference for `GaussianModel.orbit_rows`.
+def dense_rotation(angles) -> np.ndarray:
+    """The block rotation as a dense matrix: scipy `block_diag` of 2 x 2 turns."""
+    from scipy.linalg import block_diag
 
-    Builds U^s f for each distinct shift on its own, restarting the matvec
-    chain at f every time (the transpose for negative s).
-    """
-    cache = {}
-    rows = []
-    for s in (int(s) for s in shifts):
-        if s not in cache:
-            g = vector
-            step = operator if s >= 0 else operator.T
-            for _ in range(abs(s)):
-                g = step @ g
-            cache[s] = g
-        rows.append(cache[s])
-    return np.stack(rows)
+    return block_diag(
+        *(np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]) for t in angles)
+    )
+
+
+def dense_orbit_rows(angles, vector: np.ndarray, shifts) -> np.ndarray:
+    """Reference rows U^s f by dense matrix powers (of U^T for negative s)."""
+    u = dense_rotation(angles)
+    return np.stack(
+        [np.linalg.matrix_power(u if s >= 0 else u.T, abs(int(s))) @ vector for s in shifts]
+    )
+
+
+def dense_perturbation(pert) -> np.ndarray:
+    """S = I + Q(R - I)Q^T of a `FiniteRankPerturbation` as a dense matrix."""
+    c, s = np.cos(pert.angle), np.sin(pert.angle)
+    r_minus_i = np.array([[c - 1.0, -s], [s, c - 1.0]])
+    return np.eye(pert.dim) + pert.plane @ r_minus_i @ pert.plane.T
+
+
+def dense_conjugate_average(angles, pert, vector: np.ndarray, n_terms: int) -> np.ndarray:
+    """(1/N) sum_{i=1..N} U^-i S U^i f, one dense power of U after another."""
+    u = dense_rotation(angles)
+    s = dense_perturbation(pert)
+    acc = np.zeros(len(vector))
+    power = np.eye(len(vector))
+    for _ in range(n_terms):
+        power = power @ u
+        acc += power.T @ (s @ (power @ vector))
+    return acc / n_terms
 
 
 def gf2_submask_measure(system) -> Fraction:
@@ -283,13 +300,6 @@ def hermite_cross_moment(k: int, rho: float, nodes: int = 60) -> float:
     y = rho * x[:, None] + np.sqrt(max(0.0, 1.0 - rho * rho)) * x[None, :]
     hy = np.polynomial.hermite_e.hermeval(y, coeffs)
     return float(weights @ (hy * hx[:, None]) @ weights)
-
-
-def random_orthogonal(dim: int, seed: int) -> np.ndarray:
-    """A Haar-random orthogonal matrix from scipy, seeded per `seed`."""
-    from scipy.stats import ortho_group
-
-    return ortho_group.rvs(dim, random_state=np.random.default_rng([int(seed), 0x0E7]))
 
 
 def unblocked_wh_statistic(rows: np.ndarray, conj_rows: np.ndarray, k: int):

@@ -363,6 +363,40 @@ def test_subcommand_flags_are_the_schema_properties():
         assert flags == expected | COMMON_FLAGS | {"-h", "--help"}, spec.command
 
 
+def test_descriptor_file_flags_name_their_descriptor_in_the_help():
+    subparsers = _subparsers()
+    for spec in command_specs():
+        for name, prop in spec.params_schema["properties"].items():
+            if prop["type"] != "object":
+                continue
+            (action,) = [
+                a
+                for a in subparsers[spec.command]._actions
+                if _flag(name, prop) in a.option_strings
+            ]
+            assert f"`{name}` descriptor" in action.help, (spec.command, name)
+            assert "Construction descriptors" in action.help
+
+
+@pytest.mark.parametrize("jobs", ["-3", "0", "two"])
+def test_jobs_below_one_exits_2(jobs):
+    proc = run_cli("build", "--depth", "2", "--jobs", jobs)
+    assert proc.returncode == 2
+    assert "--jobs: expected an integer of at least 1" in proc.stderr
+    assert "result:" not in proc.stdout
+
+
+def test_gauss_at_a_shift_of_a_billion_runs_in_closed_form():
+    # U^s f is one closed-form rotation whatever s is; a walk of 10^9
+    # matvecs would take tens of minutes
+    proc = subprocess.run(
+        CLI + ["gauss", "--shifts", "1000000000", "--samples", "4000"],
+        capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "result: PASS" in proc.stdout
+
+
 # a valid descriptor for each object property (`$ref` of the same name)
 DESCRIPTORS = {
     "spec": {"mode": "infinite", "rule": {"name": "odometer", "args": {"r": 3}}},

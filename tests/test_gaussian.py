@@ -25,12 +25,11 @@ from ergolab.operators import (
     uniform_unit_vector,
     vector_with_plane_mass,
 )
-from oracles import hermite_cross_moment, orbit_rows
+from oracles import dense_orbit_rows, dense_rotation, hermite_cross_moment
 
 
-def _dense_orthogonal(dim: int, seed: int) -> np.ndarray:
-    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((dim, dim)))
-    return q
+def _random_angles(n_blocks: int, seed: int) -> np.ndarray:
+    return np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, n_blocks)
 
 
 @pytest.fixture(scope="module")
@@ -44,11 +43,11 @@ def flat_model():
 
 
 def test_model_validates_inputs():
-    op = make_rotation_operator(4)
+    angles = make_rotation_operator(4)
     with pytest.raises(ValueError):
-        GaussianModel(op, np.array([1.0, 2.0, 0.0, 0.0]))
+        GaussianModel(angles, np.array([1.0, 2.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
-        GaussianModel(op, np.array([1.0, 0.0]))
+        GaussianModel(angles, np.array([1.0, 0.0]))
 
 
 def test_covariance_function_basics(model):
@@ -90,12 +89,15 @@ _SHIFTS = st.lists(st.integers(-70, 70), min_size=1, max_size=14)
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(["rotation", "dense"]), _SHIFTS)
-def test_orbit_rows_are_bitwise_the_per_shift_chains(kind, shifts):
-    op = make_rotation_operator(16) if kind == "rotation" else _dense_orthogonal(16, 7)
-    model = GaussianModel(op, random_unit_vector(16, seed=3))
+@given(st.sampled_from(["default", "random"]), _SHIFTS)
+def test_orbit_rows_are_bitwise_per_shift_and_match_dense_powers(kind, shifts):
+    angles = make_rotation_operator(16) if kind == "default" else _random_angles(8, 7)
+    model = GaussianModel(angles, random_unit_vector(16, seed=3))
     got = model.orbit_rows(shifts)
-    assert got.tobytes() == orbit_rows(op, model.vector, shifts).tobytes()
+    for s, row in zip(shifts, got):
+        assert row.tobytes() == model.orbit_rows([s])[0].tobytes()
+    want = dense_orbit_rows(angles, model.vector, shifts)
+    assert np.abs(got - want).max() <= 1e-13
 
 
 class _IdentityDraws:
@@ -110,7 +112,7 @@ class _IdentityDraws:
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from([4, 8, 16]), _SHIFTS)
 def test_factor_reproduces_the_row_covariance(dim, shifts):
-    model = GaussianModel(_dense_orthogonal(dim, dim), random_unit_vector(dim, seed=1))
+    model = GaussianModel(_random_angles(dim // 2, dim), random_unit_vector(dim, seed=1))
     rows = model.orbit_rows(shifts)
     k = len(shifts)
     draws = _IdentityDraws()
@@ -132,9 +134,10 @@ def test_factor_sampler_handles_repeated_shifts(model):
 
 
 def test_rho_matches_matrix_power():
-    op = make_rotation_operator(6)
+    angles = make_rotation_operator(6)
+    op = dense_rotation(angles)
     f = random_unit_vector(6, seed=2)
-    model = GaussianModel(op, f)
+    model = GaussianModel(angles, f)
     for n in (-9, -1, 0, 1, 5, 23):
         want = float(np.linalg.matrix_power(op, abs(n)).T @ f @ f) if n < 0 else float(
             np.linalg.matrix_power(op, n) @ f @ f
@@ -250,10 +253,10 @@ def test_wh_identity_perturbation_is_exactly_silent(model):
 
 
 def test_wh_moment_gap_tracks_the_conjugation_defect():
-    op = make_rotation_operator(64)
+    angles = make_rotation_operator(64)
     pert = FiniteRankPerturbation.from_coordinates(64, 6, 7, angle=0.5)
     f = vector_with_plane_mass(64, pert, delta=0.02, seed=5)
-    model = GaussianModel(op, f)
+    model = GaussianModel(angles, f)
     for k in (1, 2):
         r = gaussian_wh_experiment(model, pert, k, 100, 10**4, seed=9)
         assert r.tracks_exact
@@ -268,9 +271,9 @@ def test_wh_moment_gap_tracks_the_conjugation_defect():
 
 
 def test_wh_generic_plane_also_tracks():
-    op = make_rotation_operator(64)
+    angles = make_rotation_operator(64)
     pert = FiniteRankPerturbation.random(64, angle=0.8, seed=9)
-    model = GaussianModel(op, random_unit_vector(64, seed=30))
+    model = GaussianModel(angles, random_unit_vector(64, seed=30))
     r = gaussian_wh_experiment(model, pert, 2, 100, 10**4, seed=11)
     assert r.tracks_exact
     assert r.below_majorant
@@ -291,7 +294,7 @@ for samples in (12000, 30000, 40000):  # batches of 300, 750 and 1000 samples
     for k in (1, 2):
         got = gaussian_wh_experiment(model, pert, k, 100, samples, seed=7)
         ref = batch_estimate(
-            unblocked_wh_statistic(rows, rows @ pert.matrix(), k), samples, seed=7
+            unblocked_wh_statistic(rows, pert.right_multiply(rows), k), samples, seed=7
         )
         print(got.estimate == ref, got.estimate.value != 0.0)
 """

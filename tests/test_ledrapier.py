@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction as Q
 
 import pytest
@@ -149,6 +150,21 @@ def test_heights_past_sixteen_one_bits_are_measured():
     system = [site_functional(0, b, 1), site_functional(1, b), site_functional(3, b, 1)]
     assert event_measure(system) == Q(1, 8)
     assert pair_measure((0, b)) == Q(1, 4)
+
+
+def test_wide_system_reduces_without_a_mask_per_site():
+    # x[0, 2^14 - 1] XOR its 2^14 row-0 sites is the empty equation; each
+    # site's shifted row is XORed straight into its equation's row, so the
+    # peak stays near one full-width row instead of one per site (22 MB)
+    b = 2**14 - 1
+    sites = frozenset({(0, b)} | {(k, 0) for k in range(2**14)})
+    tracemalloc.start()
+    try:
+        assert event_measure([SiteFunctional(sites, 0)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20, peak
 
 
 def test_rows_past_the_width_bound_are_rejected():

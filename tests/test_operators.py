@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.linalg import block_diag
+from hypothesis import given, settings, strategies as st
 
 from ergolab.experiments import _CATALOGUE
 from ergolab.operators import (
@@ -11,40 +11,59 @@ from ergolab.operators import (
     conjugate_defect,
     default_angles,
     make_rotation_operator,
-    orthogonality_defect,
     random_unit_vector,
-    require_orthogonal,
+    rotate,
     vector_with_plane_mass,
 )
-from oracles import random_orthogonal
+from oracles import (
+    dense_conjugate_average,
+    dense_orbit_rows,
+    dense_perturbation,
+    dense_rotation,
+)
 
 
-def _cyclic_shift(dim: int) -> np.ndarray:
-    """The permutation U e_i = e_{i+1 mod dim}, exactly periodic."""
-    return np.roll(np.eye(dim), 1, axis=0)
+def _random_angles(n_blocks: int, seed: int) -> np.ndarray:
+    return np.random.default_rng([seed, 0xA9]).uniform(0.0, 2.0 * math.pi, n_blocks)
 
 
 def test_rotation_operator_is_bit_identical_to_block_diag():
+    # one step on the standard basis gives the columns of the dense rotation;
+    # adding 0.0 folds the signed zeros that the closed form can leave
     for dim in (2, 8, 64):
-        blocks = [
-            np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
-            for t in default_angles(dim // 2)
-        ]
-        reference = block_diag(*blocks)
-        op = make_rotation_operator(dim)
-        assert op.dtype == reference.dtype
-        assert op.tobytes() == reference.tobytes()
+        angles = make_rotation_operator(dim)
+        assert angles.tobytes() == default_angles(dim // 2).tobytes()
+        columns = rotate(angles, np.eye(dim), np.ones(dim))
+        assert (columns.T + 0.0).tobytes() == dense_rotation(angles).tobytes()
 
 
-def test_all_operator_kinds_pass_the_orthogonality_certificate():
-    for op in (
-        make_rotation_operator(8),
-        _cyclic_shift(7),
-        random_orthogonal(12, seed=3),
-        np.diag([1.0, -1.0, 1.0, -1.0]),
-    ):
-        assert orthogonality_defect(op) <= 1e-10
-        assert require_orthogonal(op).tobytes() == op.tobytes()
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([2, 8, 64]),
+    st.integers(0, 2**16),
+    st.lists(st.integers(-(10**4), 10**4), min_size=1, max_size=6),
+)
+def test_rotate_rows_match_dense_matrix_powers(dim, seed, shifts):
+    # both sides carry an angle error of about |s| ulps of theta: rounding
+    # s * theta here, the float entries of U and its products there
+    for angles in (default_angles(dim // 2), _random_angles(dim // 2, seed)):
+        f = random_unit_vector(dim, seed=seed)
+        got = rotate(angles, f, shifts)
+        want = dense_orbit_rows(angles, f, shifts)
+        tol = 1e-12 * (1 + np.abs(np.asarray(shifts)) / 1000)
+        assert (np.abs(got - want).max(axis=1) <= tol).all()
+
+
+def test_rotate_repeated_shifts_give_identical_rows():
+    angles = _random_angles(8, seed=1)
+    f = random_unit_vector(16, seed=2)
+    shifts = [7, -3, 7, 10**9, 0, -3, 10**9]
+    rows = rotate(angles, f, shifts)
+    for s, row in zip(shifts, rows):
+        assert row.tobytes() == rotate(angles, f, [s])[0].tobytes()
+    per_row = rotate(angles, np.stack([f] * len(shifts)), shifts)
+    assert per_row.tobytes() == rows.tobytes()
+    assert rows[4].tobytes() == f.tobytes()
 
 
 def test_default_angles_are_far_from_short_rational_turns():
@@ -65,19 +84,18 @@ def test_rotation_dimension_must_be_even():
         make_rotation_operator(7)
 
 
-def test_non_orthogonal_user_matrix_rejected():
-    with pytest.raises(ValueError):
-        require_orthogonal(np.array([[1.0, 0.1], [0.0, 1.0]]))
-
-
 def test_perturbation_norm_and_rank():
     pert = FiniteRankPerturbation.random(10, angle=0.9, seed=3)
-    k = pert.matrix() - np.eye(10)
+    s = dense_perturbation(pert)
+    k = s - np.eye(10)
     assert np.linalg.matrix_rank(k) == 2
     assert np.linalg.norm(k, 2) == pytest.approx(2 * abs(math.sin(0.45)), abs=1e-12)
+    assert np.abs(s.T @ s - np.eye(10)).max() <= 1e-15
     f = random_unit_vector(10, seed=4)
     assert np.abs(pert.apply_k(f) - k @ f).max() < 1e-15
-    assert orthogonality_defect(pert.matrix()) <= 1e-10
+    rows = np.stack([random_unit_vector(10, seed=i) for i in range(5)])
+    assert np.abs(pert.apply_k(rows.T).T - rows @ k.T).max() < 1e-15
+    assert np.abs(pert.right_multiply(rows) - rows @ s).max() < 1e-15
 
 
 def test_perturbation_rejects_bad_planes():
@@ -88,74 +106,41 @@ def test_perturbation_rejects_bad_planes():
 
 
 def test_conjugate_average_matches_dense_matrix_powers():
-    op = random_orthogonal(8, seed=2)
-    pert = FiniteRankPerturbation.random(8, angle=1.1, seed=3)
-    f = random_unit_vector(8, seed=4)
-    n = 23
-    s = pert.matrix()
-    acc = np.zeros(8)
-    power = np.eye(8)
-    for _ in range(n):
-        power = power @ op
-        acc += power.T @ s @ power @ f
-    dense = acc / n
-    res = conjugate_defect(op, pert, f, n)
-    assert res.defect == pytest.approx(float(np.linalg.norm(f - dense)), abs=1e-13)
+    # random angles and random planes, across the blocks of 1024 shifts
+    for seed, n in enumerate((1, 23, 1024, 1025, 2500)):
+        angles = _random_angles(4, seed)
+        pert = FiniteRankPerturbation.random(8, angle=1.1, seed=seed + 3)
+        f = random_unit_vector(8, seed=seed + 4)
+        dense = dense_conjugate_average(angles, pert, f, n)
+        res = conjugate_defect(angles, pert, f, n)
+        assert res.defect == pytest.approx(float(np.linalg.norm(f - dense)), abs=1e-13)
 
 
 def test_identity_perturbation_gives_zero_defect():
-    op = make_rotation_operator(8)
+    angles = make_rotation_operator(8)
     pert = FiniteRankPerturbation.random(8, angle=0.0, seed=1)
     f = random_unit_vector(8, seed=2)
-    res = conjugate_defect(op, pert, f, 50)
+    res = conjugate_defect(angles, pert, f, 50)
     assert res.defect == pytest.approx(0.0, abs=1e-14)
     assert res.majorant1 == pytest.approx(0.0, abs=1e-14)
     assert res.majorant2 > 0.0
 
 
-def test_permutation_with_fixed_vector_plane_keeps_a_floor():
-    # closed form: averaging over whole periods of the cyclic shift leaves
-    # exactly the period-average conjugation, whose defect never decays
-    dim = 6
-    op = _cyclic_shift(dim)
-    fixed = np.ones(dim) / math.sqrt(dim)
-    other = np.zeros(dim)
-    other[0] = 1.0
-    other -= (other @ fixed) * fixed
-    other /= np.linalg.norm(other)
-    pert = FiniteRankPerturbation(np.column_stack([fixed, other]), angle=0.7)
-    f = random_unit_vector(dim, seed=8)
-    s = pert.matrix()
-    mean_conj = np.zeros((dim, dim))
-    power = np.eye(dim)
-    for _ in range(dim):
-        power = power @ op
-        mean_conj += power.T @ s @ power
-    mean_conj /= dim
-    closed = float(np.linalg.norm(f - mean_conj @ f))
-    assert closed == pytest.approx(0.047119917118836, abs=1e-12)
-    for n in (dim, 2 * dim, 10 * dim):
-        assert conjugate_defect(op, pert, f, n).defect == pytest.approx(
-            closed, abs=1e-12
-        )
-    assert closed > 0.04
-
-
 def test_rotation_defect_sweep_decreases_below_the_calibrated_bound():
-    op = make_rotation_operator(64)
+    angles = make_rotation_operator(64)
     pert = FiniteRankPerturbation.random(64, angle=0.8, seed=9)
     f = random_unit_vector(64, seed=30)
-    values = [conjugate_defect(op, pert, f, n).defect for n in (100, 1000, 10000)]
+    values = [conjugate_defect(angles, pert, f, n).defect for n in (100, 1000, 10000)]
     assert values[0] >= values[1] >= values[2] - 1e-12
     assert values[2] <= 0.05
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_certificate_chain_is_ordered(seed):
-    op = random_orthogonal(16, seed=seed)
+    angles = _random_angles(8, seed)
     pert = FiniteRankPerturbation.random(16, angle=0.4 + 0.1 * seed, seed=seed + 50)
     f = random_unit_vector(16, seed=seed + 100)
-    res = conjugate_defect(op, pert, f, 64)
+    res = conjugate_defect(angles, pert, f, 64)
     assert res.defect <= res.majorant1 + 1e-9
     assert res.majorant1 <= res.majorant2 + 1e-9
 
@@ -163,18 +148,18 @@ def test_certificate_chain_is_ordered(seed):
 def test_invariant_plane_pins_the_cheap_majorant():
     # perturbation plane = one rotation block, so the projected orbit norm
     # never moves and the majorant is 2*delta for every horizon
-    op = make_rotation_operator(64)
+    angles = make_rotation_operator(64)
     pert = FiniteRankPerturbation.from_coordinates(64, 6, 7, angle=0.5)
     f = vector_with_plane_mass(64, pert, delta=0.02, seed=5)
     assert np.linalg.norm(f) == pytest.approx(1.0, abs=1e-12)
     assert pert.plane_component_norm(f) == pytest.approx(0.02, abs=1e-12)
     for n in (10, 200, 1500):
-        res = conjugate_defect(op, pert, f, n)
+        res = conjugate_defect(angles, pert, f, n)
         assert res.majorant2 == pytest.approx(0.04, abs=1e-10)
         assert res.defect <= res.majorant1 + 1e-9
         assert res.majorant1 <= res.majorant2 + 1e-9
     # a generic unit vector cannot get anywhere near that
-    loose = conjugate_defect(op, pert, random_unit_vector(64, seed=1), 1500)
+    loose = conjugate_defect(angles, pert, random_unit_vector(64, seed=1), 1500)
     assert loose.majorant2 > 0.1
 
 
