@@ -25,7 +25,7 @@ from ergolab.operators import random_unit_vector, vector_with_plane_mass
 
 dim = 64
 op = make_rotation_operator(dim)
-pert = FiniteRankPerturbation.from_coordinates(dim, 6, 7, angle=0.5)
+pert = FiniteRankPerturbation(dim, 6, 7, angle=0.5)
 
 print("generic observable:")
 f = random_unit_vector(dim, seed=30)

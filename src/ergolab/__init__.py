@@ -71,7 +71,6 @@ from .poisson import (
 )
 from .reports import ExperimentReport
 from .experiments import (
-    EXPERIMENT_NAMES,
     ConfigError,
     default_config,
     resolve_config,

@@ -63,19 +63,12 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 _SCALAR_TYPES = {"integer": int, "number": float, "string": str}
 
 
-def _kind(prop: dict) -> str:
-    """The one non-null JSON type of a schema property."""
-    types = prop["type"] if isinstance(prop["type"], list) else [prop["type"]]
-    (kind,) = set(types) - {"null"}
-    return kind
-
-
 def _add_param_flags(sub: argparse.ArgumentParser, schema: dict) -> None:
     """One flag per schema property: `--a-stage` for `a_stage`, and
     `--<name>-file` (a JSON file) for an object property."""
     for name, prop in schema["properties"].items():
         flag = "--" + name.replace("_", "-")
-        kind = _kind(prop)
+        kind = prop["type"]
         if kind == "object":
             ref = prop["$ref"].rsplit("/", 1)[-1]
             sub.add_argument(
@@ -150,7 +143,7 @@ def _config_from_args(args: argparse.Namespace) -> dict:
         for name, prop in spec.params_schema["properties"].items():
             value = getattr(args, name)
             if value is not None:
-                params[name] = _load_json(value) if _kind(prop) == "object" else value
+                params[name] = _load_json(value) if prop["type"] == "object" else value
         config = {"experiment": spec.name, "params": params}
     if args.seed is not None:
         config["seed"] = args.seed

@@ -19,7 +19,12 @@ from typing import Optional
 
 import jsonschema
 
-from .tower import MAX_DEPTH, ConstructionParams, GenerationError
+from .tower import (
+    MAX_DEPTH,
+    ConstructionExhaustedError,
+    ConstructionParams,
+    GenerationError,
+)
 
 Q = Fraction
 
@@ -55,7 +60,7 @@ def _staircase_rule(j: int) -> tuple[int, tuple[int, ...]]:
 @lru_cache(maxsize=None)
 def chacon() -> ConstructionParams:
     """Three cuts, one spacer on the middle column, every stage."""
-    return ConstructionParams("finite", Q(1), 1, None, _chacon_rule, "chacon")
+    return ConstructionParams(_chacon_rule, "chacon")
 
 
 @lru_cache(maxsize=None)
@@ -64,13 +69,13 @@ def odometer(r: int = 2) -> ConstructionParams:
     if not 2 <= r <= MAX_CUTS:  # which also bounds this cache
         raise ValueError(f"odometer needs 2 to {MAX_CUTS} cuts, got {r}")
     rule = lambda j, _r=r: (_r, (0,) * _r)
-    return ConstructionParams("finite", Q(1), 1, None, rule, f"odometer-{r}")
+    return ConstructionParams(rule, f"odometer-{r}")
 
 
 @lru_cache(maxsize=None)
 def staircase() -> ConstructionParams:
     """Growing cuts r_j = j + 2 with 0, 1, .., r-1 spacers per column."""
-    return ConstructionParams("finite", Q(1), 1, None, _staircase_rule, "staircase")
+    return ConstructionParams(_staircase_rule, "staircase")
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +147,7 @@ class RigidMixingPair:
 
     def _role_params(self, role: str) -> ConstructionParams:
         rule = lambda j: self._stage_for(role, j)
-        return ConstructionParams("infinite", Q(1), 1, None, rule, f"pair-{role}")
+        return ConstructionParams(rule, f"pair-{role}")
 
     def _ensure(self, j: int) -> None:
         while len(self._records) <= j:
@@ -252,20 +257,17 @@ DESCRIPTOR_DEFS = {
     "spec": {
         **_closed(
             {
-                "mode": {"enum": ["finite", "infinite"]},
                 "initial_width": {"type": "string", "pattern": _POSITIVE_RATIONAL},
                 "initial_height": {**_INT, "minimum": 1},
                 "stages": {"type": "array", "items": {"$ref": "#/$defs/stage"}},
                 "rule": {"$ref": "#/$defs/rule"},
-            },
-            ("mode",),
+            }
         ),
         # exactly one of `stages` and `rule`, as an if/else rather than a
-        # `oneOf`, so that `best_match` names the key at fault; the `type`
-        # keeps a missing `mode` the error reported first
+        # `oneOf`, so that `best_match` names the key at fault
         "if": {"required": ["stages"]},
         "then": {"not": {"required": ["rule"]}},
-        "else": {"type": "object", "required": ["rule"]},
+        "else": {"required": ["rule"]},
     },
 }
 
@@ -327,19 +329,27 @@ def builtin_params(name: str, **args) -> ConstructionParams:
 # construction from a `spec` descriptor
 
 
+def _explicit_rule(stages: tuple, j: int) -> tuple[int, tuple[int, ...]]:
+    if j >= len(stages):
+        raise ConstructionExhaustedError(
+            f"construction 'explicit' describes {len(stages)} stages, stage {j} requested"
+        )
+    return stages[j]
+
+
 def params_from_spec(spec: dict) -> ConstructionParams:
     """Construction parameters of a `spec` descriptor, explicit or named."""
     _check("spec", spec)
-    mode, height = spec["mode"], spec.get("initial_height", 1)
-    width = Q(spec.get("initial_width", "1"))
+    height, width = spec.get("initial_height", 1), Q(spec.get("initial_width", "1"))
     if "stages" in spec:
         stages = tuple((st["r"], tuple(st["spacers"])) for st in spec["stages"])
-        return ConstructionParams(mode, width, height, stages, None, "explicit")
+        return ConstructionParams(
+            functools.partial(_explicit_rule, stages), "explicit", width, height
+        )
     rule = spec["rule"]
     params = builtin_params(rule["name"], **rule.get("args", {}))
-    geometry = (params.measure_mode, params.initial_width, params.initial_height)
-    if geometry != (mode, width, height):
+    if (params.initial_width, params.initial_height) != (width, height):
         # Named rules fix their own geometry; honour an explicit override by
         # rebuilding on the same rule.
-        params = ConstructionParams(mode, width, height, None, params.rule, params.name)
+        params = ConstructionParams(params.rule, params.name, width, height)
     return params

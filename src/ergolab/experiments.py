@@ -66,7 +66,6 @@ from .tower import (
 
 __all__ = [
     "ConfigError",
-    "EXPERIMENT_NAMES",
     "command_specs",
     "default_config",
     "describe_experiments",
@@ -227,16 +226,15 @@ def _run_rigidity(params: dict, seed: int, jobs: int):
         )
         for e in entries
     ]
-    checks = [check("scan-covers-requested-range", len(entries) == params["n_max"])]
     rigid_set = [e.n for e in entries if e.kind == "rigid"]
-    if params.get("expect_rigid") is not None:
-        checks.append(
-            check(
-                "rigid-set-matches-expected",
-                rigid_set == list(params["expect_rigid"]),
-                detail=f"found {rigid_set}",
-            )
-        )
+    checks = [
+        check("scan-covers-requested-range", len(entries) == params["n_max"]),
+        check(
+            "rigid-set-matches-expected",
+            rigid_set == params["expect_rigid"],
+            detail=f"found {rigid_set}",
+        ),
+    ]
     return rows, checks, []
 
 
@@ -394,7 +392,7 @@ def _run_theorem1(params: dict, seed: int, jobs: int):
 def _calibrated_operator(params: dict):
     angles = make_rotation_operator(params["dim"])
     i, j = params["plane"]
-    pert = FiniteRankPerturbation.from_coordinates(params["dim"], i, j, params["angle"])
+    pert = FiniteRankPerturbation(params["dim"], i, j, params["angle"])
     vec = vector_with_plane_mass(
         params["dim"], pert, delta=params["delta"], seed=params["vector_seed"]
     )
@@ -843,7 +841,7 @@ _SPECS = [
                 "depth": {**_DEPTH, "default": 12},
                 "theta": {"type": "number", "exclusiveMinimum": 0, "default": 0.05},
                 "expect_rigid": {
-                    "type": ["array", "null"],
+                    "type": "array",
                     "items": {"type": "integer"},
                     "default": [8, 16, 24, 32, 40, 48, 56, 64],
                 },
@@ -941,8 +939,6 @@ _SPECS = [
 ]
 
 _CATALOGUE = {spec.name: spec for spec in _SPECS}
-
-EXPERIMENT_NAMES = [spec.name for spec in _SPECS if spec.listed]
 
 
 def describe_experiments() -> list:

@@ -5,7 +5,8 @@ k by s * theta_k, so `rotate` applies any power in closed form, with no
 matrix and no orbit walk.  A small finite-rank perturbation class supports
 the conjugation experiments, where the interesting quantity is how far the
 time average of an orbit moves under a rank-two rotation S = I + Q(R - I)Q^T
-and how cheaply that motion can be certified from above.
+of one coordinate plane, and how cheaply that motion can be certified from
+above.
 """
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "default_angles",
     "make_rotation_operator",
     "rotate",
     "random_unit_vector",
@@ -26,29 +26,22 @@ __all__ = [
     "conjugate_defect",
 ]
 
-ORTHO_TOL = 1e-10
-
-# shifts per block of `conjugate_defect`, so its memory does not grow with N
-_SHIFT_BLOCK = 1024
-
-
-def default_angles(n_blocks: int) -> np.ndarray:
-    """Angles 2*pi*frac(k*sqrt(2)), equidistributed and safely irrational."""
-    ks = np.arange(1, n_blocks + 1, dtype=float)
-    frac = np.mod(ks * math.sqrt(2.0), 1.0)
-    return 2.0 * math.pi * frac
+# array elements per block of `conjugate_defect`, so its memory grows with
+# neither N nor the dimension
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def make_rotation_operator(dim: int) -> np.ndarray:
     """Angles of the block-diagonal plane rotation on an even-dimensional space.
 
-    Block k (coordinates 2k and 2k + 1) turns by `default_angles(dim // 2)[k]`,
-    far from every turn of short rational period, so the averaging
-    experiments equidistribute slowly instead of repeating.
+    Block k (coordinates 2k and 2k + 1) turns by 2*pi*frac((k + 1)*sqrt(2)):
+    equidistributed and far from every turn of short rational period, so the
+    averaging experiments equidistribute slowly instead of repeating.
     """
     if dim < 2 or dim % 2:
         raise ValueError("rotation operator needs an even dimension >= 2")
-    return default_angles(dim // 2)
+    frac = np.mod(np.arange(1, dim // 2 + 1, dtype=float) * math.sqrt(2.0), 1.0)
+    return 2.0 * math.pi * frac
 
 
 def rotate(angles: np.ndarray, vecs: np.ndarray, shifts) -> np.ndarray:
@@ -80,43 +73,24 @@ def uniform_unit_vector(dim: int) -> np.ndarray:
 
 
 class FiniteRankPerturbation:
-    """Orthogonal S = I + Q(R - I)Q^T: a rotation by `angle` inside one plane.
+    """Orthogonal S = I + Q(R - I)Q^T: a rotation by `angle` inside the plane
+    of coordinates i and j of a `dim`-dimensional space.
 
-    Q holds an orthonormal basis of the plane, so S - I has rank two and
-    operator norm exactly 2|sin(angle/2)|.  Keeping the factored form lets a
-    single application cost O(d) instead of a dense matvec.
+    Q = [e_i, e_j], so S - I has rank two and operator norm exactly
+    2|sin(angle/2)|.  Keeping the factored form lets a single application
+    cost O(d) instead of a dense matvec.
     """
 
-    def __init__(self, plane: np.ndarray, angle: float):
-        plane = np.asarray(plane, dtype=float)
-        if plane.ndim != 2 or plane.shape[1] != 2:
-            raise ValueError("plane must be a (dim, 2) array")
-        gram = plane.T @ plane
-        if np.abs(gram - np.eye(2)).max() > ORTHO_TOL:
-            raise ValueError("plane basis is not orthonormal")
-        self.plane = plane
+    def __init__(self, dim: int, i: int, j: int, angle: float):
+        if not (0 <= i < dim and 0 <= j < dim) or i == j:
+            raise ValueError("plane coordinates must be distinct and in range")
+        self.dim = dim
+        self.plane = np.zeros((dim, 2))
+        self.plane[i, 0] = 1.0
+        self.plane[j, 1] = 1.0
         self.angle = float(angle)
         c, s = math.cos(self.angle), math.sin(self.angle)
         self._r_minus_i = np.array([[c - 1.0, -s], [s, c - 1.0]])
-
-    @classmethod
-    def from_coordinates(cls, dim: int, i: int, j: int, angle: float):
-        if not (0 <= i < dim and 0 <= j < dim) or i == j:
-            raise ValueError("plane coordinates must be distinct and in range")
-        plane = np.zeros((dim, 2))
-        plane[i, 0] = 1.0
-        plane[j, 1] = 1.0
-        return cls(plane, angle)
-
-    @classmethod
-    def random(cls, dim: int, angle: float, seed: int = 0):
-        rng = np.random.default_rng([int(seed), 0x91])
-        q, _ = np.linalg.qr(rng.standard_normal((dim, 2)))
-        return cls(q, angle)
-
-    @property
-    def dim(self) -> int:
-        return self.plane.shape[0]
 
     def apply_k(self, vec: np.ndarray) -> np.ndarray:
         """K vec for K = S - I; a (d, n) array maps column by column."""
@@ -177,15 +151,17 @@ def conjugate_defect(
 
     Writing S = I + K, f minus the average is -(1/N) sum U^-i K U^i f.  The
     forward rows U^i f, their K-images and the rotations U^-i back are all
-    closed-form `rotate` calls, taken `_SHIFT_BLOCK` shifts at a time.
+    closed-form `rotate` calls, taken about `_BLOCK_ELEMENTS` array
+    elements (at least one shift) at a time.
     """
     if n_terms < 1:
         raise ValueError("need at least one term")
     if pert.dim != len(vec):
         raise ValueError("perturbation and vector dimensions differ")
     back, sum_k, sum_proj = np.zeros(len(vec)), 0.0, 0.0
-    for lo in range(1, n_terms + 1, _SHIFT_BLOCK):
-        shifts = np.arange(lo, min(lo + _SHIFT_BLOCK, n_terms + 1))
+    step = max(1, _BLOCK_ELEMENTS // len(vec))
+    for lo in range(1, n_terms + 1, step):
+        shifts = np.arange(lo, min(lo + step, n_terms + 1))
         rows = rotate(angles, vec, shifts)
         ks = pert.apply_k(rows.T).T
         sum_k += float(np.linalg.norm(ks, axis=1).sum())

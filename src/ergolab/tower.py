@@ -66,40 +66,25 @@ StageRule = Callable[[int], tuple[int, tuple[int, ...]]]
 class ConstructionParams:
     """Immutable description of a cutting-and-stacking construction.
 
-    Stages are either materialized up front (`stages`) or produced on demand
-    by `rule(j) -> (r_j, spacers_j)`.
+    Stages are produced on demand by `rule(j) -> (r_j, spacers_j)`.
     """
 
-    measure_mode: str
+    rule: StageRule
+    name: str
     initial_width: Fraction = Q(1)
     initial_height: int = 1
-    stages: Optional[tuple[tuple[int, tuple[int, ...]], ...]] = None
-    rule: Optional[StageRule] = None
-    name: str = "custom"
     # Stages built so far (see build_stage); lives and dies with the params.
     _stages: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.measure_mode not in ("finite", "infinite"):
-            raise ValueError(f"unknown measure mode {self.measure_mode!r}")
         if self.initial_width <= 0:
             raise ValueError("initial width must be positive")
         if self.initial_height < 1:
             raise ValueError("initial height must be at least 1")
-        if self.stages is None and self.rule is None:
-            raise ValueError("either explicit stages or a rule is required")
 
     def stage_data(self, j: int) -> tuple[int, tuple[int, ...]]:
         """Cut count and spacer tuple for stage j, validating shape."""
-        if self.stages is not None:
-            if j >= len(self.stages):
-                raise ConstructionExhaustedError(
-                    f"construction {self.name!r} describes {len(self.stages)} "
-                    f"stages, stage {j} requested"
-                )
-            r, spacers = self.stages[j]
-        else:
-            r, spacers = self.rule(j)
+        r, spacers = self.rule(j)
         spacers = tuple(int(s) for s in spacers)
         if r < 2:
             raise ValueError(f"stage {j}: need at least 2 cuts, got {r}")

@@ -154,7 +154,7 @@ def test_criterion_05_defect_chain_and_calibrated_majorant():
     started = time.perf_counter()
     dim = 64
     op = make_rotation_operator(dim)
-    pert = FiniteRankPerturbation.from_coordinates(dim, 6, 7, angle=0.5)
+    pert = FiniteRankPerturbation(dim, 6, 7, angle=0.5)
     vec = vector_with_plane_mass(dim, pert, delta=0.02, seed=5)
     final = None
     for n_terms in (1, 2, 3, 5, 10, 50, 100, 1000, 10000):
@@ -219,7 +219,7 @@ def test_criterion_08_wh_certificates():
 
     dim = 64
     op = make_rotation_operator(dim)
-    pert = FiniteRankPerturbation.from_coordinates(dim, 6, 7, angle=0.5)
+    pert = FiniteRankPerturbation(dim, 6, 7, angle=0.5)
     vec = vector_with_plane_mass(dim, pert, delta=0.02, seed=5)
     gm = GaussianModel(op, vec)
     for k in (1, 2):

@@ -128,6 +128,18 @@ def test_expect_rigid_flag_failing_check_exits_1():
     assert "FAIL  rigid-set-matches-expected" in proc.stdout
 
 
+def test_expect_rigid_null_exits_2(tmp_path):
+    # an empty list is what expects no rigid shift; the check always runs
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        '{"experiment": "rigidity-scan", "params": {"expect_rigid": null}}', encoding="utf-8"
+    )
+    proc = run_cli("experiment", "rigidity-scan", "--config", str(cfg))
+    assert proc.returncode == 2
+    assert "None is not of type 'array'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # NaN, the infinities and ints too large for a float are no JSON Schema numbers
 NOT_NUMBERS = [
     ["cesaro", "--angle", "nan"],
@@ -238,20 +250,17 @@ def test_empty_level_set_exits_2(tmp_path, name, side):
     assert "Traceback" not in proc.stderr
 
 
-def test_spec_file_without_mode_exits_2(tmp_path):
+def test_spec_file_without_mode_builds(tmp_path):
     spec = tmp_path / "spec.json"
-    spec.write_text('{"cuts": [3], "spacers": [[0, 1, 0]]}', encoding="utf-8")
-    proc = run_cli("build", "--spec-file", str(spec))
-    assert proc.returncode == 2
-    assert "config error" in proc.stderr and "'mode'" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    spec.write_text('{"rule": {"name": "chacon"}}', encoding="utf-8")
+    proc = run_cli("build", "--spec-file", str(spec), "--depth", "3")
+    assert proc.returncode == 0, proc.stderr
+    assert "result: PASS" in proc.stdout
 
 
 def test_spec_file_with_an_unknown_key_exits_2(tmp_path):
     spec = tmp_path / "spec.json"
-    spec.write_text(
-        '{"mode": "finite", "rule": {"name": "chacon"}, "junk": 1}', encoding="utf-8"
-    )
+    spec.write_text('{"rule": {"name": "chacon"}, "junk": 1}', encoding="utf-8")
     proc = run_cli("build", "--spec-file", str(spec))
     assert proc.returncode == 2
     assert "config error" in proc.stderr and "'junk'" in proc.stderr
@@ -289,27 +298,29 @@ def test_pair_file_with_a_missing_key_exits_2(tmp_path, pair, key):
 @pytest.mark.parametrize(
     "flags, spec, words",
     [
-        ([], {"mode": "finite", "stages": 5}, "5 is not of type 'array'"),
+        ([], {"stages": 5}, "5 is not of type 'array'"),
         (
             [],
-            {"mode": "infinite", "rule": {"name": "theorem6", "args": {"role": 5}}},
+            {"rule": {"name": "theorem6", "args": {"role": 5}}},
             "5 is not one of ['t', 's']",
         ),
         (
             [],
-            {"mode": "finite", "rule": {"name": "odometer", "args": {"r": "3"}}},
+            {"rule": {"name": "odometer", "args": {"r": "3"}}},
             "'3' is not of type 'integer'",
         ),
         (
             [],
-            {"mode": "finite", "rule": {"name": "chacon", "args": {"bogus": 1}}},
+            {"rule": {"name": "chacon", "args": {"bogus": 1}}},
             "'bogus' was unexpected",
         ),
-        ([], {"mode": "finite"}, "'rule' is a required property"),
+        ([], {}, "'rule' is a required property"),
+        # a construction's measure follows from its cuts and spacers
+        ([], {"mode": "infinite", "rule": {"name": "chacon"}}, "'mode' was unexpected"),
         (["--construction", "chacon", "--r", "3"], None, "'r' was unexpected"),
         (["--construction", "odometer", "--role", "s"], None, "'role' was unexpected"),
-        (["--r", "3"], {"mode": "finite", "rule": {"name": "chacon"}}, "'r' (--r)"),
-        (["--role", "s"], {"mode": "finite", "rule": {"name": "chacon"}}, "'role' (--role)"),
+        (["--r", "3"], {"rule": {"name": "chacon"}}, "'r' (--r)"),
+        (["--role", "s"], {"rule": {"name": "chacon"}}, "'role' (--role)"),
     ],
     ids=[
         "stages-not-a-list",
@@ -317,6 +328,7 @@ def test_pair_file_with_a_missing_key_exits_2(tmp_path, pair, key):
         "r-a-string",
         "chacon-unknown-arg",
         "spec-without-stages-or-rule",
+        "spec-with-mode",
         "chacon-with-r",
         "odometer-with-role",
         "spec-with-r",
@@ -399,24 +411,24 @@ def test_gauss_at_a_shift_of_a_billion_runs_in_closed_form():
 
 # a valid descriptor for each object property (`$ref` of the same name)
 DESCRIPTORS = {
-    "spec": {"mode": "infinite", "rule": {"name": "odometer", "args": {"r": 3}}},
+    "spec": {"rule": {"name": "odometer", "args": {"r": 3}}},
     "pair": {"cuts": {"name": "constant", "r": 3}},
 }
 
 
 def _flag_value(name: str, prop: dict, tmp_path):
     """A schema-valid value for one property, and its command-line text."""
-    kinds = prop["type"] if isinstance(prop["type"], list) else [prop["type"]]
-    if "object" in kinds:
+    kind = prop["type"]
+    if kind == "object":
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(DESCRIPTORS[name]), encoding="utf-8")
         return DESCRIPTORS[name], str(path)
-    if "array" in kinds:
+    if kind == "array":
         items = prop["items"].get("enum", [3, 5])[-2:]
         return items, ",".join(map(str, items))
     if "enum" in prop:
         return prop["enum"][-1], prop["enum"][-1]
-    if "integer" in kinds:
+    if kind == "integer":
         value = prop.get("minimum", 0) + 6
         return value, str(value)
     return 0.375, "0.375"

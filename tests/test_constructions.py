@@ -117,36 +117,38 @@ def test_builtin_pair_roles_share_one_generator():
 
 def test_params_from_spec_named_and_explicit():
     named = [
-        ({"mode": "finite", "rule": {"name": "chacon"}}, chacon()),
-        ({"mode": "finite", "rule": {"name": "odometer", "args": {"r": 3}}}, odometer(3)),
-        ({"mode": "finite", "initial_width": "1", "rule": {"name": "staircase"}}, staircase()),
+        ({"rule": {"name": "chacon"}}, chacon()),
+        ({"rule": {"name": "odometer", "args": {"r": 3}}}, odometer(3)),
+        ({"initial_width": "1", "rule": {"name": "staircase"}}, staircase()),
         (
-            {"mode": "infinite", "rule": {"name": "theorem6", "args": {"role": "t"}}},
+            {"rule": {"name": "theorem6", "args": {"role": "t"}}},
             builtin_params("theorem6", role="t"),
         ),
     ]
     for spec, p in named:
         q = params_from_spec(spec)
-        assert (q.measure_mode, q.initial_width) == (p.measure_mode, p.initial_width)
+        assert (q.initial_width, q.initial_height) == (p.initial_width, p.initial_height)
         for j in range(4):
             assert q.stage_data(j) == p.stage_data(j)
+    # an explicit geometry rebuilds the named rule on it
+    taller = params_from_spec({"initial_height": 2, "rule": {"name": "chacon"}})
+    assert (taller.rule, taller.name) == (chacon().rule, "chacon")
+    assert [build_stage(taller, j).height for j in range(3)] == [2, 7, 22]
     explicit = params_from_spec(
         {
-            "mode": "finite",
             "initial_width": "1/2",
             "stages": [{"r": 2, "spacers": [0, 1]}, {"r": 3, "spacers": [2, 0, 1]}],
         }
     )
     assert explicit.initial_width == Q(1, 2)
-    assert explicit.stages == ((2, (0, 1)), (3, (2, 0, 1)))
-    assert explicit.stage_data(1) == (3, (2, 0, 1))
+    assert [explicit.stage_data(j) for j in range(2)] == [(2, (0, 1)), (3, (2, 0, 1))]
 
 
 def test_serialization_rejects_bad_specs():
     with pytest.raises(ValueError):
-        params_from_spec({"mode": "finite", "rule": {"name": "nope"}})
-    with pytest.raises(ValueError):
-        params_from_spec({"mode": "finite"})
+        params_from_spec({"rule": {"name": "nope"}})
+    with pytest.raises(ValueError, match="'rule' is a required property"):
+        params_from_spec({})
     with pytest.raises(ValueError):
         builtin_params("mystery")
 
@@ -162,13 +164,13 @@ def test_explicit_stream_spec_must_increase():
         (lambda: builtin_params("theorem6", bogus=1), "'bogus'"),
         (
             lambda: params_from_spec(
-                {"mode": "finite", "stages": [{"r": 2, "spacers": [0, 0], "s": 1}]}
+                {"stages": [{"r": 2, "spacers": [0, 0], "s": 1}]}
             ),
             "'s'",
         ),
         (
             lambda: params_from_spec(
-                {"mode": "finite", "rule": {"name": "chacon", "arg": {}}}
+                {"rule": {"name": "chacon", "arg": {}}}
             ),
             "'arg'",
         ),

@@ -165,10 +165,10 @@ def test_oversized_construction_cut_counts_are_rejected_before_any_stage():
         builtin_params("odometer", r=10**9)
     rule = {"name": "odometer", "args": {"r": 10**9}}
     with pytest.raises(ValueError, match=f"maximum of {MAX_CUTS}"):
-        params_from_spec({"mode": "finite", "rule": rule})
+        params_from_spec({"rule": rule})
     stages = [{"r": 10**9, "spacers": [0]}]
     with pytest.raises(ValueError, match=f"maximum of {MAX_CUTS}"):
-        params_from_spec({"mode": "finite", "stages": stages})
+        params_from_spec({"stages": stages})
     assert odometer.cache_info().currsize == built
     assert builtin_params("odometer", r=MAX_CUTS).stage_data(0)[0] == MAX_CUTS
 

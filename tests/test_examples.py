@@ -7,23 +7,18 @@ import re
 import subprocess
 import sys
 
-import ergolab
-
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 # a README line `print(...)  # text` promises that the call prints `text`
 EXPECTED = re.compile(r"^print\(.*\)\s+# (.*)$")
 
 
 def test_demos_and_readme_examples_run():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(ergolab.__file__)))
-    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     demos = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
     assert demos
     stdout = {}
     for demo in demos:
         proc = subprocess.run(
-            [sys.executable, demo], capture_output=True, text=True, env=env, timeout=300
+            [sys.executable, demo], capture_output=True, text=True, timeout=300
         )
         assert proc.returncode == 0, (demo, proc.stderr)
         assert "Traceback" not in proc.stderr, demo

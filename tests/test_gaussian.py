@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import hermite_e
 
-import ergolab
 from ergolab.gaussian import (
     GaussianModel,
     factor_sampler,
@@ -245,7 +244,7 @@ def test_triple_correlations_are_exactly_rho(model):
 
 
 def test_wh_identity_perturbation_is_exactly_silent(model):
-    pert = FiniteRankPerturbation.from_coordinates(64, 6, 7, angle=0.0)
+    pert = FiniteRankPerturbation(64, 6, 7, angle=0.0)
     r = gaussian_wh_experiment(model, pert, 1, 50, 10**4, seed=2)
     assert r.estimate.value == 0.0
     assert abs(r.exact) < 1e-12
@@ -254,7 +253,7 @@ def test_wh_identity_perturbation_is_exactly_silent(model):
 
 def test_wh_moment_gap_tracks_the_conjugation_defect():
     angles = make_rotation_operator(64)
-    pert = FiniteRankPerturbation.from_coordinates(64, 6, 7, angle=0.5)
+    pert = FiniteRankPerturbation(64, 6, 7, angle=0.5)
     f = vector_with_plane_mass(64, pert, delta=0.02, seed=5)
     model = GaussianModel(angles, f)
     for k in (1, 2):
@@ -271,8 +270,9 @@ def test_wh_moment_gap_tracks_the_conjugation_defect():
 
 
 def test_wh_generic_plane_also_tracks():
+    # coordinates 5 and 10 lie in two rotation blocks, so the plane moves
     angles = make_rotation_operator(64)
-    pert = FiniteRankPerturbation.random(64, angle=0.8, seed=9)
+    pert = FiniteRankPerturbation(64, 5, 10, angle=0.8)
     model = GaussianModel(angles, random_unit_vector(64, seed=30))
     r = gaussian_wh_experiment(model, pert, 2, 100, 10**4, seed=11)
     assert r.tracks_exact
@@ -287,7 +287,7 @@ from ergolab.operators import (
 )
 from oracles import unblocked_wh_statistic
 
-pert = FiniteRankPerturbation.from_coordinates(64, 6, 7, angle=0.5)
+pert = FiniteRankPerturbation(64, 6, 7, angle=0.5)
 model = GaussianModel(make_rotation_operator(64), vector_with_plane_mass(64, pert, delta=0.02, seed=5))
 rows = model.orbit_rows(range(1, 101))
 for samples in (12000, 30000, 40000):  # batches of 300, 750 and 1000 samples
@@ -305,21 +305,19 @@ def test_wh_column_slices_equal_the_unblocked_statistic():
     # of 300 columns, slices of 256 and 494, and of 256, 256 and 488.  One
     # BLAS thread, as the benchmark runs: a threaded GEMM may split a slice's
     # rows differently from the full batch's and round apart.
-    here = os.path.dirname(os.path.abspath(__file__))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(ergolab.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([here, src]))
-    env.update({v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     proc = subprocess.run(
-        [sys.executable, "-c", _SLICED_VS_UNBLOCKED], capture_output=True, text=True, env=env
+        [sys.executable, "-c", _SLICED_VS_UNBLOCKED], capture_output=True, text=True,
+        env=env, cwd=os.path.dirname(os.path.abspath(__file__)),  # for `oracles`
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["True"] * 12
 
 
 def test_wh_rejects_bad_degree_or_dimension(model):
-    pert = FiniteRankPerturbation.random(64, angle=0.5, seed=1)
+    pert = FiniteRankPerturbation(64, 0, 1, angle=0.5)
     with pytest.raises(ValueError):
         gaussian_wh_experiment(model, pert, 3, 10, 10**4)
-    small = FiniteRankPerturbation.random(8, angle=0.5, seed=1)
+    small = FiniteRankPerturbation(8, 0, 1, angle=0.5)
     with pytest.raises(ValueError):
         gaussian_wh_experiment(model, small, 1, 10, 10**4)

@@ -26,7 +26,13 @@ from ergolab.tower import (
     symdiff_interval,
     wh_defect,
 )
-from ergolab.constructions import chacon, odometer, rigid_mixing_pair, staircase
+from ergolab.constructions import (
+    chacon,
+    odometer,
+    params_from_spec,
+    rigid_mixing_pair,
+    staircase,
+)
 
 from oracles import enumerate_stages, oracle_refine, orbit_correlation, shift_counts
 
@@ -203,13 +209,16 @@ def test_error_paths():
     p = chacon()
     with pytest.raises(InsufficientDepthError):
         correlation_interval(p, 50, LevelSet(1, (0,)), LevelSet(1, (0,)), 2)
-    explicit = ConstructionParams(
-        "finite", Q(1), 1, ((2, (0, 1)), (2, (1, 0))), None, "short"
+    explicit = params_from_spec(
+        {"stages": [{"r": 2, "spacers": [0, 1]}, {"r": 2, "spacers": [1, 0]}]}
     )
-    with pytest.raises(ConstructionExhaustedError):
+    with pytest.raises(
+        ConstructionExhaustedError,
+        match="construction 'explicit' describes 2 stages, stage 2 requested",
+    ):
         build_stage(explicit, 2)
-    with pytest.raises(ValueError):
-        ConstructionParams("finite", Q(1), 1, None, None, "empty")
+    with pytest.raises(ValueError, match="initial width must be positive"):
+        ConstructionParams(p.rule, "flat", initial_width=Q(0))
     with pytest.raises(ValueError):
         rigidity_scan(p, LevelSet(2, ()), 5, depth=4)
     with pytest.raises(ValueError):
@@ -219,25 +228,27 @@ def test_error_paths():
     for depth in (1, 4):
         with pytest.raises(ValueError, match="index out of range for stage-1 tower"):
             wh_defect(p, FinitarySwap(1, (0, 5)), LevelSet(1, (1,)), 10, depth)
-    bad = ConstructionParams("finite", Q(1), 1, ((2, (0, -1)),), None, "bad")
+    bad = ConstructionParams(lambda j: (2, (0, -1)), "bad")
     with pytest.raises(ValueError):
         build_stage(bad, 0)
 
 
 @st.composite
 def small_construction(draw):
+    """An explicit construction of 3 to 5 stages, and its stage count."""
     n_stages = draw(st.integers(3, 5))
     stages = []
     for _ in range(n_stages):
         r = draw(st.integers(2, 4))
-        stages.append((r, tuple(draw(st.integers(0, 3)) for _ in range(r))))
-    return ConstructionParams("finite", Q(1), 1, tuple(stages), None, "hyp")
+        stages.append({"r": r, "spacers": [draw(st.integers(0, 3)) for _ in range(r)]})
+    return params_from_spec({"stages": stages}), n_stages
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_construction(), st.data())
-def test_interval_soundness_property(params, data):
-    depth = len(params.stages) - 1
+def test_interval_soundness_property(construction, data):
+    params, n_stages = construction
+    depth = n_stages - 1
     stage = build_stage(params, depth)
     h1 = build_stage(params, 1).height
     a = LevelSet(1, tuple(data.draw(st.sets(st.integers(0, h1 - 1), min_size=1))))
@@ -260,8 +271,8 @@ def test_interval_soundness_property(params, data):
 def test_shift_profile_matches_per_shift_reference(data):
     kind = data.draw(st.sampled_from(["explicit", "pair", "odometer"]))
     if kind == "explicit":
-        params = data.draw(small_construction())
-        depth = data.draw(st.integers(0, len(params.stages) - 1))
+        params, n_stages = data.draw(small_construction())
+        depth = data.draw(st.integers(0, n_stages - 1))
     elif kind == "pair":
         cuts = data.draw(st.sampled_from([{"name": "constant", "r": 2}, {"name": "affine"}]))
         pair = rigid_mixing_pair({"cuts": cuts})
