@@ -24,6 +24,7 @@ from .tower import (
     ConstructionExhaustedError,
     ConstructionParams,
     GenerationError,
+    build_stage,
 )
 
 Q = Fraction
@@ -82,40 +83,18 @@ def staircase() -> ConstructionParams:
 # integer streams and the generated pair
 
 
-class _TimeSource:
-    """Strictly increasing integer stream consumed via least_above queries.
-
-    An arithmetic source answers "least element > x not yet consumed" in
-    O(1), an explicit one by bisection, so both keep up with tower heights
-    that grow geometrically from stage to stage.
-    """
-
-    def __init__(self, spec: dict) -> None:
-        """`spec`: a schema-valid `stream` descriptor (naturals: start 1, step 1)."""
-        values = self._values = spec.get("values")  # None unless explicit
-        if values is not None and any(b <= a for a, b in zip(values, values[1:])):
-            raise ValueError("explicit stream must be strictly increasing")
-        self._start, self._step = spec.get("start", 1), spec.get("step", 1)
-        self._last: Optional[int] = None
-
-    def least_above(self, x: int) -> int:
-        floor = x if self._last is None else max(x, self._last)
-        if self._values is None:
-            start, step = self._start, self._step
-            k = max(0, -(-(floor + 1 - start) // step))
-            value = start + k * step
-            if value <= floor:
-                value += step
-        else:
-            values = self._values
-            pos = bisect.bisect_right(values, floor)
-            if pos >= len(values):
-                raise GenerationError(
-                    f"time stream exhausted before exceeding {x}"
-                )
-            value = values[pos]
-        self._last = value
-        return value
+def _least_above(stream: dict, x: int) -> int:
+    """Least element above x of a schema-valid `stream` descriptor (naturals:
+    start 1, step 1): arithmetic in O(1), explicit by bisection, so either
+    keeps up with tower heights that grow geometrically from stage to stage."""
+    values = stream.get("values")  # None unless explicit
+    if values is None:
+        start, step = stream.get("start", 1), stream.get("step", 1)
+        return start + max(0, (x - start) // step + 1) * step
+    pos = bisect.bisect_right(values, x)
+    if pos >= len(values):
+        raise GenerationError(f"time stream exhausted before exceeding {x}")
+    return values[pos]
 
 
 class RigidMixingPair:
@@ -129,7 +108,8 @@ class RigidMixingPair:
     stream, even stages the second) and exceeds 2*h_j.  Along an odd-stage
     time the first construction ("t") moves all but a 1/r_j fraction of any
     level set onto itself while the second ("s") moves everything into
-    spacers, and even stages swap the roles.
+    spacers, and even stages swap the roles.  Every stage fact is read from
+    the towers themselves, so the pair keeps no stage records of its own.
     """
 
     def __init__(self, args: dict) -> None:
@@ -139,45 +119,47 @@ class RigidMixingPair:
             self._scale, self._offset = 0, cuts["r"]
         else:
             self._scale, self._offset = cuts.get("scale", 1), cuts.get("offset", 2)
-        self._streams = {1: _TimeSource(args["cprime"]), 0: _TimeSource(args["dprime"])}
-        self._records: list[tuple[int, int, int]] = []  # (r_j, s_j, h_j + s_j)
-        self._heights = [1]
+        self._streams = (args["dprime"], args["cprime"])  # even, odd stages
+        for stream in self._streams:
+            values = stream.get("values", ())
+            if any(b <= a for a, b in zip(values, values[1:])):
+                raise ValueError("explicit stream must be strictly increasing")
         self.t_params = self._role_params("t")
         self.s_params = self._role_params("s")
 
     def _role_params(self, role: str) -> ConstructionParams:
+        # `_stage_for` is looked up at call time, so it can be wrapped by name
         rule = lambda j: self._stage_for(role, j)
         return ConstructionParams(rule, f"pair-{role}")
 
-    def _ensure(self, j: int) -> None:
-        while len(self._records) <= j:
-            m = len(self._records)
-            h = self._heights[m]
-            r = self._scale * m + self._offset  # at least 2, by the `cuts` schema
-            try:
-                value = self._streams[m % 2].least_above(2 * h)
-            except GenerationError as exc:
-                raise GenerationError(f"stage {m}: {exc}") from None
-            s = value - h
-            self._records.append((r, s, value))
-            self._heights.append(r * h + 2 * (r - 1) * s)
+    def roles_at(self, j: int) -> tuple[str, str]:
+        """(rigid, mixing) along the stage-j time: "t" is rigid at odd j."""
+        return ("t", "s") if j % 2 else ("s", "t")
+
+    def params(self, role: str) -> ConstructionParams:
+        return self.t_params if role == "t" else self.s_params
+
+    def _height(self, j: int) -> int:
+        """h_j, from stage j - 1 only: stage j's rule is what asks for it."""
+        return 1 if j == 0 else build_stage(self.t_params, j - 1).next_height
 
     def _stage_for(self, role: str, j: int) -> tuple[int, tuple[int, ...]]:
-        self._ensure(j)
-        r, s, _ = self._records[j]
-        uniform_role = "t" if j % 2 == 1 else "s"
-        if role == uniform_role:
+        r = self._scale * j + self._offset  # at least 2, by the `cuts` schema
+        s = self.time_at(j) - self._height(j)
+        if role == self.roles_at(j)[0]:
             return r, (s,) * (r - 1) + ((r - 1) * s,)
         return r, (2 * s,) * (r - 1) + (0,)
 
     def time_at(self, j: int) -> int:
-        """The designated time h_j + s_j materialized at stage j."""
-        self._ensure(j)
-        return self._records[j][2]
+        """The designated time h_j + s_j: the least of stage j's stream above 2*h_j."""
+        h = self._height(j)
+        try:
+            return _least_above(self._streams[j % 2], 2 * h)
+        except GenerationError as exc:
+            raise GenerationError(f"stage {j}: {exc}") from None
 
     def cuts_at(self, j: int) -> int:
-        self._ensure(j)
-        return self._records[j][0]
+        return build_stage(self.t_params, j).cuts
 
 
 def rigid_mixing_pair(spec_args: Optional[dict] = None) -> RigidMixingPair:
@@ -321,8 +303,7 @@ def builtin_params(name: str, **args) -> ConstructionParams:
     if name != "theorem6":
         return {"chacon": chacon, "odometer": odometer, "staircase": staircase}[name](**args)
     role = args.pop("role", "t")
-    pair = rigid_mixing_pair(args)
-    return pair.t_params if role == "t" else pair.s_params
+    return rigid_mixing_pair(args).params(role)
 
 
 # ---------------------------------------------------------------------------

@@ -244,9 +244,8 @@ def _certified_ratio_rows(pair, stages: int, bound, certify_from: int):
     for j in range(1, stages + 1):
         c = pair.time_at(j)
         r = pair.cuts_at(j)
-        rigid_params, mixing_params = (
-            (pair.t_params, pair.s_params) if j % 2 else (pair.s_params, pair.t_params)
-        )
+        rigid, mixing = pair.roles_at(j)
+        rigid_params, mixing_params = pair.params(rigid), pair.params(mixing)
         a = LevelSet(j, (0,))
         mu = level_set_measure(rigid_params, a)
         sym = symdiff_interval(rigid_params, c, a, j + 1)
@@ -260,7 +259,7 @@ def _certified_ratio_rows(pair, stages: int, bound, certify_from: int):
                 stage=j,
                 time=c,
                 cuts=r,
-                rigid_side="t" if j % 2 else "s",
+                rigid_side=rigid,
                 rel_symdiff_hi=rel_sym,
                 rel_corr_hi=rel_corr,
                 rel_symdiff_float=float(rel_sym),
@@ -320,10 +319,8 @@ def _run_theorem1(params: dict, seed: int, jobs: int):
     while pair.time_at(j) <= n_max:
         c = pair.time_at(j)
         r = pair.cuts_at(j)
-        rigid_side = "t" if j % 2 else "s"
-        mixing_side = "s" if j % 2 else "t"
-        e_rigid = scans[rigid_side][c - 1]
-        e_mixing = scans[mixing_side][c - 1]
+        rigid, mixing = pair.roles_at(j)
+        e_rigid, e_mixing = scans[rigid][c - 1], scans[mixing][c - 1]
         mu = level_set_measure(pair.t_params, a_scan)
         overlap_ok = (
             overlap_ok

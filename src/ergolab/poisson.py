@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, erfc, exp, lgamma, log, prod, sqrt
+from math import ceil, erfc, exp, lgamma, log, sqrt
 from typing import Callable
 
 import numpy as np
@@ -46,7 +46,6 @@ __all__ = [
     "poisson_wh_experiment",
 ]
 
-MAX_WINDOW_LEVELS = 200_000
 _GOF_CHUNK = 4096  # configurations per goodness-of-fit draw
 
 
@@ -67,28 +66,15 @@ def _exact_indices(levels: LevelSet) -> np.ndarray:
     return np.array(levels.indices, dtype=object)
 
 
-def _refined_size(params: ConstructionParams, levels: LevelSet, depth: int) -> int:
-    """How many depth-`depth` levels `levels` refines to, without refining."""
-    return len(levels) * prod(
-        build_stage(params, t).cuts for t in range(levels.stage, depth)
-    )
-
-
-def _check_cap(what: str, size: int) -> None:
-    if size > MAX_WINDOW_LEVELS:
-        raise ValueError(f"{what} refines to {size} levels, cap is {MAX_WINDOW_LEVELS}")
-
-
 class PoissonModel:
     """Finite observation window of a tower, with Poisson mass per level."""
 
     def __init__(self, params: ConstructionParams, window: LevelSet, depth: int):
         self.params = params
         self.depth = int(depth)
-        _check_cap("window", _refined_size(params, window, self.depth))
-        self.stage = build_stage(params, self.depth)
         # sorted window indices as Python ints: slot s holds level indices[s]
         self.indices = _exact_indices(refine_set(params, window, self.depth))
+        self.stage = build_stage(params, self.depth)
         self.level_width = self.stage.level_width
         self._point_mean = float(self.intensity)
 
@@ -102,8 +88,6 @@ class PoissonModel:
 
     def member_slots(self, levels: LevelSet) -> np.ndarray:
         """Window slots of a level set; every refined index must be observed."""
-        if _refined_size(self.params, levels, self.depth) > self.n_levels:
-            raise ValueError("level set is not contained in the window")
         slots, found = _locate(
             self.indices, _exact_indices(refine_set(self.params, levels, self.depth))
         )
@@ -358,14 +342,14 @@ def _swap_weights(
     in_a = np.zeros(model.n_levels, dtype=bool)
     in_a[a_slots] = True
     i, k = swap.pair
-    supp = LevelSet(swap.stage, swap.pair)
-    _check_cap("swap support", _refined_size(model.params, supp, model.depth))
+    # copies of the two levels alternate: copies of one stage-`swap.stage`
+    # level lie at least that tower's height apart
+    supp = _exact_indices(refine_set(model.params, LevelSet(swap.stage, swap.pair), model.depth))
     terms = np.arange(1, n_terms + 1).astype(object)
     tops = np.searchsorted(model.indices, model.stage.height - terms)
     lost_levels = int((model.n_levels - tops).sum())
     signed = np.zeros((model.n_levels, n_terms), dtype=np.int8)
-    for level, step in ((i, k - i), (k, i - k)):
-        y = _exact_indices(refine_set(model.params, LevelSet(swap.stage, (level,)), model.depth))
+    for y, step in ((supp[0::2], k - i), (supp[1::2], i - k)):
         first = np.searchsorted(y, model.indices, side="right")
         counts = np.searchsorted(y, model.indices + n_terms, side="right") - first
         slots = np.repeat(np.arange(model.n_levels), counts)

@@ -23,10 +23,14 @@ Q = Fraction
 # copy distances it tracks grow with the depth: a 200-shift scan of the
 # generated pair takes seconds at depth 60.
 MAX_DEPTH = 64
+# Most levels one refinement may produce, a Python int each: `refine_set` reads
+# the refined size off the cut counts, so past it nothing is refined.
+MAX_REFINED_LEVELS = 200_000
 _DEPTH_MARGIN = 2  # stages `depth_for` adds past the first tall enough tower
 
 __all__ = [
     "MAX_DEPTH",
+    "MAX_REFINED_LEVELS",
     "ConstructionExhaustedError",
     "InsufficientDepthError",
     "GenerationError",
@@ -166,9 +170,16 @@ def refine_set(params: ConstructionParams, levels: LevelSet, to_stage: int) -> L
         raise ValueError("cannot coarsen a level set")
     # Refined indices base + i stay in range, so only the input is checked.
     _checked_stage(params, levels)
+    stages = [build_stage(params, t) for t in range(levels.stage, to_stage)]
+    size = len(levels) * prod(stage.cuts for stage in stages)
+    if size > MAX_REFINED_LEVELS:
+        raise ValueError(
+            f"{len(levels)} stage-{levels.stage} level(s) refine to {size} "
+            f"stage-{to_stage} levels, cap is {MAX_REFINED_LEVELS}"
+        )
     idx: Sequence[int] = levels.indices
-    for t in range(levels.stage, to_stage):
-        idx = [b + i for b in build_stage(params, t).column_bases for i in idx]
+    for stage in stages:
+        idx = [b + i for b in stage.column_bases for i in idx]
     return LevelSet(to_stage, tuple(idx))
 
 

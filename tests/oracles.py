@@ -4,10 +4,13 @@ Everything here recomputes tower facts from first principles, sharing no
 code path with ergolab.tower: stages are enumerated as literal cell layouts
 and the transformation is iterated one step at a time on every grid cell.
 The GF(2) measures likewise share no code with ergolab.ledrapier: one
-expands sites into column sets, the other enumerates row-0 windows.
+expands sites into column sets, the other enumerates row-0 windows.  The
+rigid/mixing pair's reference keeps its own stage records by the stacking
+recurrence, where ergolab.constructions reads them off the towers.
 """
 from __future__ import annotations
 
+import bisect
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +18,7 @@ import numpy as np
 from ergolab.tower import (
     ConstructionParams,
     FinitarySwap,
+    GenerationError,
     LevelSet,
     build_stage,
     refine_set,
@@ -61,6 +65,81 @@ def enumerate_stages(params: ConstructionParams, depth: int) -> list[dict]:
         )
         height = len(layout)
     return facts
+
+
+class _TimeSource:
+    """Strictly increasing integer stream consumed via least_above queries,
+    never answering at or below a value it has already given."""
+
+    def __init__(self, spec: dict) -> None:
+        self._values = spec.get("values")  # None unless explicit
+        self._start, self._step = spec.get("start", 1), spec.get("step", 1)
+        self._last = None
+
+    def least_above(self, x: int) -> int:
+        floor = x if self._last is None else max(x, self._last)
+        if self._values is None:
+            k = max(0, -(-(floor + 1 - self._start) // self._step))
+            value = self._start + k * self._step
+        else:
+            pos = bisect.bisect_right(self._values, floor)
+            if pos >= len(self._values):
+                raise GenerationError(f"time stream exhausted before exceeding {x}")
+            value = self._values[pos]
+        self._last = value
+        return value
+
+
+class PairRecurrence:
+    """Stage records of the interleaved rigid/mixing pair, kept apart from
+    any tower: stage m takes the least time of its stream (the second at
+    even m, the first at odd m) above 2 h_m, and h_{m+1} = r_m h_m +
+    2 (r_m - 1) s_m.  `args` is a `pair` descriptor holding all three keys.
+    """
+
+    def __init__(self, args: dict) -> None:
+        cuts = args["cuts"]
+        if cuts["name"] == "constant":
+            self._scale, self._offset = 0, cuts["r"]
+        else:
+            self._scale, self._offset = cuts.get("scale", 1), cuts.get("offset", 2)
+        self._streams = {1: _TimeSource(args["cprime"]), 0: _TimeSource(args["dprime"])}
+        self._records = []  # (r_m, s_m, h_m + s_m)
+        self._heights = [1]
+
+    def _ensure(self, j: int) -> None:
+        while len(self._records) <= j:
+            m = len(self._records)
+            h = self._heights[m]
+            r = self._scale * m + self._offset
+            try:
+                value = self._streams[m % 2].least_above(2 * h)
+            except GenerationError as exc:
+                raise GenerationError(f"stage {m}: {exc}") from None
+            s = value - h
+            self._records.append((r, s, value))
+            self._heights.append(r * h + 2 * (r - 1) * s)
+
+    def stage(self, role: str, j: int) -> tuple[int, tuple[int, ...]]:
+        """(r_j, spacers_j) of construction `role`: "t" takes the uniform
+        spacers at odd j, "s" at even j."""
+        self._ensure(j)
+        r, s, _ = self._records[j]
+        if (role == "t") == (j % 2 == 1):
+            return r, (s,) * (r - 1) + ((r - 1) * s,)
+        return r, (2 * s,) * (r - 1) + (0,)
+
+    def time_at(self, j: int) -> int:
+        self._ensure(j)
+        return self._records[j][2]
+
+    def cuts_at(self, j: int) -> int:
+        self._ensure(j)
+        return self._records[j][0]
+
+    def height(self, j: int) -> int:
+        self._ensure(j)
+        return self._heights[j]
 
 
 def oracle_refine(facts: list[dict], stage: int, indices, to_stage: int) -> list[int]:

@@ -225,8 +225,32 @@ def test_swap_support_past_the_cap_exits_2(tmp_path):
     cfg.write_text(json.dumps({"experiment": "wh-poisson", "params": params}), encoding="utf-8")
     proc = run_cli("experiment", "wh-poisson", "--config", str(cfg))
     assert proc.returncode == 2
-    assert "swap support refines to 47185920 levels, cap is 200000" in proc.stderr
+    assert "2 stage-1 level(s) refine to 47185920 stage-6 levels, cap is 200000" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _exits_2_at_the_cap(proc, size):
+    assert proc.returncode == 2, proc.stderr
+    assert f"refine to {size} stage-" in proc.stderr
+    assert "cap is 200000" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_swap_defect_past_the_cap_exits_2(tmp_path):
+    # the swap defect refines the stage-1 swap support to A's stage, 12
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"a_stage": 12, "a_lo": 0, "a_hi": 5}}), encoding="utf-8")
+    proc = run_cli("experiment", "theorem1", "--config", str(cfg))
+    _exits_2_at_the_cap(proc, 2 * 16 * 24 * 32 * 40 * 48 * 56 * 64 * 72 * 80 * 88 * 96)
+
+
+def test_correlation_past_the_cap_exits_2():
+    # one stage-1 level of A refines to B's stage, 18
+    proc = run_cli(
+        "correlate", "--construction", "chacon", "--n", "5", "--a-stage", "1", "--a-lo", "0",
+        "--a-hi", "1", "--b-stage", "18", "--b-lo", "0", "--b-hi", "1", "--depth", "18",
+    )
+    _exits_2_at_the_cap(proc, 3**17)
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from ergolab.tower import (
     GenerationError,
     LevelSet,
@@ -106,6 +108,83 @@ def test_generation_error_on_exhausted_stream():
     pair = rigid_mixing_pair({"cprime": {"name": "explicit", "values": [3]}})
     with pytest.raises(GenerationError):
         pair.time_at(1)
+
+
+def test_negative_stage_is_rejected_after_later_stages_exist():
+    pair = rigid_mixing_pair()
+    assert pair.time_at(3) == 236133
+    for call in (pair.time_at, pair.cuts_at):
+        with pytest.raises(ValueError, match="stage index must be non-negative"):
+            call(-1)
+
+
+def test_roles_swap_with_the_stage_parity():
+    pair = rigid_mixing_pair()
+    assert [pair.roles_at(j) for j in range(3)] == [("s", "t"), ("t", "s"), ("s", "t")]
+    assert (pair.params("t"), pair.params("s")) == (pair.t_params, pair.s_params)
+
+
+_CUTS = st.one_of(
+    st.builds(lambda r: {"name": "constant", "r": r}, st.integers(2, 5)),
+    st.fixed_dictionaries(
+        {"name": st.just("affine")},
+        optional={"scale": st.integers(0, 3), "offset": st.integers(2, 5)},
+    ),
+)
+_STREAMS = st.one_of(
+    st.just({"name": "naturals"}),
+    st.fixed_dictionaries(
+        {"name": st.just("arithmetic")},
+        optional={"start": st.integers(-50, 50), "step": st.integers(1, 9)},
+    ),
+    st.builds(
+        lambda values: {"name": "explicit", "values": sorted(values)},
+        st.sets(st.integers(-100, 10**6), max_size=8),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.fixed_dictionaries({"cuts": _CUTS, "cprime": _STREAMS, "dprime": _STREAMS}),
+    st.sampled_from(["t", "s", "time"]),
+)
+def test_pair_matches_the_stateful_recurrence(descriptor, first):
+    pair = rigid_mixing_pair(descriptor)
+    ref = oracles.PairRecurrence(descriptor)
+    try:  # what is asked for first: either tower, or a time before any tower
+        if first == "time":
+            pair.time_at(8)
+        else:
+            build_stage(pair.params(first), 8)
+    except GenerationError:
+        pass
+    for j in range(9):
+        try:
+            want = (
+                ref.cuts_at(j),
+                ref.time_at(j),
+                ref.stage("t", j),
+                ref.stage("s", j),
+                ref.height(j),
+            )
+        except GenerationError as exc:
+            calls = (pair.cuts_at, pair.time_at, pair.t_params.stage_data,
+                     pair.s_params.stage_data)
+            for call in calls:
+                with pytest.raises(GenerationError) as got:
+                    call(j)
+                assert str(got.value) == str(exc)
+            break
+        got = (
+            pair.cuts_at(j),
+            pair.time_at(j),
+            pair.t_params.stage_data(j),
+            pair.s_params.stage_data(j),
+            build_stage(pair.t_params, j).height,
+        )
+        assert got == want
+        assert build_stage(pair.s_params, j).height == want[-1]
 
 
 def test_builtin_pair_roles_share_one_generator():

@@ -375,3 +375,71 @@ def test_each_monte_carlo_row_is_one_mc_call_with_the_floor_layout(monkeypatch, 
     want = params["samples"] // mc.BATCHES * mc.BATCHES
     assert want < params["samples"]
     assert all(r["n_samples"] == want for r in rows)
+
+
+def _check_of(name):
+    return lambda report: next(
+        (c["passed"], c.get("detail")) for c in report.checks if c["name"] == name
+    )
+
+
+def _rows(report):
+    return len(report.rows)
+
+
+def _column(key, item=None, digits=None):
+    def read(report):
+        values = [r[key] for r in report.rows if item is None or r.get("item") == item]
+        return [round(v, digits) for v in values] if digits is not None else values
+
+    return read
+
+
+_CERTIFIED = _check_of("both-defect-ratios-below-bound-from-certify-stage")
+
+# (experiment, shared params, property, its non-default value, what it changes,
+# that reading at the property's default, and at the value)
+SCHEMA_PROPERTY_EFFECTS = [
+    ("theorem1", {}, "ratio_stages", 3, _rows, 14, 8),
+    ("theorem1", {}, "scan_n_max", 72,  # c_1 = 73
+     _check_of("scan-confirms-overlap-on-the-rigid-side"),
+     (True, "1 shared time(s) within scan range"), (False, "0 shared time(s) within scan range")),
+    ("theorem1", {}, "scan_theta", 0.2,  # 2 / r_1 = 1/8 mu: rigid, not partially rigid
+     _check_of("scan-confirms-overlap-on-the-rigid-side"),
+     (True, "1 shared time(s) within scan range"), (False, "1 shared time(s) within scan range")),
+    ("theorem1", {}, "wh_ns", [50], _column("n_terms", "wh-defect"), [50, 100, 200], [50]),
+    ("theorem1", {}, "wh_bound", 0.001, _check_of("finitary-swap-defect-below-bound"),
+     (True, "bound 0.1"), (False, "bound 0.001")),
+    ("theorem1", {}, "bound", 0.02, _CERTIFIED, (True, None), (False, None)),  # 2 / r_8 = 1/36
+    ("theorem1", {}, "certify_from", 1, _CERTIFIED, (True, None), (False, None)),  # 2 / r_1
+    ("theorem6", {}, "bound", 0.02, _CERTIFIED,
+     (True, "bound 1/20 from stage 8"), (False, "bound 1/50 from stage 8")),
+    ("theorem6", {}, "certify_from", 1, _CERTIFIED,
+     (True, "bound 1/20 from stage 8"), (False, "bound 1/20 from stage 1")),
+    # stage-2 levels 1 and 3 lie below A = 50..349, so no upward shift of A meets them
+    ("theorem1", {}, "swap_stage", 2, _column("defect_hi", "wh-defect"),
+     ["13/200", "13/200", "103/1600"], ["0", "0", "0"]),
+    ("wh-poisson", {"samples": 80}, "swap_stage", 2, _column("wh_hi"),
+     ["13/200", "13/200", "103/1600"], ["0", "0", "0"]),
+    ("ledrapier", {}, "generic_seed", 8, lambda report: _column("z", "generic")(report)[:3],
+     [[1, 2], [3, 0], [-7, 8]], [[-2, 5], [3, 2], [-3, 0]]),
+    # off a rotation block the plane's mass moves, and with it the majorant
+    ("eq1-sweep", {"plane": [5, 6]}, "vector_seed", 6, _column("majorant2", digits=3),
+     [0.182, 0.181, 0.181], [0.364, 0.362, 0.362]),
+    ("wh-gaussian", {"plane": [5, 6], "samples": 80, "degrees": [1], "n_terms": 20},
+     "vector_seed", 6, _column("operator_defect", digits=3), [0.009], [0.017]),
+    # the whole stage-2 tower is the window, so 1 + 2 + ... + 50 levels are lost
+    ("wh-poisson", {"samples": 80, "window_size": 1686, "ns": [50]}, "lost_budget", 1,
+     _check_of("n-50-lost-mass-within-budget"),
+     (False, "lost 1275/128 of intensity 843/64"), (True, "lost 1275/128 of intensity 843/64")),
+]
+
+
+@pytest.mark.parametrize(
+    "name, shared, key, value, read, at_default, at_value",
+    [pytest.param(*case, id=f"{case[0]}-{case[2]}") for case in SCHEMA_PROPERTY_EFFECTS],
+)
+def test_each_schema_property_changes_its_run(name, shared, key, value, read, at_default, at_value):
+    assert _CATALOGUE[name].params_schema["properties"][key].get("default") != value
+    assert read(run_experiment(_shrunk(name, **shared))) == at_default
+    assert read(run_experiment(_shrunk(name, **shared, **{key: value}))) == at_value

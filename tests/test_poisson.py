@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction as Q
 
 import numpy as np
@@ -46,41 +47,48 @@ def test_window_size_is_capped():
         PoissonModel(params, LevelSet(11, range(250_000)), depth=11)
 
 
-def test_window_size_is_checked_before_refining(monkeypatch):
-    def refine_set(*args):
-        raise AssertionError("the window was refined before its size was checked")
+def _refused_before_refining(call, match):
+    """`call` raises the refinement cap's ValueError without refining: the
+    refused sets hold millions of levels, a Python int each."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=match):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**7
 
-    monkeypatch.setattr(poisson, "refine_set", refine_set)
-    with pytest.raises(ValueError, match="window refines to 21504000 levels"):
-        PoissonModel(rigid_mixing_pair().t_params, LevelSet(2, range(700)), depth=5)
+
+def test_window_size_is_checked_before_refining():
+    params = rigid_mixing_pair().t_params
+    _refused_before_refining(
+        lambda: PoissonModel(params, LevelSet(2, range(700)), depth=5),
+        r"700 stage-2 level\(s\) refine to 21504000 stage-5 levels, cap is 200000",
+    )
 
 
-def test_level_sets_and_swap_supports_are_sized_before_refining(monkeypatch):
+def test_level_sets_and_swap_supports_are_sized_before_refining():
     model = PoissonModel(rigid_mixing_pair().t_params, LevelSet(5, range(700)), depth=5)
-
-    def refuse(*args):
-        raise AssertionError("refined before its size was checked")
-
-    with monkeypatch.context() as patched:
-        patched.setattr(poisson, "refine_set", refuse)
-        # one stage-0 level is 8 * 16 * 24 * 32 * 40 = 3932160 depth-5 levels
-        with pytest.raises(ValueError, match="not contained in the window"):
-            model.member_slots(LevelSet(0, (0,)))
-        with pytest.raises(ValueError, match="not contained in the window"):
-            poisson_count_covariance(model, 0, LevelSet(0, (0,)), LevelSet(5, range(5)), 4000)
-    # each stage-1 swap level has 16 * 24 * 32 * 40 = 491520 depth-5 copies; A
-    # still refines, the swap levels may not
-    real_refine_set = poisson.refine_set
-
-    def refuse_swap_levels(params, levels, to_stage):
-        if levels.stage == 1:
-            refuse()
-        return real_refine_set(params, levels, to_stage)
-
-    monkeypatch.setattr(poisson, "refine_set", refuse_swap_levels)
+    # one stage-0 level is 8 * 16 * 24 * 32 * 40 = 3932160 depth-5 levels
+    cap = r"1 stage-0 level\(s\) refine to 3932160 stage-5 levels, cap is 200000"
+    _refused_before_refining(lambda: model.member_slots(LevelSet(0, (0,))), cap)
+    _refused_before_refining(
+        lambda: poisson_count_covariance(
+            model, 0, LevelSet(0, (0,)), LevelSet(5, range(5)), 4000
+        ),
+        cap,
+    )
+    # a set under the cap that the window does not hold is still refused
+    with pytest.raises(ValueError, match="not contained in the window"):
+        model.member_slots(LevelSet(3, (0,)))
+    # each stage-1 swap level has 16 * 24 * 32 * 40 = 491520 depth-5 copies;
+    # A refines, the swap support may not
     a = LevelSet(5, range(50, 350))
-    with pytest.raises(ValueError, match="swap support refines to 983040 levels"):
-        poisson_wh_experiment(model, FinitarySwap(1, (1, 3)), a, 50, 4000)
+    _refused_before_refining(
+        lambda: poisson_wh_experiment(model, FinitarySwap(1, (1, 3)), a, 50, 4000),
+        r"2 stage-1 level\(s\) refine to 983040 stage-5 levels, cap is 200000",
+    )
 
 
 def test_too_few_samples_per_batch_are_rejected(band_model):

@@ -5,6 +5,7 @@ import gc
 import random
 import weakref
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -310,6 +311,13 @@ def test_level_past_stage_height_has_no_interval():
     for levels in (LevelSet(2, (0, 99)), LevelSet(2, (-3,))):
         with pytest.raises(ValueError, match="index out of range for stage-2 tower"):
             level_set_measure(chacon_params, levels)
+
+
+def test_refinement_past_the_cap_is_refused_before_it_starts():
+    # one stage-0 level of the pair has 8 * 16 * ... * 320 stage-40 copies
+    size = prod(8 * j + 8 for j in range(40))
+    with pytest.raises(ValueError, match=rf"1 stage-0 level\(s\) refine to {size} stage-40"):
+        refine_set(rigid_mixing_pair().t_params, LevelSet(0, (0,)), 40)
 
 
 def test_dropped_pair_frees_its_stages():
