@@ -310,18 +310,14 @@ def _run_theorem1(params: dict, seed: int, jobs: int):
 
     n_max, theta = params["scan_n_max"], params["scan_theta"]
     a_scan = LevelSet(1, (0,))
-    scans = {
-        "t": rigidity_scan(pair.t_params, a_scan, n_max, theta=theta),
-        "s": rigidity_scan(pair.s_params, a_scan, n_max, theta=theta),
-    }
+    scans = {role: rigidity_scan(pair.params(role), a_scan, n_max, theta=theta) for role in "ts"}
     overlap_ok, vanish_ok, probed = True, True, 0
+    mu = level_set_measure(pair.t_params, a_scan)
     j = 1
-    while pair.time_at(j) <= n_max:
-        c = pair.time_at(j)
+    while (c := pair.time_at(j)) <= n_max:
         r = pair.cuts_at(j)
         rigid, mixing = pair.roles_at(j)
         e_rigid, e_mixing = scans[rigid][c - 1], scans[mixing][c - 1]
-        mu = level_set_measure(pair.t_params, a_scan)
         overlap_ok = (
             overlap_ok
             and e_rigid.kind == "partially-rigid"
@@ -469,13 +465,15 @@ def _run_wh_gaussian(params: dict, seed: int, jobs: int):
     return rows, checks, []
 
 
-def _run_wh_poisson(params: dict, seed: int, jobs: int):
+def _window_model(params: dict) -> PoissonModel:
+    """The Poisson model over the window of the pair's t tower."""
     pair = rigid_mixing_pair(params.get("pair"))
-    model = PoissonModel(
-        pair.t_params,
-        LevelSet(params["window_stage"], range(params["window_size"])),
-        depth=params["depth"],
-    )
+    window = LevelSet(params["window_stage"], range(params["window_size"]))
+    return PoissonModel(pair.t_params, window, depth=params["depth"])
+
+
+def _run_wh_poisson(params: dict, seed: int, jobs: int):
+    model = _window_model(params)
     swap = FinitarySwap(params["swap_stage"], tuple(params["swap_pair"]))
     a = LevelSet(params["a_stage"], range(params["a_lo"], params["a_hi"]))
     rows, checks = [], []
@@ -646,12 +644,7 @@ def _run_gauss(params: dict, seed: int, jobs: int):
 
 
 def _run_poisson_cov(params: dict, seed: int, jobs: int):
-    pair = rigid_mixing_pair(params.get("pair"))
-    model = PoissonModel(
-        pair.t_params,
-        LevelSet(params["window_stage"], range(params["window_size"])),
-        depth=params["depth"],
-    )
+    model = _window_model(params)
     a = LevelSet(params["a_stage"], range(params["a_lo"], params["a_hi"]))
     b = LevelSet(params["b_stage"], range(params["b_lo"], params["b_hi"]))
     rows, all_within = [], True

@@ -62,8 +62,8 @@ def _locate(indices: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.nda
     return slots, found
 
 
-def _exact_indices(levels: LevelSet) -> np.ndarray:
-    return np.array(levels.indices, dtype=object)
+def _refined(params: ConstructionParams, levels: LevelSet, depth: int) -> np.ndarray:
+    return np.array(refine_set(params, levels, depth).indices, dtype=object)
 
 
 class PoissonModel:
@@ -73,7 +73,7 @@ class PoissonModel:
         self.params = params
         self.depth = int(depth)
         # sorted window indices as Python ints: slot s holds level indices[s]
-        self.indices = _exact_indices(refine_set(params, window, self.depth))
+        self.indices = _refined(params, window, self.depth)
         self.stage = build_stage(params, self.depth)
         self.level_width = self.stage.level_width
         self._point_mean = float(self.intensity)
@@ -88,9 +88,7 @@ class PoissonModel:
 
     def member_slots(self, levels: LevelSet) -> np.ndarray:
         """Window slots of a level set; every refined index must be observed."""
-        slots, found = _locate(
-            self.indices, _exact_indices(refine_set(self.params, levels, self.depth))
-        )
+        slots, found = _locate(self.indices, _refined(self.params, levels, self.depth))
         if not found.all():
             raise ValueError("level set is not contained in the window")
         return slots
@@ -344,7 +342,7 @@ def _swap_weights(
     i, k = swap.pair
     # copies of the two levels alternate: copies of one stage-`swap.stage`
     # level lie at least that tower's height apart
-    supp = _exact_indices(refine_set(model.params, LevelSet(swap.stage, swap.pair), model.depth))
+    supp = _refined(model.params, LevelSet(swap.stage, swap.pair), model.depth)
     terms = np.arange(1, n_terms + 1).astype(object)
     tops = np.searchsorted(model.indices, model.stage.height - terms)
     lost_levels = int((model.n_levels - tops).sum())

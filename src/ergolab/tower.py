@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import prod
+from math import inf, prod
 from typing import Callable, Iterable, Optional, Sequence
 
 Q = Fraction
@@ -177,10 +177,7 @@ def refine_set(params: ConstructionParams, levels: LevelSet, to_stage: int) -> L
             f"{len(levels)} stage-{levels.stage} level(s) refine to {size} "
             f"stage-{to_stage} levels, cap is {MAX_REFINED_LEVELS}"
         )
-    idx: Sequence[int] = levels.indices
-    for stage in stages:
-        idx = [b + i for b in stage.column_bases for i in idx]
-    return LevelSet(to_stage, tuple(idx))
+    return LevelSet(to_stage, tuple(_copies(levels.indices, stages)))
 
 
 def level_set_measure(params: ConstructionParams, levels: LevelSet) -> Fraction:
@@ -255,65 +252,98 @@ def _shift_profile(
     under n -> -n.  Every count is an exact integer.  No depth or shift is
     checked here; callers enter through `_profile`, which checks both.
 
-    Neither set is refined past their common stage j.  The stage-j copies in
-    the stage-(t+1) tower sit at P_{t+1} = P_t + column_bases(t), so the
-    number C_t(m) of copy pairs (p, q) with q - p = m obeys C_{t+1}(m) =
-    sum over base pairs (g, g') of C_t(m - g' + g), and hits(n) is
-    sum_d D[d] * C_depth(n - d) over the stage-j differences d = y - x of
-    A x B.  Lost copies are counted by one descent through the cut columns.
+    Neither set is refined whole.  Say A sits at stage i <= j, B's stage
+    (else swap them and negate n).  The stage-i copies in the stage-t tower
+    sit at U_t, the stage-j copies at P_t, and U_{t+1} = U_t + column_bases(t)
+    (P_{t+1} likewise, from P_j = {0}).  The number E_t(m) of copy pairs
+    (u, p) with p - u = m obeys E_{t+1}(m) = sum over base pairs (g, g') of
+    E_t(m - g' + g), from E_j(m) = [-m in U_j], and hits(n) is
+    sum_d D[d] * E_depth(n - d) over the differences d = y - x of A x B.
+    When at most MAX_REFINED_LEVELS stage-j copies of A lie within reach of
+    B, they are listed instead, and A counts as a stage-j set in D and E.
+    Lost copies are counted by one descent through the cut columns.
     """
-    j = max(a.stage, b.stage)
-    if depth < j:
+    if depth < max(a.stage, b.stage):
         raise ValueError("cannot coarsen a level set")
-    a_idx = refine_set(params, a, j).indices
-    b_idx = refine_set(params, b, j).indices
-    ns = list(ns)
+    _checked_stage(params, a)  # copies base + i of checked indices stay in range
+    _checked_stage(params, b)
+    if a.stage > b.stage:
+        flipped = _shift_profile(params, b, a, depth, [-n for n in ns])
+        return [(hits, lost_a, lost_b) for hits, lost_b, lost_a in flipped]
+    a_idx, b_idx, ns, j = a.indices, b.indices, list(ns), b.stage
+    walk = [build_stage(params, t) for t in range(a.stage, j)]
     stages = [build_stage(params, t) for t in range(j, depth + 1)]
     height, reach = stages[-1].height, stages[-1].height - stages[0].height
-    copies = prod(st.cuts for st in stages[:-1])
-    # C_depth(m) vanishes for |m| > reach, so only these differences count.
+    copies = prod(stage.cuts for stage in stages[:-1])  # of a stage-j level at depth
+    a_at_j = prod(stage.cuts for stage in walk) * len(a_idx)  # copies of A's levels at j
+    lo, hi = min(ns, default=0) - reach, max(ns, default=0) + reach
+    x_lo, x_hi = (b_idx[0] - hi, b_idx[-1] - lo + 1) if b_idx else (0, 0)
+    # Listing A's stage-j copies within reach of B is fastest, but only a bounded
+    # number are listed; past it, the recursion counts them from stage i up.
+    lower, xs = walk, a_idx
+    if _below(a_idx, walk, x_hi, a_at_j) - _below(a_idx, walk, x_lo, a_at_j) <= MAX_REFINED_LEVELS:
+        lower, xs = [], _copies(a_idx, walk, x_lo, x_hi)
+    lift = stages[0].height - (lower or stages)[0].height  # how much wider U_t is than P_t
+    # E_depth(m) vanishes outside [-reach - lift, reach], so only these differences count.
     diffs = Counter()
-    if ns:
-        lo, hi = min(ns) - reach, max(ns) + reach
-        for x in a_idx:
-            for y in b_idx[bisect_left(b_idx, x + lo) : bisect_right(b_idx, x + hi)]:
-                diffs[y - x] += 1
+    for x in xs:
+        for y in b_idx[bisect_left(b_idx, x + lo) : bisect_right(b_idx, x + hi + lift)]:
+            diffs[y - x] += 1
     keys = sorted(diffs)
 
     @cache
     def pairs(t: int, m: int) -> int:
-        """C_t(m), for the stage-j copies in the stage-t tower."""
-        if t == j:
-            return int(m == 0)
+        """E_t(m), for the copies of both stages in the stage-t tower."""
+        if t == j:  # one copy of A's level 0 sits at -m, or none
+            return len(_copies((0,), lower, -m, 1 - m))
         stage = stages[t - 1 - j]
-        span, bases = stage.height - stages[0].height, stage.column_bases
+        span = stage.height - stages[0].height
+        bases, wide = stage.column_bases, span + lift
         return sum(
             pairs(t - 1, m - g2 + g)
             for g in bases
-            for g2 in bases[bisect_left(bases, m + g - span) : bisect_right(bases, m + g + span)]
+            for g2 in bases[bisect_left(bases, m + g - span) : bisect_right(bases, m + g + wide)]
         )
 
-    def below(idx: Sequence[int], x: int) -> int:
-        """How many copies of the sorted stage-j indices lie below x."""
-        x, count, per_column = max(x, 0), 0, copies * len(idx)
-        for stage in reversed(stages[:-1]):  # past a column's top, x counts it whole
-            per_column //= stage.cuts
-            k = bisect_right(stage.column_bases, x) - 1
-            count += k * per_column
-            x -= stage.column_bases[k]
-        return count + bisect_left(idx, x)
+    def outside(idx: Sequence[int], walk: list, total: int, lo: int, hi: int) -> int:
+        """How many of the `total` copies of the sorted indices lie outside [lo, hi)."""
+        return total - _below(idx, walk, hi, total) + _below(idx, walk, lo, total)
 
-    def outside(idx: Sequence[int], lo: int, hi: int) -> int:
-        """How many copies of the sorted stage-j indices lie outside [lo, hi)."""
-        return copies * len(idx) - below(idx, hi) + below(idx, lo)
-
+    a_walk, a_total = walk + stages[:-1], a_at_j * copies
     out = []
     for n in ns:
-        near = keys[bisect_left(keys, n - reach) : bisect_right(keys, n + reach)]
+        near = keys[bisect_left(keys, n - reach) : bisect_right(keys, n + reach + lift)]
         hits = sum(diffs[d] * pairs(depth, n - d) for d in near)
-        out.append((hits, outside(a_idx, -n, height - n), outside(b_idx, n, height + n)))
+        lost_a = outside(a_idx, a_walk, a_total, -n, height - n)
+        out.append((hits, lost_a, outside(b_idx, stages[:-1], copies * len(b_idx), n, height + n)))
     pairs.cache_clear()  # `pairs` refers to itself: free the memo now, not at a gc pass
     return out
+
+
+def _copies(
+    idx: Sequence[int], walk: list[TowerStage], lo: int = 0, hi: float = inf
+) -> Sequence[int]:
+    """The copies in [lo, hi) of the sorted indices after `walk`, and no others."""
+    if not walk:
+        return idx[bisect_left(idx, lo) : bisect_left(idx, hi)]
+    bases = walk[-1].column_bases
+    first = max(bisect_right(bases, lo) - 1, 0)  # the column holding lo, if any
+    return [
+        g + x
+        for g in bases[first : bisect_left(bases, hi)]
+        for x in _copies(idx, walk[:-1], lo - g, hi - g)
+    ]
+
+
+def _below(idx: Sequence[int], walk: list[TowerStage], x: int, total: int) -> int:
+    """How many of the `total` copies of the sorted indices lie below x after `walk`."""
+    x, count, per_column = max(x, 0), 0, total
+    for stage in reversed(walk):  # past a column's top, x counts it whole
+        per_column //= stage.cuts
+        k = bisect_right(stage.column_bases, x) - 1
+        count += k * per_column
+        x -= stage.column_bases[k]
+    return count + bisect_left(idx, x)
 
 
 def correlation_interval(

@@ -229,28 +229,26 @@ def test_swap_support_past_the_cap_exits_2(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def _exits_2_at_the_cap(proc, size):
-    assert proc.returncode == 2, proc.stderr
-    assert f"refine to {size} stage-" in proc.stderr
-    assert "cap is 200000" in proc.stderr
-    assert "Traceback" not in proc.stderr
+def _passes(proc):
+    assert proc.returncode == 0, proc.stderr
+    assert "result: PASS" in proc.stdout
 
 
-def test_swap_defect_past_the_cap_exits_2(tmp_path):
-    # the swap defect refines the stage-1 swap support to A's stage, 12
+def test_swap_defect_of_a_deep_set_runs(tmp_path):
+    # the swap defect counts the stage-1 swap support's copies at A's stage, 12
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"params": {"a_stage": 12, "a_lo": 0, "a_hi": 5}}), encoding="utf-8")
-    proc = run_cli("experiment", "theorem1", "--config", str(cfg))
-    _exits_2_at_the_cap(proc, 2 * 16 * 24 * 32 * 40 * 48 * 56 * 64 * 72 * 80 * 88 * 96)
+    _passes(run_cli("experiment", "theorem1", "--config", str(cfg)))
 
 
-def test_correlation_past_the_cap_exits_2():
-    # one stage-1 level of A refines to B's stage, 18
+@pytest.mark.parametrize("depth", ["18", "19"])  # 1 and all 3**17 copies within reach
+def test_correlation_across_far_apart_stages_runs(depth):
+    # one stage-1 level of A has 3**17 copies at B's stage, 18
     proc = run_cli(
         "correlate", "--construction", "chacon", "--n", "5", "--a-stage", "1", "--a-lo", "0",
-        "--a-hi", "1", "--b-stage", "18", "--b-lo", "0", "--b-hi", "1", "--depth", "18",
+        "--a-hi", "1", "--b-stage", "18", "--b-lo", "0", "--b-hi", "1", "--depth", depth,
     )
-    _exits_2_at_the_cap(proc, 3**17)
+    _passes(proc)
 
 
 @pytest.mark.parametrize(

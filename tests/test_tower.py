@@ -3,9 +3,11 @@ from __future__ import annotations
 
 import gc
 import random
+import tracemalloc
 import weakref
 from fractions import Fraction
 from math import prod
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -293,9 +295,11 @@ def test_shift_profile_matches_per_shift_reference(data):
     a_idx = frozenset(refine_set(params, a, depth).indices)
     b_idx = frozenset(refine_set(params, b, depth).indices)
     want = [shift_counts(height, a_idx, b_idx, n) for n in ns]
-    assert tower._shift_profile(params, a, b, depth, ns) == want
-    # one shift at a time, so the differences kept are the fewest
-    assert [tower._shift_profile(params, a, b, depth, [n])[0] for n in ns] == want
+    for cap in (tower.MAX_REFINED_LEVELS, 0):  # the lower set's copies listed, then not
+        with mock.patch.object(tower, "MAX_REFINED_LEVELS", cap):
+            assert tower._shift_profile(params, a, b, depth, ns) == want
+            # one shift at a time, so the differences kept are the fewest
+            assert [tower._shift_profile(params, a, b, depth, [n])[0] for n in ns] == want
 
 
 def test_level_past_stage_height_has_no_interval():
@@ -318,6 +322,32 @@ def test_refinement_past_the_cap_is_refused_before_it_starts():
     size = prod(8 * j + 8 for j in range(40))
     with pytest.raises(ValueError, match=rf"1 stage-0 level\(s\) refine to {size} stage-40"):
         refine_set(rigid_mixing_pair().t_params, LevelSet(0, (0,)), 40)
+
+
+def test_sets_stages_apart_are_counted_without_refining(monkeypatch):
+    params = chacon()
+    a, b = LevelSet(1, (2,)), LevelSet(12, (0, 7, 40000, 88000))
+    # 3**17 copies of A at stage 18, all within reach at depth 19: too many to list.
+    # The copy at the base of each of the 3 columns lifts level 2 by 5 onto level 7.
+    far = LevelSet(18, (7, 12))
+    tracemalloc.start()
+    try:
+        corr = correlation_interval(params, 5, a, far, 19)
+        assert corr == correlation_interval(params, -5, far, a, 19)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert corr.lo == 3 * build_stage(params, 19).level_width
+    assert peak < 10**6
+    height = build_stage(params, 12).height
+    ns = [-88000, -5, 1, 7, 39000, height - 1]
+    a_idx = frozenset(refine_set(params, a, 12).indices)  # 3**11 levels, under the cap
+    want = [shift_counts(height, a_idx, frozenset(b.indices), n) for n in ns]
+    assert tower._shift_profile(params, a, b, 12, ns) == want  # A's copies listed
+    monkeypatch.setattr(tower, "MAX_REFINED_LEVELS", 0)  # and counted by the recursion
+    assert tower._shift_profile(params, a, b, 12, ns) == want
+    flipped = tower._shift_profile(params, b, a, 12, [-n for n in ns])
+    assert flipped == [(hits, lost_a, lost_b) for hits, lost_b, lost_a in want]
 
 
 def test_dropped_pair_frees_its_stages():
