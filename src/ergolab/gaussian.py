@@ -10,14 +10,18 @@ exactly the law of the rows applied to xi, so sampling stays exact in law
 while drawing min(k, d) normals per sample instead of d.  Hermite
 polynomials in the X's then have closed-form cross moments, which the
 Monte-Carlo estimators here are tested against.
+
+numpy is imported on first call, not with the module, so the exact
+commands never load it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .mc import EstimateWithError, batch_estimate
 from .operators import CesaroDefect, FiniteRankPerturbation, conjugate_defect, rotate
@@ -46,6 +50,7 @@ class GaussianModel:
     vector: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         vec = np.asarray(self.vector, dtype=float)
         if vec.ndim != 1 or vec.shape[0] != self.dim:
             raise ValueError("vector does not match the operator dimension")
@@ -74,6 +79,7 @@ def factor_sampler(rows: np.ndarray):
     Gaussian from min(k, d) latent normals per sample.  Rank-deficient rows
     are fine: R then has zero rows and the covariance is still rows rows^T.
     """
+    import numpy as np
     factor = np.linalg.qr(np.asarray(rows, dtype=float).T, mode="r").T
 
     def sample(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -89,6 +95,7 @@ def hermite_value(k: int, x: np.ndarray) -> np.ndarray:
     recursion (`numpy.polynomial.hermite_e.hermeval`), so it agrees with it
     bit for bit, signed zeros included.
     """
+    import numpy as np
     if k not in (1, 2, 3):
         raise ValueError("degree must be 1, 2 or 3")
     x = np.asarray(x, dtype=float)
@@ -188,6 +195,7 @@ def triple_correlation_weakmix_check(
     that the triple correlation should factor.  The closed-form orthant
     probability is attached as the oracle for the estimate itself.
     """
+    import numpy as np
     if len(ms) != len(ns):
         raise ValueError("shift sequences must have equal length")
     if threshold <= 0:
@@ -265,6 +273,7 @@ def gaussian_wh_experiment(
     seed: int | tuple[int, ...] = 0,
     jobs: int = 1,
 ) -> GaussianWhResult:
+    import numpy as np
     if k not in (1, 2):
         raise ValueError("degree must be 1 or 2")
     if pert.dim != model.dim:

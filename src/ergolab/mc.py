@@ -15,15 +15,19 @@ ValueError), so `n_samples` is the floor-divided total.  An estimate agrees
 with an exact target when it lies within GATE_SE standard errors of it
 (`EstimateWithError.within`) or below a bound plus GATE_SE standard errors
 (`EstimateWithError.below`).
+
+numpy is imported on first call, and the thread pool only when an estimate
+runs on more than one thread, not with the module, so the exact commands
+load neither.
 """
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "EstimateWithError",
@@ -57,6 +61,7 @@ class EstimateWithError:
 
 
 def combine_batch_means(means: np.ndarray, batch_size: int) -> EstimateWithError:
+    import numpy as np
     means = np.asarray(means, dtype=float)
     count = len(means)
     if count < 2:
@@ -73,6 +78,7 @@ def run_batch_stats(
     seed: int | tuple[int, ...],
 ) -> np.ndarray:
     """One scalar statistic per batch in the given index range."""
+    import numpy as np
     key = [int(s) for s in (seed if isinstance(seed, tuple) else (seed,))]
     if min(key) < 0:
         raise ValueError("a stream key holds non-negative ints")
@@ -114,6 +120,8 @@ def batch_estimate(
     if len(ranges) == 1:
         values = run_batch_stats(stat, batch_size, ranges[0], seed)
     else:
+        import numpy as np
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
             parts = list(
                 pool.map(lambda r: run_batch_stats(stat, batch_size, r, seed), ranges)

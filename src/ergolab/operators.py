@@ -7,13 +7,18 @@ the conjugation experiments, where the interesting quantity is how far the
 time average of an orbit moves under a rank-two rotation S = I + Q(R - I)Q^T
 of one coordinate plane, and how cheaply that motion can be certified from
 above.
+
+numpy is imported on first call, not with the module, so the exact
+commands never load it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "make_rotation_operator",
@@ -38,6 +43,7 @@ def make_rotation_operator(dim: int) -> np.ndarray:
     equidistributed and far from every turn of short rational period, so the
     averaging experiments equidistribute slowly instead of repeating.
     """
+    import numpy as np
     if dim < 2 or dim % 2:
         raise ValueError("rotation operator needs an even dimension >= 2")
     frac = np.mod(np.arange(1, dim // 2 + 1, dtype=float) * math.sqrt(2.0), 1.0)
@@ -51,6 +57,7 @@ def rotate(angles: np.ndarray, vecs: np.ndarray, shifts) -> np.ndarray:
     row depends only on its own shift and vector, so repeated shifts give
     identical rows, and a shift of 10^9 costs what a shift of 1 does.
     """
+    import numpy as np
     turns = np.multiply.outer(np.asarray(shifts, dtype=float), angles)
     cos, sin = np.cos(turns), np.sin(turns)
     v = np.broadcast_to(vecs, (len(turns), 2 * len(angles)))
@@ -62,6 +69,7 @@ def rotate(angles: np.ndarray, vecs: np.ndarray, shifts) -> np.ndarray:
 
 
 def random_unit_vector(dim: int, seed: int = 0) -> np.ndarray:
+    import numpy as np
     rng = np.random.default_rng([int(seed), 0xF1])
     v = rng.standard_normal(dim)
     return v / np.linalg.norm(v)
@@ -69,6 +77,7 @@ def random_unit_vector(dim: int, seed: int = 0) -> np.ndarray:
 
 def uniform_unit_vector(dim: int) -> np.ndarray:
     """Equal mass on every coordinate; spreads weight over all blocks."""
+    import numpy as np
     return np.full(dim, 1.0 / math.sqrt(dim))
 
 
@@ -82,6 +91,7 @@ class FiniteRankPerturbation:
     """
 
     def __init__(self, dim: int, i: int, j: int, angle: float):
+        import numpy as np
         if not (0 <= i < dim and 0 <= j < dim) or i == j:
             raise ValueError("plane coordinates must be distinct and in range")
         self.dim = dim
@@ -101,6 +111,7 @@ class FiniteRankPerturbation:
         return rows + ((rows @ self.plane) @ self._r_minus_i) @ self.plane.T
 
     def plane_component_norm(self, vec: np.ndarray) -> float:
+        import numpy as np
         return float(np.linalg.norm(self.plane.T @ vec))
 
 
@@ -113,6 +124,7 @@ def vector_with_plane_mass(
     When the plane is invariant under the operator this pins the projected
     orbit norm, and with it the cheap majorant, at exactly delta for all time.
     """
+    import numpy as np
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0, 1]")
     rng = np.random.default_rng([int(seed), 0xA7])
@@ -154,6 +166,7 @@ def conjugate_defect(
     closed-form `rotate` calls, taken about `_BLOCK_ELEMENTS` array
     elements (at least one shift) at a time.
     """
+    import numpy as np
     if n_terms < 1:
         raise ValueError("need at least one term")
     if pert.dim != len(vec):

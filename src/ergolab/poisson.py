@@ -14,15 +14,19 @@ the distinct nonzero rows, and a batch costs one point draw, one histogram
 and one small product.  Shifting a configuration moves each point up the
 tower by the step map; points whose image leaves the materialized tower are
 tracked as lost mass rather than silently dropped.
+
+numpy is imported on first call, not with the module, so the exact
+commands never load it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, erfc, exp, lgamma, log, sqrt
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .mc import EstimateWithError, batch_estimate
 from .tower import (
@@ -55,6 +59,7 @@ def _locate(indices: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.nda
     Both arrays hold Python ints (dtype object), so indices past 2**63 compare
     exactly; `values` may have any shape.
     """
+    import numpy as np
     slots = np.searchsorted(indices, values)
     found = np.zeros(values.shape, dtype=bool)
     inside = slots < len(indices)
@@ -63,6 +68,7 @@ def _locate(indices: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _refined(params: ConstructionParams, levels: LevelSet, depth: int) -> np.ndarray:
+    import numpy as np
     return np.array(refine_set(params, levels, depth).indices, dtype=object)
 
 
@@ -102,6 +108,7 @@ class PoissonModel:
         each point sits in a uniform window slot, since every window level
         has the same width.  Owners come in increasing order.
         """
+        import numpy as np
         totals = rng.poisson(self._point_mean, size=size)
         owner = np.repeat(np.arange(size), totals)
         return owner, rng.integers(self.n_levels, size=owner.size)
@@ -119,6 +126,7 @@ def _weighted_counts(
     returns the histogram times the rows as float64.  The sums are integers
     far below 2**53, so they are exact.
     """
+    import numpy as np
     nonzero = np.flatnonzero(weights.any(axis=1))
     distinct, inverse = np.unique(weights[nonzero], axis=0, return_inverse=True)
     code = np.zeros(model.n_levels, dtype=np.intp)
@@ -188,6 +196,7 @@ def poisson_count_covariance(
     is reported as lost; it biases the count mean but not the covariance,
     since points outside the window are independent of every window count.
     """
+    import numpy as np
     n = int(n)
     shifted, lost_levels = _shift_slots(model, n, a)
     weights = np.zeros((model.n_levels, 2), dtype=np.int8)
@@ -272,6 +281,7 @@ def poisson_gof(
     deducted for it.  The p-value is the closed-form chi-square tail for
     integer degrees of freedom.
     """
+    import numpy as np
     slots = model.member_slots(window)
     member = np.zeros((model.n_levels, 1), dtype=np.int8)
     member[slots] = 1
@@ -335,6 +345,7 @@ def _swap_weights(
     x + i on the swap's support can move, so the walk visits just the pairs
     of a window level x and a support level y with 1 <= y - x <= N.
     """
+    import numpy as np
     a_slots = model.member_slots(a)
     a_idx = model.indices[a_slots]
     in_a = np.zeros(model.n_levels, dtype=bool)
@@ -377,6 +388,7 @@ def poisson_wh_experiment(
     the same configuration.  The average of |difference| over i is estimated;
     twice the exact Cesaro average of mu(T^i A intersect supp S) majorizes it.
     """
+    import numpy as np
     if n_terms < 1:
         raise ValueError("need at least one Cesaro term")
     signed, lost_levels = _swap_weights(model, swap, a, n_terms)

@@ -499,6 +499,86 @@ def test_fresh_import_loads_no_scipy():
     assert proc.stdout.split() == ["5", "True"]
 
 
+EXACT_ENTRIES = ("build", "correlate", "rigidity-scan", "ledrapier", "theorem1", "theorem6")
+
+
+def run_cli_without_numpy(*args):
+    """`ergolab <args>` in a fresh process in which numpy cannot be imported."""
+    code = (
+        "import runpy, sys; sys.modules['numpy'] = None; "
+        "runpy.run_module('ergolab', run_name='__main__', alter_sys=True)"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["experiment", name] for name in EXACT_ENTRIES] + [["list-experiments"]],
+    ids=[*EXACT_ENTRIES, "list-experiments"],
+)
+def test_exact_entries_run_without_numpy(argv, tmp_path):
+    report = argv[0] == "experiment"
+    outcomes = []
+    for run, out in ((run_cli, tmp_path / "a.json"), (run_cli_without_numpy, tmp_path / "b.json")):
+        proc = run(*argv, *(["--out", str(out)] if report else []))
+        assert proc.returncode == 0, proc.stderr
+        outcomes.append(
+            json.loads(out.read_text(encoding="utf-8"))["results"] if report else proc.stdout
+        )
+    assert outcomes[0] == outcomes[1]
+
+
+def test_cli_import_loads_neither_numpy_nor_a_thread_pool():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, ergolab.cli; "
+            "print([m for m in ('numpy', 'concurrent.futures') if m in sys.modules])",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_import_binds_every_public_name_and_loads_every_module():
+    # Code that wraps ergolab's functions from outside, as perfbench does,
+    # only sees the modules already loaded, so `import ergolab` must load them all.
+    script = (
+        "import ast, json, sys, ergolab\n"
+        "from ergolab import default_config, run_experiment\n"
+        "tree = ast.parse(open(ergolab.__file__, encoding='utf-8').read())\n"
+        "names = [a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom)\n"
+        "         and node.module != '__future__' for a in node.names]\n"
+        "modules = ['ergolab.' + m for m in ('mc', 'gaussian', 'poisson', 'operators')]\n"
+        "print(json.dumps({\n"
+        "    'names': len(names),\n"
+        "    'missing': [n for n in names if n not in vars(ergolab)],\n"
+        "    'getattr': '__getattr__' in vars(ergolab),\n"
+        "    'unloaded': [m for m in modules if m not in sys.modules],\n"
+        "    'numpy_before': 'numpy' in sys.modules,\n"
+        "    'passed': run_experiment(default_config('gauss')).all_passed,\n"
+        "    'numpy_after': 'numpy' in sys.modules,\n"
+        "}))"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    found = json.loads(proc.stdout)
+    assert found.pop("names") > 0
+    assert found == {
+        "missing": [],
+        "getattr": False,
+        "unloaded": [],
+        "numpy_before": False,
+        "passed": True,
+        "numpy_after": True,
+    }
+
+
 def test_env_seed_does_not_override_the_flag_seed(tmp_path):
     # ERGOLAB_SEED is no input: the seed comes from --seed alone
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

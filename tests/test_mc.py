@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -59,7 +61,8 @@ def test_worker_threads_are_bounded_by_the_cpu_count(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(mc, "ThreadPoolExecutor", InlineExecutor)
+    # the pool is imported in batch_estimate's multi-thread branch, on each call
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlineExecutor)
     serial = batch_estimate(_uniform_mean, 1800, seed=9)
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
     for jobs in (2, 4, 10**6):
