@@ -6,18 +6,20 @@ sets interleave: along the times emitted for one map the other map is rigid,
 and vice versa.  Parameters are read from a small JSON vocabulary so the
 command line can name them; its descriptors are declared once, as the JSON
 Schema `$defs` in DESCRIPTOR_DEFS, which both the experiment schemas and the
-library entry points validate against.
+library entry points validate against.  A value is checked by `_accepts`, a
+small stdlib reading of the keywords those schemas use; jsonschema is imported
+only to word a rejection, so no valid config or descriptor loads it.
 """
 from __future__ import annotations
 
 import bisect
 import functools
+import re
 import sys
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
-
-import jsonschema
+from typing import Callable, Optional
 
 from .tower import (
     MAX_DEPTH,
@@ -38,7 +40,8 @@ __all__ = [
     "DESCRIPTOR_DEFS",
     "MAX_CUTS",
     "MAX_DEPTH",
-    "SchemaValidator",
+    "schema_error",
+    "schema_validator_class",
     "RigidMixingPair",
     "rigid_mixing_pair",
     "params_from_spec",
@@ -256,7 +259,7 @@ DESCRIPTOR_DEFS = {
 BUILTIN_RULES = tuple(DESCRIPTOR_DEFS["rule"]["properties"]["name"]["enum"])
 
 
-def _is_number(_, value) -> bool:
+def _is_number(value) -> bool:
     """A non-bool int or float with a finite float value (compared exactly)."""
     return (
         isinstance(value, (int, float))
@@ -265,33 +268,151 @@ def _is_number(_, value) -> bool:
     )
 
 
-# The validator class of every schema here: JSON Schema 2020-12, as
-# `validator_for` picks, but a 3.0 is no integer, lest a float reach the exact
-# layer as a cut count or index, and a number has a finite float value.  An
-# integer must be a number too: `minimum` and `maximum` skip any value that is
-# not one.  Validators are built without the costly metaschema check; the
-# tests make it once for every schema.
-SchemaValidator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine_many(
-        {
-            "number": _is_number,
-            "integer": lambda _, value: isinstance(value, int) and _is_number(_, value),
-        }
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and _is_number(value)
+
+
+# The type rules of every schema here: JSON Schema 2020-12, as `validator_for`
+# picks, but a 3.0 is no integer, lest a float reach the exact layer as a cut
+# count or index, and a number has a finite float value.  An integer must be a
+# number too: `minimum` and `maximum` skip any value that is not one.
+_TYPES = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "string": lambda value: isinstance(value, str),
+    "number": _is_number,
+    "integer": _is_integer,
+}
+
+
+def _equal(one, two) -> bool:
+    """jsonschema's `equal`: a bool equals no number, and sequences and
+    mappings compare item by item."""
+    if one is two:
+        return True
+    if isinstance(one, str) or isinstance(two, str):
+        return one == two
+    if isinstance(one, Sequence) and isinstance(two, Sequence):
+        return len(one) == len(two) and all(map(_equal, one, two))
+    if isinstance(one, Mapping) and isinstance(two, Mapping):
+        return len(one) == len(two) and all(
+            key in two and _equal(item, two[key]) for key, item in one.items()
+        )
+    return not isinstance(one, bool) and not isinstance(two, bool) and one == two
+
+
+def _resolve(ref: str, root: dict):
+    if not ref.startswith("#/"):
+        raise NotImplementedError(f"schema $ref {ref!r}")
+    return functools.reduce(lambda node, key: node[key], ref[2:].split("/"), root)
+
+
+# keyword -> test(argument, value, schema, root), each as 2020-12 reads it; a
+# keyword that applies to one type passes a value of any other type
+_KEYWORDS: dict[str, Callable] = {
+    "$defs": lambda arg, value, schema, root: True,
+    "default": lambda arg, value, schema, root: True,
+    "then": lambda arg, value, schema, root: True,  # read by "if"
+    "else": lambda arg, value, schema, root: True,  # read by "if"
+    "$ref": lambda arg, value, schema, root: _valid(_resolve(arg, root), value, root),
+    "type": lambda arg, value, schema, root: _TYPES[arg](value),
+    "enum": lambda arg, value, schema, root: any(_equal(each, value) for each in arg),
+    "const": lambda arg, value, schema, root: _equal(value, arg),
+    "pattern": lambda arg, value, schema, root: (
+        not isinstance(value, str) or re.search(arg, value) is not None
     ),
-)
+    "minimum": lambda arg, value, schema, root: not _is_number(value) or value >= arg,
+    "maximum": lambda arg, value, schema, root: not _is_number(value) or value <= arg,
+    "exclusiveMinimum": lambda arg, value, schema, root: (
+        not _is_number(value) or value > arg
+    ),
+    "minItems": lambda arg, value, schema, root: (
+        not isinstance(value, list) or len(value) >= arg
+    ),
+    "maxItems": lambda arg, value, schema, root: (
+        not isinstance(value, list) or len(value) <= arg
+    ),
+    "items": lambda arg, value, schema, root: (
+        not isinstance(value, list) or all(_valid(arg, item, root) for item in value)
+    ),
+    "required": lambda arg, value, schema, root: (
+        not isinstance(value, dict) or all(key in value for key in arg)
+    ),
+    "properties": lambda arg, value, schema, root: not isinstance(value, dict) or all(
+        _valid(sub, value[key], root) for key, sub in arg.items() if key in value
+    ),
+    "additionalProperties": lambda arg, value, schema, root: not isinstance(value, dict) or all(
+        _valid(arg, value[key], root) for key in value.keys() - schema.get("properties", {})
+    ),
+    "allOf": lambda arg, value, schema, root: all(_valid(sub, value, root) for sub in arg),
+    "not": lambda arg, value, schema, root: not _valid(arg, value, root),
+    "if": lambda arg, value, schema, root: _valid(
+        schema.get("then", True) if _valid(arg, value, root) else schema.get("else", True),
+        value,
+        root,
+    ),
+}
+
+
+def _valid(schema, value, root: dict) -> bool:
+    if isinstance(schema, bool):
+        return schema
+    for keyword, arg in schema.items():
+        test = _KEYWORDS.get(keyword)
+        if test is None:
+            raise NotImplementedError(f"schema keyword {keyword!r}")
+        if not test(arg, value, schema, root):
+            return False
+    return True
+
+
+def _accepts(schema: dict, value) -> bool:
+    """`schema_validator_class()(schema).is_valid(value)`, without jsonschema,
+    for the keywords the schemas here use; any other keyword raises."""
+    return _valid(schema, value, schema)
+
+
+@functools.cache
+def schema_validator_class():
+    """The jsonschema validator class of the type rules above.  Validators are
+    built without the costly metaschema check; the tests make it once for
+    every schema."""
+    import jsonschema
+
+    checker = jsonschema.Draft202012Validator.TYPE_CHECKER.redefine_many(
+        {
+            "number": lambda _, value: _is_number(value),
+            "integer": lambda _, value: _is_integer(value),
+        }
+    )
+    return jsonschema.validators.extend(jsonschema.Draft202012Validator, type_checker=checker)
+
+
+def schema_error(schema: dict, value, validator: Callable[[], object]):
+    """None if `value` is valid under `schema`, else jsonschema's best-matching
+    error from `validator()`, a cached validator of `schema`.  Only a rejection
+    imports jsonschema, and its verdict stands."""
+    if _accepts(schema, value):
+        return None
+    from jsonschema.exceptions import best_match
+
+    return best_match(validator().iter_errors(value))
+
+
+def _def_schema(name: str) -> dict:
+    return {"$defs": DESCRIPTOR_DEFS, "$ref": f"#/$defs/{name}"}
 
 
 @functools.cache
 def _def_validator(name: str):
     """One validator per descriptor def, so at most len(DESCRIPTOR_DEFS)."""
-    return SchemaValidator({"$defs": DESCRIPTOR_DEFS, "$ref": f"#/$defs/{name}"})
+    return schema_validator_class()(_def_schema(name))
 
 
 def _check(name: str, value) -> None:
     """Raise ValueError with the best-matching schema error unless `value`
     is a valid `name` descriptor."""
-    error = jsonschema.exceptions.best_match(_def_validator(name).iter_errors(value))
+    error = schema_error(_def_schema(name), value, lambda: _def_validator(name))
     if error is not None:
         raise ValueError(f"invalid {name} descriptor at {error.json_path}: {error.message}")
 

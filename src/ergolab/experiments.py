@@ -6,7 +6,8 @@ of the calibrated runs documented in the README, and a runner returning
 result rows plus named pass/fail checks.  The same machinery backs the
 ad-hoc subcommands (build, correlate, rigidity, ledrapier, cesaro, gauss,
 poisson): an entry's `command` names its subcommand, whose flags are
-generated from the params schema.
+generated from the params schema.  A config is checked by the stdlib schema
+reader in `constructions`; jsonschema is imported only to word a rejection.
 """
 from __future__ import annotations
 
@@ -18,17 +19,16 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Callable, Optional
 
-import jsonschema
-
 from .constructions import (
     BUILTIN_RULES,
     DESCRIPTOR_DEFS,
     MAX_CUTS,
     MAX_DEPTH,
-    SchemaValidator,
     builtin_params,
     params_from_spec,
     rigid_mixing_pair,
+    schema_error,
+    schema_validator_class,
 )
 from .gaussian import (
     GaussianModel,
@@ -953,11 +953,11 @@ def default_config(name: str) -> dict:
 
 @functools.cache
 def _params_validator(name: str):
-    """Validator for one catalogue schema, built once.
+    """Validator for one catalogue schema, built once, on its first rejection.
 
     The catalogue is fixed, so this holds at most one entry per experiment.
     """
-    return SchemaValidator(_CATALOGUE[name].params_schema)
+    return schema_validator_class()(_CATALOGUE[name].params_schema)
 
 
 def resolve_config(raw: dict) -> dict:
@@ -977,8 +977,7 @@ def resolve_config(raw: dict) -> dict:
     if not isinstance(supplied, dict):
         raise ConfigError("params must be a JSON object")
     params.update(copy.deepcopy(supplied))
-    errors = _params_validator(name).iter_errors(params)
-    error = jsonschema.exceptions.best_match(errors)
+    error = schema_error(spec.params_schema, params, lambda: _params_validator(name))
     if error is not None:
         where = f" at {error.json_path}" if len(error.path) > 1 else ""
         raise ConfigError(f"invalid params for {name!r}{where}: {error.message}")

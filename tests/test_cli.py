@@ -502,15 +502,32 @@ def test_fresh_import_loads_no_scipy():
 EXACT_ENTRIES = ("build", "correlate", "rigidity-scan", "ledrapier", "theorem1", "theorem6")
 
 
-def run_cli_without_numpy(*args):
-    """`ergolab <args>` in a fresh process in which numpy cannot be imported."""
+def run_cli_without(module, *args):
+    """`ergolab <args>` in a fresh process in which `module` cannot be imported."""
     code = (
-        "import runpy, sys; sys.modules['numpy'] = None; "
+        f"import runpy, sys; sys.modules[{module!r}] = None; "
         "runpy.run_module('ergolab', run_name='__main__', alter_sys=True)"
     )
     return subprocess.run(
         [sys.executable, "-c", code, *args], capture_output=True, text=True
     )
+
+
+def assert_runs_without(module, argv, tmp_path):
+    """`ergolab <argv>` succeeds with `module` unimportable, and its report
+    results and CSV (or, for list-experiments, its stdout) equal a normal run's."""
+    report = argv[0] != "list-experiments"
+    outcomes = []
+    for side, run in (("a", run_cli), ("b", lambda *a: run_cli_without(module, *a))):
+        out, csv = tmp_path / f"{side}.json", tmp_path / f"{side}.csv"
+        proc = run(*argv, *(["--out", str(out), "--csv", str(csv)] if report else []))
+        assert proc.returncode == 0, proc.stderr
+        outcomes.append(
+            (json.loads(out.read_text(encoding="utf-8"))["results"], csv.read_bytes())
+            if report
+            else proc.stdout
+        )
+    assert outcomes[0] == outcomes[1]
 
 
 @pytest.mark.parametrize(
@@ -519,24 +536,68 @@ def run_cli_without_numpy(*args):
     ids=[*EXACT_ENTRIES, "list-experiments"],
 )
 def test_exact_entries_run_without_numpy(argv, tmp_path):
-    report = argv[0] == "experiment"
-    outcomes = []
-    for run, out in ((run_cli, tmp_path / "a.json"), (run_cli_without_numpy, tmp_path / "b.json")):
-        proc = run(*argv, *(["--out", str(out)] if report else []))
-        assert proc.returncode == 0, proc.stderr
-        outcomes.append(
-            json.loads(out.read_text(encoding="utf-8"))["results"] if report else proc.stdout
-        )
-    assert outcomes[0] == outcomes[1]
+    assert_runs_without("numpy", argv, tmp_path)
+
+
+# the report-writing subcommands of perfbench's cli-cold workload
+CLI_COLD_COMMANDS = {
+    "build": ["build", "--construction", "odometer", "--depth", "8"],
+    "correlate": ["correlate", "--construction", "chacon", "--n", "17",
+                  "--a-stage", "2", "--a-lo", "3", "--a-hi", "6"],
+    "rigidity": ["rigidity"],
+    "ledrapier": ["ledrapier", "--k-max", "8"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["experiment", name] for name in EXACT_ENTRIES]
+    + list(CLI_COLD_COMMANDS.values())
+    + [["list-experiments"]],
+    ids=[*EXACT_ENTRIES, *(f"{cmd}-command" for cmd in CLI_COLD_COMMANDS), "list-experiments"],
+)
+def test_exact_commands_run_without_jsonschema(argv, tmp_path):
+    assert_runs_without("jsonschema", argv, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "argv, text, stderr",
+    [
+        (
+            ["build", "--spec-file"],
+            '{"stages": 5}',
+            "invalid params for 'build' at $.spec.stages: 5 is not of type 'array'",
+        ),
+        (
+            ["correlate", "--spec-file"],
+            '{"rule": {"name": "odometer", "args": {"r": 1}}}',
+            "invalid params for 'correlate' at $.spec.rule.args.r: "
+            "1 is less than the minimum of 2",
+        ),
+        (
+            ["experiment", "ledrapier", "--config"],
+            '{"params": {"k_max": "ten"}}',
+            "invalid params for 'ledrapier': 'ten' is not of type 'integer'",
+        ),
+    ],
+    ids=["spec-stages", "spec-rule-r", "config-k-max"],
+)
+def test_rejections_keep_jsonschemas_wording(argv, text, stderr, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    proc = run_cli(*argv, str(path))
+    assert proc.returncode == 2
+    assert proc.stderr == f"ergolab: config error: {stderr}\n"
 
 
 def test_cli_import_loads_neither_numpy_nor_a_thread_pool():
+    # nor jsonschema and its dependencies: only a rejected config needs them
+    modules = ("numpy", "concurrent.futures", "jsonschema", "referencing", "attrs", "rpds")
     proc = subprocess.run(
         [
             sys.executable,
             "-c",
-            "import sys, ergolab.cli; "
-            "print([m for m in ('numpy', 'concurrent.futures') if m in sys.modules])",
+            f"import sys, ergolab.cli; print([m for m in {modules} if m in sys.modules])",
         ],
         capture_output=True,
         text=True,

@@ -1,31 +1,43 @@
 """The construction descriptors: every `spec` or `pair` the schema accepts
 builds or fails with a library error, and so does any one-node corruption.
+The stdlib schema check gives jsonschema's verdict on every such value, and
+on every catalogue config.
 
-`from_schema` draws values valid under DESCRIPTOR_DEFS.  It reads only the
-keywords the defs use, and every bound it draws within comes from the schema.
+`from_schema` draws values valid under DESCRIPTOR_DEFS and the catalogue's
+params schemas.  It reads only the keywords those schemas use, and every
+bound it draws within comes from the schema.
 """
 from __future__ import annotations
+
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ergolab.constructions import (
+    _KEYWORDS,
+    _TYPES,
     DESCRIPTOR_DEFS,
     MAX_CUTS,
-    SchemaValidator,
+    _accepts,
+    _def_schema,
+    _equal,
+    _def_validator,
     builtin_params,
     odometer,
     params_from_spec,
     rigid_mixing_pair,
+    schema_validator_class,
 )
-from ergolab.experiments import ConfigError, resolve_config
+from ergolab.experiments import _CATALOGUE, ConfigError, _params_validator, resolve_config
 from ergolab.tower import ConstructionExhaustedError, GenerationError, build_stage
 
 LIBRARY_ERRORS = (ValueError, GenerationError, ConstructionExhaustedError)
 
 
 def from_schema(schema: dict) -> st.SearchStrategy:
-    """Values valid under `schema`, a def of DESCRIPTOR_DEFS or a part of one."""
+    """Values valid under `schema`: a def of DESCRIPTOR_DEFS, a catalogue
+    params schema, or a part of one."""
     if "$ref" in schema:
         rest = {k: v for k, v in schema.items() if k not in ("$ref", "default")}
         return from_schema({**rest, **DESCRIPTOR_DEFS[schema["$ref"].rsplit("/", 1)[1]]})
@@ -44,9 +56,22 @@ def from_schema(schema: dict) -> st.SearchStrategy:
     if kind == "object":
         return _object(schema)
     if kind == "array":
-        return st.lists(from_schema(schema["items"]))
+        return st.lists(
+            from_schema(schema["items"]),
+            min_size=schema.get("minItems", 0),
+            max_size=schema.get("maxItems"),
+        )
     if kind == "integer":
         return st.integers(schema.get("minimum"), schema.get("maximum"))
+    if kind == "number":
+        exclusive = "exclusiveMinimum" in schema
+        return st.floats(
+            schema["exclusiveMinimum"] if exclusive else schema.get("minimum"),
+            schema.get("maximum"),
+            exclude_min=exclusive,
+            allow_nan=False,
+            allow_infinity=False,
+        )
     if kind == "string":
         return st.from_regex(schema["pattern"], fullmatch=True)
     raise NotImplementedError(schema)
@@ -55,7 +80,7 @@ def from_schema(schema: dict) -> st.SearchStrategy:
 def _object(schema: dict, name=None, require=(), omit=()) -> st.SearchStrategy:
     """A closed object: its required keys, any of the others, and `name` if given."""
     props = {k: v for k, v in schema["properties"].items() if v is not True}
-    required = set(schema["required"]) | set(require)
+    required = set(schema.get("required", ())) | set(require)
     return st.fixed_dictionaries(
         {k: from_schema(props[k]) for k in props if k in required}
         | ({} if name is None else {"name": st.just(name)}),
@@ -117,8 +142,7 @@ def _build_through_stage_4(kind: str, descriptor) -> None:
 @given(st.sampled_from(["spec", "pair"]), st.data())
 def test_valid_descriptors_build_or_fail_with_a_library_error(kind, data):
     descriptor = data.draw(from_schema(DESCRIPTOR_DEFS[kind]))
-    schema = {"$defs": DESCRIPTOR_DEFS, "$ref": f"#/$defs/{kind}"}
-    assert SchemaValidator(schema).is_valid(descriptor)
+    assert schema_validator_class()(_def_schema(kind)).is_valid(descriptor)
     try:
         _build_through_stage_4(kind, descriptor)
     except LIBRARY_ERRORS:
@@ -138,6 +162,112 @@ def test_one_corrupted_node_still_fails_with_a_library_error(kind, data):
         _build_through_stage_4(kind, corrupted)
     except LIBRARY_ERRORS:
         pass
+
+
+def _drawn_value(target: str, data):
+    """A valid value for `target` (a descriptor def, or a catalogue entry whose
+    drawn params are merged over its defaults), its schema and validator."""
+    if target in DESCRIPTOR_DEFS:
+        value = data.draw(from_schema(DESCRIPTOR_DEFS[target]))
+        return value, _def_schema(target), _def_validator(target)
+    spec = _CATALOGUE[target]
+    value = spec.defaults | data.draw(from_schema(spec.params_schema))
+    return value, spec.params_schema, _params_validator(target)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from([*DESCRIPTOR_DEFS, *_CATALOGUE]), st.booleans(), st.data())
+def test_stdlib_check_gives_jsonschemas_verdict(target, corrupt, data):
+    value, schema, validator = _drawn_value(target, data)
+    if corrupt:
+        path = data.draw(st.sampled_from(list(_nodes(value))))
+        node = value
+        for key in path:
+            node = node[key]
+        value = _replaced(value, path, data.draw(_stand_ins(node)))
+    assert _accepts(schema, value) == validator.is_valid(value)
+    assert corrupt or _accepts(schema, value)
+
+
+def _schema_nodes(schema):
+    """Every (keyword, argument) pair in `schema` and its subschemas."""
+    if isinstance(schema, bool):
+        return
+    for keyword, arg in schema.items():
+        yield keyword, arg
+        if keyword in ("properties", "$defs"):
+            subschemas = arg.values()
+        elif keyword == "allOf":
+            subschemas = arg
+        elif keyword in ("items", "not", "if", "then", "else", "additionalProperties"):
+            subschemas = [arg]
+        else:
+            subschemas = []
+        for sub in subschemas:
+            yield from _schema_nodes(sub)
+
+
+def test_stdlib_check_reads_exactly_the_keywords_the_schemas_use():
+    nodes = [
+        node
+        for schema in [spec.params_schema for spec in _CATALOGUE.values()]
+        + [{"$defs": DESCRIPTOR_DEFS}]
+        for node in _schema_nodes(schema)
+    ]
+    assert {keyword for keyword, _ in nodes} == set(_KEYWORDS)
+    assert {arg for keyword, arg in nodes if keyword == "type"} == set(_TYPES)
+    with pytest.raises(NotImplementedError, match="uniqueItems"):
+        _accepts({"type": "array", "uniqueItems": True}, [1, 1])
+
+
+def _params(name: str, **params) -> tuple:
+    spec = _CATALOGUE[name]
+    return spec.params_schema, spec.defaults | params
+
+
+def _spec(**spec) -> tuple:
+    return _def_schema("spec"), spec
+
+
+_CHACON = {"name": "chacon"}
+
+
+@pytest.mark.parametrize(
+    "schema, value, valid",
+    [
+        (*_params("build", depth=True), False),
+        (*_params("build", depth=3.0), False),
+        (*_params("ledrapier", k_max=10**400), False),
+        (*_params("theorem1", bound=0), False),
+        (*_params("eq1-sweep", delta=1), True),
+        (*_params("eq1-sweep", angle=math.nan), False),
+        (*_params("eq1-sweep", angle=math.inf), False),
+        (*_params("eq1-sweep", ns=(100,)), False),
+        (*_spec(initial_width="0/1", rule=_CHACON), False),
+        (*_spec(initial_width="01/02", rule=_CHACON), True),
+        (*_spec(initial_width=" 1", rule=_CHACON), False),
+        # re.search's `$` matches before a final newline
+        (*_spec(initial_width="1\n", rule=_CHACON), True),
+        (*_spec(stages=[], rule=_CHACON), False),
+        (*_spec(), False),
+        (_def_schema("rule"), {"name": "odometer", "args": {}}, True),
+    ],
+    ids=["bool-depth", "float-depth", "huge-k-max", "zero-bound", "unit-delta", "nan-angle",
+         "inf-angle", "tuple-ns", "zero-width", "padded-width", "spaced-width",
+         "newline-width", "stages-and-rule", "neither", "odometer-no-args"],
+)
+def test_stdlib_check_matches_jsonschema_on_edge_cases(schema, value, valid):
+    assert _accepts(schema, value) is valid
+    assert schema_validator_class()(schema).is_valid(value) is valid
+
+
+@given(JSON, JSON)
+def test_stdlib_enum_equality_is_jsonschemas(one, two):
+    # a bool equals no number, and 1 equals 1.0, also inside lists and objects
+    from jsonschema._utils import equal
+
+    for a, b in ((one, two), ([one, True], [one, 1]), ([one, {"k": 1}], [one, {"k": 1.0}])):
+        assert _equal(a, b) == equal(a, b)
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import jsonschema
 import pytest
 
 from ergolab import experiments, gaussian, mc, poisson
-from ergolab.constructions import DESCRIPTOR_DEFS
+from ergolab.constructions import DESCRIPTOR_DEFS, schema_validator_class
 from ergolab.experiments import (
     _CATALOGUE,
     ConfigError,
@@ -165,12 +165,31 @@ def test_every_schema_passes_its_metaschema():
 
 
 def test_each_schema_validator_is_built_once():
+    # a valid config builds none: jsonschema words rejections only
     _params_validator.cache_clear()
+    for name in _CATALOGUE:
+        resolve_config({"experiment": name})
+    assert _params_validator.cache_info().currsize == 0
     for _ in range(3):
         for name in _CATALOGUE:
-            resolve_config({"experiment": name})
+            with pytest.raises(ConfigError, match="'bogus' was unexpected"):
+                resolve_config({"experiment": name, "params": {"bogus": 1}})
     info = _params_validator.cache_info()
     assert info.misses == info.currsize == len(_CATALOGUE)
+    assert schema_validator_class.cache_info().currsize == 1
+
+
+def test_vector_seed_matters_only_off_a_rotation_block():
+    # the default plane [6, 7] is one rotation block, so only the vector's
+    # in-plane part, which vector_seed does not draw, reaches the rows
+    def results(plane, vector_seed):
+        params = {"plane": plane, "vector_seed": vector_seed}
+        config = {"experiment": "eq1-sweep", "seed": 3, "params": params}
+        return run_experiment(config).results_bytes()
+
+    assert default_config("eq1-sweep")["params"]["plane"] == [6, 7]
+    assert results([6, 7], 5) == results([6, 7], 6)
+    assert results([5, 6], 5) != results([5, 6], 6)
 
 
 def test_exact_results_bytes_are_frozen_and_reports_name_the_rng_scheme():
