@@ -6,9 +6,9 @@ sets interleave: along the times emitted for one map the other map is rigid,
 and vice versa.  Parameters are read from a small JSON vocabulary so the
 command line can name them; its descriptors are declared once, as the JSON
 Schema `$defs` in DESCRIPTOR_DEFS, which both the experiment schemas and the
-library entry points validate against.  A value is checked by `_accepts`, a
-small stdlib reading of the keywords those schemas use; jsonschema is imported
-only to word a rejection, so no valid config or descriptor loads it.
+library entry points validate against.  One stdlib reader of the keywords
+those schemas use, the `_KEYWORDS` table, decides every value and words every
+rejection as jsonschema's `best_match` would; the tests hold it to jsonschema.
 """
 from __future__ import annotations
 
@@ -40,8 +40,8 @@ __all__ = [
     "DESCRIPTOR_DEFS",
     "MAX_CUTS",
     "MAX_DEPTH",
+    "json_path",
     "schema_error",
-    "schema_validator_class",
     "RigidMixingPair",
     "rigid_mixing_pair",
     "params_from_spec",
@@ -116,7 +116,8 @@ class RigidMixingPair:
     """
 
     def __init__(self, args: dict) -> None:
-        """`args`: a schema-valid `pair` descriptor holding all three keys."""
+        """`args`: a schema-valid `pair` descriptor holding all three keys;
+        any other key is ignored."""
         cuts = args["cuts"]
         if cuts["name"] == "constant":
             self._scale, self._offset = 0, cuts["r"]
@@ -169,8 +170,13 @@ def rigid_mixing_pair(spec_args: Optional[dict] = None) -> RigidMixingPair:
     """Build a pair from a `pair` descriptor; a key left out takes its default."""
     if spec_args is not None:
         _check("pair", spec_args)
+    return _pair(spec_args or {})
+
+
+def _pair(args: dict) -> RigidMixingPair:
+    """The pair of a valid `pair` descriptor, or of a theorem6 rule's args."""
     defaults = {key: prop["default"] for key, prop in _PAIR.items()}
-    return RigidMixingPair(defaults | (spec_args or {}))
+    return RigidMixingPair(defaults | args)
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +274,6 @@ def _is_number(value) -> bool:
     )
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, int) and _is_number(value)
-
-
 # The type rules of every schema here: JSON Schema 2020-12, as `validator_for`
 # picks, but a 3.0 is no integer, lest a float reach the exact layer as a cut
 # count or index, and a number has a finite float value.  An integer must be a
@@ -281,7 +283,7 @@ _TYPES = {
     "array": lambda value: isinstance(value, list),
     "string": lambda value: isinstance(value, str),
     "number": _is_number,
-    "integer": _is_integer,
+    "integer": lambda value: isinstance(value, int) and _is_number(value),
 }
 
 
@@ -301,130 +303,188 @@ def _equal(one, two) -> bool:
     return not isinstance(one, bool) and not isinstance(two, bool) and one == two
 
 
+def _at(node, path):
+    """The part of `node` that `path`, a sequence of keys and indices, names."""
+    return functools.reduce(lambda part, key: part[key], path, node)
+
+
 def _resolve(ref: str, root: dict):
     if not ref.startswith("#/"):
         raise NotImplementedError(f"schema $ref {ref!r}")
-    return functools.reduce(lambda node, key: node[key], ref[2:].split("/"), root)
+    return _at(root, ref[2:].split("/"))
 
 
-# keyword -> test(argument, value, schema, root), each as 2020-12 reads it; a
-# keyword that applies to one type passes a value of any other type
+def _properties(arg, value, schema, root):
+    if isinstance(value, dict):
+        for key, sub in arg.items():
+            if key in value:
+                for path, message, where in _errors(sub, value[key], root):
+                    yield (key, *path), message, where
+
+
+def _additional(arg, value, schema, root):
+    if arg is not False:  # the only form the schemas here use
+        raise NotImplementedError(f"additionalProperties {arg!r}")
+    properties = schema.get("properties", {})
+    extras = isinstance(value, dict) and [key for key in value if key not in properties]
+    if not extras:
+        return ()
+    extras.sort(key=str)
+    words = ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were"
+    return [((), "Additional properties are not allowed (%s %s unexpected)" % words, schema)]
+
+
+def _items(arg, value, schema, root):
+    if isinstance(value, list):
+        for index, item in enumerate(value):
+            for path, message, where in _errors(arg, item, root):
+                yield (index, *path), message, where
+
+
+def _all_of(arg, value, schema, root):
+    for sub in arg:
+        yield from _errors(sub, value, root)
+
+
+# keyword -> errors(argument, value, schema, root): what the keyword of `schema`
+# finds wrong with `value`, as (path, message, schema) triples: the keys and
+# indices from `value` to the part at fault, and the schema holding the failing
+# keyword.  Each keyword is read as 2020-12 reads it, and its errors come worded
+# and ordered as jsonschema yields them.  A keyword that applies to one type
+# passes a value of any other type; an empty tuple means no error.
 _KEYWORDS: dict[str, Callable] = {
-    "$defs": lambda arg, value, schema, root: True,
-    "default": lambda arg, value, schema, root: True,
-    "then": lambda arg, value, schema, root: True,  # read by "if"
-    "else": lambda arg, value, schema, root: True,  # read by "if"
-    "$ref": lambda arg, value, schema, root: _valid(_resolve(arg, root), value, root),
-    "type": lambda arg, value, schema, root: _TYPES[arg](value),
-    "enum": lambda arg, value, schema, root: any(_equal(each, value) for each in arg),
-    "const": lambda arg, value, schema, root: _equal(value, arg),
-    "pattern": lambda arg, value, schema, root: (
-        not isinstance(value, str) or re.search(arg, value) is not None
+    "$defs": lambda arg, value, schema, root: (),
+    "default": lambda arg, value, schema, root: (),
+    "then": lambda arg, value, schema, root: (),  # read by "if"
+    "else": lambda arg, value, schema, root: (),  # read by "if"
+    "$ref": lambda arg, value, schema, root: _errors(_resolve(arg, root), value, root),
+    "type": lambda arg, value, schema, root: (
+        () if _TYPES[arg](value) else [((), f"{value!r} is not of type {arg!r}", schema)]
     ),
-    "minimum": lambda arg, value, schema, root: not _is_number(value) or value >= arg,
-    "maximum": lambda arg, value, schema, root: not _is_number(value) or value <= arg,
+    "enum": lambda arg, value, schema, root: (
+        () if any(_equal(each, value) for each in arg)
+        else [((), f"{value!r} is not one of {arg!r}", schema)]
+    ),
+    "const": lambda arg, value, schema, root: (
+        () if _equal(value, arg) else [((), f"{arg!r} was expected", schema)]
+    ),
+    "pattern": lambda arg, value, schema, root: (
+        () if not isinstance(value, str) or re.search(arg, value)
+        else [((), f"{value!r} does not match {arg!r}", schema)]
+    ),
+    "minimum": lambda arg, value, schema, root: (
+        () if not _is_number(value) or value >= arg
+        else [((), f"{value!r} is less than the minimum of {arg!r}", schema)]
+    ),
+    "maximum": lambda arg, value, schema, root: (
+        () if not _is_number(value) or value <= arg
+        else [((), f"{value!r} is greater than the maximum of {arg!r}", schema)]
+    ),
     "exclusiveMinimum": lambda arg, value, schema, root: (
-        not _is_number(value) or value > arg
+        () if not _is_number(value) or value > arg
+        else [((), f"{value!r} is less than or equal to the minimum of {arg!r}", schema)]
     ),
     "minItems": lambda arg, value, schema, root: (
-        not isinstance(value, list) or len(value) >= arg
+        () if not isinstance(value, list) or len(value) >= arg
+        else [((), f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}",
+               schema)]
     ),
     "maxItems": lambda arg, value, schema, root: (
-        not isinstance(value, list) or len(value) <= arg
+        () if not isinstance(value, list) or len(value) <= arg
+        else [((), f"{value!r} {'is expected to be empty' if arg == 0 else 'is too long'}",
+               schema)]
     ),
-    "items": lambda arg, value, schema, root: (
-        not isinstance(value, list) or all(_valid(arg, item, root) for item in value)
-    ),
+    "items": _items,
     "required": lambda arg, value, schema, root: (
-        not isinstance(value, dict) or all(key in value for key in arg)
+        () if not isinstance(value, dict)
+        else [((), f"{key!r} is a required property", schema) for key in arg if key not in value]
     ),
-    "properties": lambda arg, value, schema, root: not isinstance(value, dict) or all(
-        _valid(sub, value[key], root) for key, sub in arg.items() if key in value
+    "properties": _properties,
+    "additionalProperties": _additional,
+    "allOf": _all_of,
+    "not": lambda arg, value, schema, root: (
+        () if not _passes(arg, value, root)
+        else [((), f"{value!r} should not be valid under {arg!r}", schema)]
     ),
-    "additionalProperties": lambda arg, value, schema, root: not isinstance(value, dict) or all(
-        _valid(arg, value[key], root) for key in value.keys() - schema.get("properties", {})
-    ),
-    "allOf": lambda arg, value, schema, root: all(_valid(sub, value, root) for sub in arg),
-    "not": lambda arg, value, schema, root: not _valid(arg, value, root),
-    "if": lambda arg, value, schema, root: _valid(
-        schema.get("then", True) if _valid(arg, value, root) else schema.get("else", True),
-        value,
-        root,
+    "if": lambda arg, value, schema, root: _errors(
+        schema.get("then" if _passes(arg, value, root) else "else", True), value, root
     ),
 }
 
 
-def _valid(schema, value, root: dict) -> bool:
-    if isinstance(schema, bool):
-        return schema
+def _errors(schema, value, root: dict):
+    """Every error of `value` under `schema`, a part of `root`."""
+    if schema is True:
+        return
+    if schema is False:
+        yield (), f"False schema does not allow {value!r}", schema
+        return
     for keyword, arg in schema.items():
-        test = _KEYWORDS.get(keyword)
-        if test is None:
+        errors = _KEYWORDS.get(keyword)
+        if errors is None:
             raise NotImplementedError(f"schema keyword {keyword!r}")
-        if not test(arg, value, schema, root):
-            return False
-    return True
+        found = errors(arg, value, schema, root)
+        if found:  # most keywords pass, with ()
+            yield from found
+
+
+def _passes(schema, value, root: dict) -> bool:
+    return next(_errors(schema, value, root), None) is None
 
 
 def _accepts(schema: dict, value) -> bool:
-    """`schema_validator_class()(schema).is_valid(value)`, without jsonschema,
-    for the keywords the schemas here use; any other keyword raises."""
-    return _valid(schema, value, schema)
+    """Whether `value` is valid under `schema`, as jsonschema's 2020-12
+    validator with the type rules above decides; a keyword the schemas here
+    do not use raises NotImplementedError."""
+    return _passes(schema, value, schema)
 
 
-@functools.cache
-def schema_validator_class():
-    """The jsonschema validator class of the type rules above.  Validators are
-    built without the costly metaschema check; the tests make it once for
-    every schema."""
-    import jsonschema
-
-    checker = jsonschema.Draft202012Validator.TYPE_CHECKER.redefine_many(
-        {
-            "number": lambda _, value: _is_number(value),
-            "integer": lambda _, value: _is_integer(value),
-        }
-    )
-    return jsonschema.validators.extend(jsonschema.Draft202012Validator, type_checker=checker)
+def json_path(path: tuple) -> str:
+    """`path` as jsonschema's `json_path` writes it, $.spec.stages[0], for the
+    property names here, which are all identifiers."""
+    return "$" + "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)
 
 
-def schema_error(schema: dict, value, validator: Callable[[], object]):
-    """None if `value` is valid under `schema`, else jsonschema's best-matching
-    error from `validator()`, a cached validator of `schema`.  Only a rejection
-    imports jsonschema, and its verdict stands."""
-    if _accepts(schema, value):
-        return None
-    from jsonschema.exceptions import best_match
+def schema_error(schema: dict, value) -> Optional[tuple[tuple, str]]:
+    """None if `value` is valid under `schema`, else the (path, message) of
+    the error jsonschema's `best_match` picks: the shallowest, then the one
+    with the greatest path, then one whose schema's `type` the value at fault
+    fails; the first of equals."""
 
-    return best_match(validator().iter_errors(value))
+    def relevance(error):
+        path, _, sub = error
+        typed = isinstance(sub, dict) and "type" in sub
+        return -len(path), path, not (typed and _TYPES[sub["type"]](_at(value, path)))
+
+    best = max(_errors(schema, value, schema), key=relevance, default=None)
+    return None if best is None else best[:2]
 
 
 def _def_schema(name: str) -> dict:
     return {"$defs": DESCRIPTOR_DEFS, "$ref": f"#/$defs/{name}"}
 
 
-@functools.cache
-def _def_validator(name: str):
-    """One validator per descriptor def, so at most len(DESCRIPTOR_DEFS)."""
-    return schema_validator_class()(_def_schema(name))
-
-
 def _check(name: str, value) -> None:
     """Raise ValueError with the best-matching schema error unless `value`
     is a valid `name` descriptor."""
-    error = schema_error(_def_schema(name), value, lambda: _def_validator(name))
+    error = schema_error(_def_schema(name), value)
     if error is not None:
-        raise ValueError(f"invalid {name} descriptor at {error.json_path}: {error.message}")
+        path, message = error
+        raise ValueError(f"invalid {name} descriptor at {json_path(path)}: {message}")
 
 
 def builtin_params(name: str, **args) -> ConstructionParams:
     """Construction parameters of the `rule` descriptor {name, args}: odometer
     takes `r`, theorem6 a `role` and the keys of a `pair`, the others none."""
     _check("rule", {"name": name, "args": args})
-    if name != "theorem6":
-        return {"chacon": chacon, "odometer": odometer, "staircase": staircase}[name](**args)
-    role = args.pop("role", "t")
-    return rigid_mixing_pair(args).params(role)
+    return _rule_params(name, args)
+
+
+def _rule_params(name: str, args: dict) -> ConstructionParams:
+    """The construction of a valid `rule` descriptor {name, args}."""
+    if name == "theorem6":
+        return _pair(args).params(args.get("role", "t"))
+    return {"chacon": chacon, "odometer": odometer, "staircase": staircase}[name](**args)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +509,7 @@ def params_from_spec(spec: dict) -> ConstructionParams:
             functools.partial(_explicit_rule, stages), "explicit", width, height
         )
     rule = spec["rule"]
-    params = builtin_params(rule["name"], **rule.get("args", {}))
+    params = _rule_params(rule["name"], rule.get("args", {}))
     if (params.initial_width, params.initial_height) != (width, height):
         # Named rules fix their own geometry; honour an explicit override by
         # rebuilding on the same rule.

@@ -6,13 +6,12 @@ of the calibrated runs documented in the README, and a runner returning
 result rows plus named pass/fail checks.  The same machinery backs the
 ad-hoc subcommands (build, correlate, rigidity, ledrapier, cesaro, gauss,
 poisson): an entry's `command` names its subcommand, whose flags are
-generated from the params schema.  A config is checked by the stdlib schema
-reader in `constructions`; jsonschema is imported only to word a rejection.
+generated from the params schema.  A config is checked, and a rejection
+worded, by the stdlib schema reader in `constructions`.
 """
 from __future__ import annotations
 
 import copy
-import functools
 import random
 import time
 from dataclasses import dataclass
@@ -25,10 +24,10 @@ from .constructions import (
     MAX_CUTS,
     MAX_DEPTH,
     builtin_params,
+    json_path,
     params_from_spec,
     rigid_mixing_pair,
     schema_error,
-    schema_validator_class,
 )
 from .gaussian import (
     GaussianModel,
@@ -951,15 +950,6 @@ def default_config(name: str) -> dict:
     }
 
 
-@functools.cache
-def _params_validator(name: str):
-    """Validator for one catalogue schema, built once, on its first rejection.
-
-    The catalogue is fixed, so this holds at most one entry per experiment.
-    """
-    return schema_validator_class()(_CATALOGUE[name].params_schema)
-
-
 def resolve_config(raw: dict) -> dict:
     """Validate and merge defaults; raises ConfigError."""
     if not isinstance(raw, dict):
@@ -977,10 +967,11 @@ def resolve_config(raw: dict) -> dict:
     if not isinstance(supplied, dict):
         raise ConfigError("params must be a JSON object")
     params.update(copy.deepcopy(supplied))
-    error = schema_error(spec.params_schema, params, lambda: _params_validator(name))
+    error = schema_error(spec.params_schema, params)
     if error is not None:
-        where = f" at {error.json_path}" if len(error.path) > 1 else ""
-        raise ConfigError(f"invalid params for {name!r}{where}: {error.message}")
+        path, message = error
+        where = f" at {json_path(path)}" if len(path) > 1 else ""
+        raise ConfigError(f"invalid params for {name!r}{where}: {message}")
     for side in ("a", "b"):
         lo, hi = params.get(f"{side}_lo"), params.get(f"{side}_hi")
         if lo is not None and hi is not None and hi <= lo:

@@ -6,11 +6,15 @@ and the transformation is iterated one step at a time on every grid cell.
 The GF(2) measures likewise share no code with ergolab.ledrapier: one
 expands sites into column sets, the other enumerates row-0 windows.  The
 rigid/mixing pair's reference keeps its own stage records by the stacking
-recurrence, where ergolab.constructions reads them off the towers.
+recurrence, where ergolab.constructions reads them off the towers.  The
+schema check is held to jsonschema's 2020-12 validator, under ergolab's type
+rules written out again here.
 """
 from __future__ import annotations
 
 import bisect
+import functools
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -393,3 +397,40 @@ def unblocked_wh_statistic(rows: np.ndarray, conj_rows: np.ndarray, k: int):
         return np.mean(hermite_value(k, conj_rows @ latent) * hx - hx**2, axis=0).mean()
 
     return stat
+
+
+def _finite_number(checker, value) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
+@functools.cache
+def schema_validator_class():
+    """jsonschema's 2020-12 validator under ergolab's type rules: a number is
+    a non-bool int or float of finite magnitude, and an integer is a number
+    that is an int, so neither True nor 3.0 is one.  Its validators skip the
+    metaschema check, which test_experiments makes once per schema.
+
+    jsonschema is imported here, not with this module, which the benchmark's
+    exact-deep workload loads for its orbit oracle."""
+    import jsonschema
+
+    checker = jsonschema.Draft202012Validator.TYPE_CHECKER.redefine_many(
+        {
+            "number": _finite_number,
+            "integer": lambda checker, value: (
+                isinstance(value, int) and _finite_number(checker, value)
+            ),
+        }
+    )
+    return jsonschema.validators.extend(jsonschema.Draft202012Validator, type_checker=checker)
+
+
+def best_schema_error(schema: dict, value):
+    """jsonschema's best-matching error of `value` under `schema`, or None."""
+    from jsonschema.exceptions import best_match
+
+    return best_match(schema_validator_class()(schema).iter_errors(value))

@@ -1,6 +1,9 @@
 import argparse
+import ast
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -583,15 +586,17 @@ def test_exact_commands_run_without_jsonschema(argv, tmp_path):
     ids=["spec-stages", "spec-rule-r", "config-k-max"],
 )
 def test_rejections_keep_jsonschemas_wording(argv, text, stderr, tmp_path):
+    # and need no jsonschema to be worded so
     path = tmp_path / "input.json"
     path.write_text(text, encoding="utf-8")
-    proc = run_cli(*argv, str(path))
-    assert proc.returncode == 2
-    assert proc.stderr == f"ergolab: config error: {stderr}\n"
+    for run in (run_cli, lambda *a: run_cli_without("jsonschema", *a)):
+        proc = run(*argv, str(path))
+        assert proc.returncode == 2
+        assert proc.stderr == f"ergolab: config error: {stderr}\n"
 
 
 def test_cli_import_loads_neither_numpy_nor_a_thread_pool():
-    # nor jsonschema and its dependencies: only a rejected config needs them
+    # nor jsonschema and its dependencies, which only the tests use
     modules = ("numpy", "concurrent.futures", "jsonschema", "referencing", "attrs", "rpds")
     proc = subprocess.run(
         [
@@ -604,6 +609,25 @@ def test_cli_import_loads_neither_numpy_nor_a_thread_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # every import in the package, lazy ones too, names a stdlib module,
+    # numpy or ergolab itself; jsonschema is a test extra, the oracle only
+    root = pathlib.Path(__file__).resolve().parents[1]
+    imported = set()
+    for module in (root / "src" / "ergolab").glob("*.py"):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - sys.stdlib_module_names <= {"numpy", "ergolab"}
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    names = [re.match("[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]]
+    assert names == ["numpy"]
+    assert any(dep.startswith("jsonschema") for dep in project["optional-dependencies"]["test"])
 
 
 def test_import_binds_every_public_name_and_loads_every_module():

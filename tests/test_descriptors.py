@@ -1,7 +1,8 @@
 """The construction descriptors: every `spec` or `pair` the schema accepts
 builds or fails with a library error, and so does any one-node corruption.
 The stdlib schema check gives jsonschema's verdict on every such value, and
-on every catalogue config.
+on every catalogue config, and words each rejection as jsonschema's
+`best_match` does.
 
 `from_schema` draws values valid under DESCRIPTOR_DEFS and the catalogue's
 params schemas.  It reads only the keywords those schemas use, and every
@@ -10,10 +11,14 @@ bound it draws within comes from the schema.
 from __future__ import annotations
 
 import math
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+from ergolab import constructions
 from ergolab.constructions import (
     _KEYWORDS,
     _TYPES,
@@ -22,14 +27,14 @@ from ergolab.constructions import (
     _accepts,
     _def_schema,
     _equal,
-    _def_validator,
     builtin_params,
+    json_path,
     odometer,
     params_from_spec,
     rigid_mixing_pair,
-    schema_validator_class,
+    schema_error,
 )
-from ergolab.experiments import _CATALOGUE, ConfigError, _params_validator, resolve_config
+from ergolab.experiments import _CATALOGUE, ConfigError, resolve_config
 from ergolab.tower import ConstructionExhaustedError, GenerationError, build_stage
 
 LIBRARY_ERRORS = (ValueError, GenerationError, ConstructionExhaustedError)
@@ -142,7 +147,7 @@ def _build_through_stage_4(kind: str, descriptor) -> None:
 @given(st.sampled_from(["spec", "pair"]), st.data())
 def test_valid_descriptors_build_or_fail_with_a_library_error(kind, data):
     descriptor = data.draw(from_schema(DESCRIPTOR_DEFS[kind]))
-    assert schema_validator_class()(_def_schema(kind)).is_valid(descriptor)
+    assert oracles.schema_validator_class()(_def_schema(kind)).is_valid(descriptor)
     try:
         _build_through_stage_4(kind, descriptor)
     except LIBRARY_ERRORS:
@@ -166,26 +171,36 @@ def test_one_corrupted_node_still_fails_with_a_library_error(kind, data):
 
 def _drawn_value(target: str, data):
     """A valid value for `target` (a descriptor def, or a catalogue entry whose
-    drawn params are merged over its defaults), its schema and validator."""
+    drawn params are merged over its defaults) and its schema."""
     if target in DESCRIPTOR_DEFS:
-        value = data.draw(from_schema(DESCRIPTOR_DEFS[target]))
-        return value, _def_schema(target), _def_validator(target)
+        return data.draw(from_schema(DESCRIPTOR_DEFS[target])), _def_schema(target)
     spec = _CATALOGUE[target]
-    value = spec.defaults | data.draw(from_schema(spec.params_schema))
-    return value, spec.params_schema, _params_validator(target)
+    return spec.defaults | data.draw(from_schema(spec.params_schema)), spec.params_schema
+
+
+def assert_checked_as_jsonschema_checks(schema: dict, value) -> None:
+    """The stdlib check gives jsonschema's verdict, and on a rejection the
+    path and message of jsonschema's best match."""
+    got, want = schema_error(schema, value), oracles.best_schema_error(schema, value)
+    assert _accepts(schema, value) is (got is None) is (want is None)
+    if want is not None:
+        path, message = got
+        assert (json_path(path), message, len(path)) == (
+            want.json_path, want.message, len(want.path)
+        )
 
 
 @settings(max_examples=500, deadline=None)
 @given(st.sampled_from([*DESCRIPTOR_DEFS, *_CATALOGUE]), st.booleans(), st.data())
 def test_stdlib_check_gives_jsonschemas_verdict(target, corrupt, data):
-    value, schema, validator = _drawn_value(target, data)
+    value, schema = _drawn_value(target, data)
     if corrupt:
         path = data.draw(st.sampled_from(list(_nodes(value))))
         node = value
         for key in path:
             node = node[key]
         value = _replaced(value, path, data.draw(_stand_ins(node)))
-    assert _accepts(schema, value) == validator.is_valid(value)
+    assert_checked_as_jsonschema_checks(schema, value)
     assert corrupt or _accepts(schema, value)
 
 
@@ -218,6 +233,8 @@ def test_stdlib_check_reads_exactly_the_keywords_the_schemas_use():
     assert {arg for keyword, arg in nodes if keyword == "type"} == set(_TYPES)
     with pytest.raises(NotImplementedError, match="uniqueItems"):
         _accepts({"type": "array", "uniqueItems": True}, [1, 1])
+    with pytest.raises(NotImplementedError, match="additionalProperties"):
+        _accepts({"additionalProperties": {"type": "integer"}}, {"k": 1})
 
 
 def _params(name: str, **params) -> tuple:
@@ -251,14 +268,26 @@ _CHACON = {"name": "chacon"}
         (*_spec(stages=[], rule=_CHACON), False),
         (*_spec(), False),
         (_def_schema("rule"), {"name": "odometer", "args": {}}, True),
+        # the wording: minItems 1, 2 and maxItems; extra keys sorted
+        (*_params("eq1-sweep", ns=[]), False),
+        (*_params("eq1-sweep", plane=[6]), False),
+        (*_params("eq1-sweep", plane=[5, 6, 7]), False),
+        (*_spec(rule=_CHACON, b=1, a=2), False),
+        # which error is reported: the shallowest, then the greatest path, then
+        # one from a schema whose type the value fails (`else` has none)
+        (*_spec(stages=[{"r": 1}], bogus=1), False),
+        (*_params("correlate", a_lo=-1, b_hi=-1), False),
+        (*_spec(bogus=1), False),
     ],
     ids=["bool-depth", "float-depth", "huge-k-max", "zero-bound", "unit-delta", "nan-angle",
          "inf-angle", "tuple-ns", "zero-width", "padded-width", "spaced-width",
-         "newline-width", "stages-and-rule", "neither", "odometer-no-args"],
+         "newline-width", "stages-and-rule", "neither", "odometer-no-args", "empty-ns",
+         "short-plane", "long-plane", "two-extra-keys", "shallow-over-deep",
+         "greater-path", "untyped-over-typed"],
 )
 def test_stdlib_check_matches_jsonschema_on_edge_cases(schema, value, valid):
     assert _accepts(schema, value) is valid
-    assert schema_validator_class()(schema).is_valid(value) is valid
+    assert_checked_as_jsonschema_checks(schema, value)
 
 
 @given(JSON, JSON)
@@ -316,24 +345,70 @@ def test_odometer_cache_is_bounded_by_the_cut_limit():
     assert odometer.cache_info().currsize <= 2 * (MAX_CUTS - 1) + 1
 
 
+RULE_ARGUMENT_CASES = {
+    "chacon-r": (lambda: builtin_params("chacon", r=3), "'r' was unexpected"),
+    "staircase-arg": (lambda: builtin_params("staircase", bogus=1), "'bogus' was unexpected"),
+    "odometer-role": (lambda: builtin_params("odometer", role="s"), "'role' was unexpected"),
+    "string-r": (lambda: builtin_params("odometer", r="3"), "'3' is not of type 'integer'"),
+    "float-r": (lambda: builtin_params("odometer", r=3.0), "3.0 is not of type 'integer'"),
+    "upper-role": (lambda: builtin_params("theorem6", role="T"), "'T' is not one of"),
+    "zero-step": (
+        lambda: rigid_mixing_pair({"cprime": {"name": "arithmetic", "step": 0}}),
+        "$.cprime.step: 0 is less than the minimum of 1",
+    ),
+}
+
+
 @pytest.mark.parametrize(
-    "call, words",
-    [
-        (lambda: builtin_params("chacon", r=3), "'r' was unexpected"),
-        (lambda: builtin_params("staircase", bogus=1), "'bogus' was unexpected"),
-        (lambda: builtin_params("odometer", role="s"), "'role' was unexpected"),
-        (lambda: builtin_params("odometer", r="3"), "'3' is not of type 'integer'"),
-        (lambda: builtin_params("odometer", r=3.0), "3.0 is not of type 'integer'"),
-        (lambda: builtin_params("theorem6", role="T"), "'T' is not one of"),
-        (
-            lambda: rigid_mixing_pair({"cprime": {"name": "arithmetic", "step": 0}}),
-            "$.cprime.step: 0 is less than the minimum of 1",
-        ),
-    ],
-    ids=["chacon-r", "staircase-arg", "odometer-role", "string-r", "float-r",
-         "upper-role", "zero-step"],
+    "call, words", RULE_ARGUMENT_CASES.values(), ids=list(RULE_ARGUMENT_CASES)
 )
 def test_rule_arguments_are_checked_per_rule(call, words):
     with pytest.raises(ValueError) as error:
         call()
     assert words in str(error.value)
+
+
+def test_rejections_are_worded_without_jsonschema(monkeypatch):
+    def messages():
+        texts = []
+        for call, words in RULE_ARGUMENT_CASES.values():
+            with pytest.raises(ValueError, match=re.escape(words)) as error:
+                call()
+            texts.append(str(error.value))
+        config = {"experiment": "build", "params": {"spec": {"stages": [{"r": 1}]}}}
+        with pytest.raises(ConfigError) as error:
+            resolve_config(config)
+        return texts + [str(error.value)]
+
+    expected = messages()
+    blocked = [name for name in sys.modules if name.split(".")[0] == "jsonschema"]
+    for name in {"jsonschema", *blocked}:
+        monkeypatch.setitem(sys.modules, name, None)
+    assert messages() == expected
+    assert expected[-1] == (
+        "invalid params for 'build' at $.spec.stages[0]: 'spacers' is a required property"
+    )
+    assert all(sys.modules[name] is None for name in {"jsonschema", *blocked})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: params_from_spec({"rule": {"name": "theorem6", "args": {"role": "s"}}}),
+        lambda: builtin_params("theorem6", role="s"),
+        lambda: rigid_mixing_pair({}),
+    ],
+    ids=["spec", "rule", "pair"],
+)
+def test_a_descriptor_is_checked_once_per_call(call, monkeypatch):
+    # the outermost entry point checks the whole descriptor; the rule or pair
+    # inside it is then built unchecked
+    calls = []
+
+    def counted(schema, value):
+        calls.append(value)
+        return schema_error(schema, value)
+
+    monkeypatch.setattr(constructions, "schema_error", counted)
+    call()
+    assert len(calls) == 1

@@ -6,11 +6,10 @@ import jsonschema
 import pytest
 
 from ergolab import experiments, gaussian, mc, poisson
-from ergolab.constructions import DESCRIPTOR_DEFS, schema_validator_class
+from ergolab.constructions import DESCRIPTOR_DEFS
 from ergolab.experiments import (
     _CATALOGUE,
     ConfigError,
-    _params_validator,
     default_config,
     describe_experiments,
     resolve_config,
@@ -154,29 +153,15 @@ def test_schema_errors_read_as_jsonschema_validate_words_them():
 
 
 def test_every_schema_passes_its_metaschema():
-    # Validators are built without this check, so it is made here, once; the
-    # draft the schemas declare (none: 2020-12) is the one they are run under.
+    # Neither the stdlib reader nor the tests' oracle makes this check, so it
+    # is made here, once; the draft the schemas declare (none: 2020-12) is the
+    # one they are read under.
     for schema in [spec.params_schema for spec in _CATALOGUE.values()] + [
         {"$defs": DESCRIPTOR_DEFS}
     ]:
         cls = jsonschema.validators.validator_for(schema)
         assert cls is jsonschema.Draft202012Validator
         cls.check_schema(schema)
-
-
-def test_each_schema_validator_is_built_once():
-    # a valid config builds none: jsonschema words rejections only
-    _params_validator.cache_clear()
-    for name in _CATALOGUE:
-        resolve_config({"experiment": name})
-    assert _params_validator.cache_info().currsize == 0
-    for _ in range(3):
-        for name in _CATALOGUE:
-            with pytest.raises(ConfigError, match="'bogus' was unexpected"):
-                resolve_config({"experiment": name, "params": {"bogus": 1}})
-    info = _params_validator.cache_info()
-    assert info.misses == info.currsize == len(_CATALOGUE)
-    assert schema_validator_class.cache_info().currsize == 1
 
 
 def test_vector_seed_matters_only_off_a_rotation_block():
