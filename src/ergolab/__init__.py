@@ -72,7 +72,6 @@ from .poisson import (
 from .reports import ExperimentReport
 from .experiments import (
     ConfigError,
-    default_config,
     resolve_config,
     run_experiment,
 )

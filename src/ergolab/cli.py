@@ -21,7 +21,6 @@ import sys
 from .experiments import (
     ConfigError,
     command_specs,
-    default_config,
     describe_experiments,
     run_experiment,
 )
@@ -136,7 +135,7 @@ def _config_from_args(args: argparse.Namespace) -> dict:
                 )
             config["experiment"] = args.name
         else:
-            config = default_config(args.name)
+            config = {"experiment": args.name}
     else:
         spec = args.experiment_spec
         params = {}

@@ -432,13 +432,6 @@ def _passes(schema, value, root: dict) -> bool:
     return next(_errors(schema, value, root), None) is None
 
 
-def _accepts(schema: dict, value) -> bool:
-    """Whether `value` is valid under `schema`, as jsonschema's 2020-12
-    validator with the type rules above decides; a keyword the schemas here
-    do not use raises NotImplementedError."""
-    return _passes(schema, value, schema)
-
-
 def json_path(path: tuple) -> str:
     """`path` as jsonschema's `json_path` writes it, $.spec.stages[0], for the
     property names here, which are all identifiers."""
@@ -449,7 +442,8 @@ def schema_error(schema: dict, value) -> Optional[tuple[tuple, str]]:
     """None if `value` is valid under `schema`, else the (path, message) of
     the error jsonschema's `best_match` picks: the shallowest, then the one
     with the greatest path, then one whose schema's `type` the value at fault
-    fails; the first of equals."""
+    fails; the first of equals.  A keyword the schemas here do not use
+    raises NotImplementedError."""
 
     def relevance(error):
         path, _, sub = error
@@ -502,6 +496,11 @@ def _explicit_rule(stages: tuple, j: int) -> tuple[int, tuple[int, ...]]:
 def params_from_spec(spec: dict) -> ConstructionParams:
     """Construction parameters of a `spec` descriptor, explicit or named."""
     _check("spec", spec)
+    return _spec_params(spec)
+
+
+def _spec_params(spec: dict) -> ConstructionParams:
+    """The construction of a valid `spec` descriptor."""
     height, width = spec.get("initial_height", 1), Q(spec.get("initial_width", "1"))
     if "stages" in spec:
         stages = tuple((st["r"], tuple(st["spacers"])) for st in spec["stages"])

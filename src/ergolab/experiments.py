@@ -23,10 +23,11 @@ from .constructions import (
     DESCRIPTOR_DEFS,
     MAX_CUTS,
     MAX_DEPTH,
-    builtin_params,
+    _check,
+    _pair,
+    _rule_params,
+    _spec_params,
     json_path,
-    params_from_spec,
-    rigid_mixing_pair,
     schema_error,
 )
 from .gaussian import (
@@ -66,7 +67,6 @@ from .tower import (
 __all__ = [
     "ConfigError",
     "command_specs",
-    "default_config",
     "describe_experiments",
     "resolve_config",
     "run_experiment",
@@ -104,17 +104,12 @@ def _construction_props(default: str) -> dict:
     }
 
 
-def _construction_from(params: dict):
+def _construction(params: dict):
+    """The construction of resolved params: their `spec`, else their rule."""
     if "spec" in params:
-        for key in ("r", "role"):
-            if key in params:
-                raise ConfigError(
-                    f"{key!r} (--{key}) cannot be given beside 'spec' (--spec-file): "
-                    "a spec names its whole construction"
-                )
-        return params_from_spec(params["spec"])
+        return _spec_params(params["spec"])
     args = {key: params[key] for key in ("r", "role") if key in params}
-    return builtin_params(params["construction"], **args)
+    return _rule_params(params["construction"], args)
 
 
 def _int(default: int, minimum: int = 0) -> dict:
@@ -207,7 +202,7 @@ def _run_ledrapier(params: dict, seed: int, jobs: int):
 
 
 def _run_rigidity(params: dict, seed: int, jobs: int):
-    construction = _construction_from(params)
+    construction = _construction(params)
     a = LevelSet(params["a_stage"], tuple(params["a_levels"]))
     depth = params.get("depth")
     entries = rigidity_scan(
@@ -276,7 +271,7 @@ def _shared_heights_ok(pair, stages: int) -> bool:
 
 
 def _run_theorem6(params: dict, seed: int, jobs: int):
-    pair = rigid_mixing_pair(params.get("pair"))
+    pair = _pair(params.get("pair", {}))
     stages, bound = params["stages"], Q(str(params["bound"]))
     heights_ok = _shared_heights_ok(pair, stages)
     rows, identity_ok, certified_ok = _certified_ratio_rows(
@@ -300,7 +295,7 @@ def _run_theorem6(params: dict, seed: int, jobs: int):
 
 
 def _run_theorem1(params: dict, seed: int, jobs: int):
-    pair = rigid_mixing_pair(params.get("pair"))
+    pair = _pair(params.get("pair", {}))
     bound = Q(str(params["bound"]))
     heights_ok = _shared_heights_ok(pair, params["ratio_stages"])
     rows, identity_ok, certified_ok = _certified_ratio_rows(
@@ -466,7 +461,7 @@ def _run_wh_gaussian(params: dict, seed: int, jobs: int):
 
 def _window_model(params: dict) -> PoissonModel:
     """The Poisson model over the window of the pair's t tower."""
-    pair = rigid_mixing_pair(params.get("pair"))
+    pair = _pair(params.get("pair", {}))
     window = LevelSet(params["window_stage"], range(params["window_size"]))
     return PoissonModel(pair.t_params, window, depth=params["depth"])
 
@@ -564,7 +559,7 @@ def _run_triple_mixing(params: dict, seed: int, jobs: int):
 
 
 def _run_build(params: dict, seed: int, jobs: int):
-    construction = _construction_from(params)
+    construction = _construction(params)
     depth = params["depth"]
     rows, recurrence_ok = [], True
     for j in range(depth + 1):
@@ -588,7 +583,7 @@ def _run_build(params: dict, seed: int, jobs: int):
 
 
 def _run_correlate(params: dict, seed: int, jobs: int):
-    construction = _construction_from(params)
+    construction = _construction(params)
     a = LevelSet(params["a_stage"], range(params["a_lo"], params["a_hi"]))
     b = LevelSet(params["b_stage"], range(params["b_lo"], params["b_hi"]))
     n = params["n"]
@@ -939,19 +934,8 @@ def command_specs() -> list:
     return [spec for spec in _SPECS if spec.command is not None]
 
 
-def default_config(name: str) -> dict:
-    spec = _CATALOGUE.get(name)
-    if spec is None:
-        raise ConfigError(f"unknown experiment {name!r}")
-    return {
-        "experiment": name,
-        "seed": 0,
-        "params": spec.defaults,
-    }
-
-
 def resolve_config(raw: dict) -> dict:
-    """Validate and merge defaults; raises ConfigError."""
+    """Merge defaults and make every check the runners rely on; raises ConfigError."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(raw) - _TOP_LEVEL_KEYS
@@ -982,6 +966,20 @@ def resolve_config(raw: dict) -> dict:
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError("seed must be a non-negative integer")
+    # a spec names its whole construction; else the flags name a rule
+    if "spec" in supplied:
+        for key in ("construction", "r", "role"):
+            if key in supplied:
+                raise ConfigError(
+                    f"{key!r} (--{key}) cannot be given beside 'spec' (--spec-file): "
+                    "a spec names its whole construction"
+                )
+    elif "construction" in params:
+        args = {key: params[key] for key in ("r", "role") if key in params}
+        try:
+            _check("rule", {"name": params["construction"], "args": args})
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     return {"experiment": name, "seed": seed, "params": params}
 
 

@@ -17,7 +17,7 @@ from ergolab.constructions import (
     rigid_mixing_pair,
     staircase,
 )
-from ergolab.experiments import default_config, run_experiment
+from ergolab.experiments import resolve_config, run_experiment
 from ergolab.gaussian import (
     GaussianModel,
     gaussian_hermite_correlation,
@@ -163,7 +163,7 @@ def test_criterion_05_defect_chain_and_calibrated_majorant():
         assert d.majorant1 <= d.majorant2 + CHAIN_TOL
         final = d
     assert final.majorant2 <= CALIBRATED_BOUND
-    report = run_experiment(default_config("eq1-sweep"))
+    report = run_experiment({"experiment": "eq1-sweep"})
     assert report.all_passed  # threshold recorded in the report's checks
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"took {elapsed:.2f}s"
@@ -264,7 +264,7 @@ def test_criterion_10_every_experiment_is_seed_reproducible():
         "rigidity-scan",
         "triple-mixing",
     ):
-        cfg = default_config(name)
+        cfg = resolve_config({"experiment": name})
         cfg["params"].update(shrink.get(name, {}))
         cfg["seed"] = 11
         first = run_experiment(cfg)

@@ -346,6 +346,11 @@ def test_pair_file_with_a_missing_key_exits_2(tmp_path, pair, key):
         (["--construction", "odometer", "--role", "s"], None, "'role' was unexpected"),
         (["--r", "3"], {"rule": {"name": "chacon"}}, "'r' (--r)"),
         (["--role", "s"], {"rule": {"name": "chacon"}}, "'role' (--role)"),
+        (
+            ["--construction", "odometer"],
+            {"rule": {"name": "chacon"}},
+            "'construction' (--construction)",
+        ),
     ],
     ids=[
         "stages-not-a-list",
@@ -358,6 +363,7 @@ def test_pair_file_with_a_missing_key_exits_2(tmp_path, pair, key):
         "odometer-with-role",
         "spec-with-r",
         "spec-with-role",
+        "spec-with-construction",
     ],
 )
 def test_ill_typed_or_unused_construction_arguments_exit_2(tmp_path, flags, spec, words):
@@ -459,18 +465,29 @@ def _flag_value(name: str, prop: dict, tmp_path):
     return 0.375, "0.375"
 
 
+# Flags that need a run of their own, and what they are run beside: a spec
+# names its whole construction, and of the rules only odometer takes `r` (the
+# last rule, theorem6, takes `role`).
+SEPARATE_RUNS = {"spec": [], "r": ["--construction", "odometer"]}
+
+
 def test_every_generated_flag_lands_in_the_report_params(tmp_path):
     for spec in command_specs():
-        argv, expected = [spec.command], {}
+        runs = {}  # run -> (argv, expected params)
         for name, prop in spec.params_schema["properties"].items():
             value, text = _flag_value(name, prop, tmp_path)
+            run = name if name in SEPARATE_RUNS else None
+            argv, expected = runs.setdefault(
+                run, ([spec.command, *SEPARATE_RUNS.get(run, [])], {})
+            )
             argv += [_flag(name, prop), text]
             expected[name] = value
-        config = cli._config_from_args(cli._build_parser().parse_args(argv))
-        params = resolve_config(config)["params"]
-        for name, value in expected.items():
-            assert params[name] == value, (spec.command, name)
-            assert value != spec.defaults.get(name), (spec.command, name)
+        for argv, expected in runs.values():
+            config = cli._config_from_args(cli._build_parser().parse_args(argv))
+            params = resolve_config(config)["params"]
+            for name, value in expected.items():
+                assert params[name] == value, (spec.command, name)
+                assert value != spec.defaults.get(name), (spec.command, name)
 
 
 def test_fresh_import_loads_no_scipy():
@@ -635,7 +652,7 @@ def test_import_binds_every_public_name_and_loads_every_module():
     # only sees the modules already loaded, so `import ergolab` must load them all.
     script = (
         "import ast, json, sys, ergolab\n"
-        "from ergolab import default_config, run_experiment\n"
+        "from ergolab import run_experiment\n"
         "tree = ast.parse(open(ergolab.__file__, encoding='utf-8').read())\n"
         "names = [a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom)\n"
         "         and node.module != '__future__' for a in node.names]\n"
@@ -646,7 +663,7 @@ def test_import_binds_every_public_name_and_loads_every_module():
         "    'getattr': '__getattr__' in vars(ergolab),\n"
         "    'unloaded': [m for m in modules if m not in sys.modules],\n"
         "    'numpy_before': 'numpy' in sys.modules,\n"
-        "    'passed': run_experiment(default_config('gauss')).all_passed,\n"
+        "    'passed': run_experiment({'experiment': 'gauss'}).all_passed,\n"
         "    'numpy_after': 'numpy' in sys.modules,\n"
         "}))"
     )

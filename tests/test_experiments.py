@@ -5,12 +5,11 @@ import json
 import jsonschema
 import pytest
 
-from ergolab import experiments, gaussian, mc, poisson
-from ergolab.constructions import DESCRIPTOR_DEFS
+from ergolab import constructions, experiments, gaussian, mc, poisson
+from ergolab.constructions import DESCRIPTOR_DEFS, schema_error
 from ergolab.experiments import (
     _CATALOGUE,
     ConfigError,
-    default_config,
     describe_experiments,
     resolve_config,
     run_experiment,
@@ -38,8 +37,8 @@ POISSON_RESULT_DIGESTS = {
     "wh-poisson": "00ca2a645f9db33fdb14a44663d019604facee392baf9daea9f2aa592bf95230",
 }
 
-# sha256 of json.dumps(default_config(name), sort_keys=True) for every entry,
-# so that a default lost or changed in the schema shows
+# sha256 of json.dumps(resolve_config({"experiment": name}), sort_keys=True)
+# for every entry, so that a default lost or changed in the schema shows
 DEFAULT_CONFIG_DIGESTS = {
     "ledrapier": "dce104f1332695df53ea500c96b2a26992313b94c1f9ed6e893ba7672519b5d6",
     "theorem1": "62c054ab3a5aa811b2121edf5c95f4ac47311571f547cdfc5d0026afde290b8e",
@@ -57,7 +56,7 @@ DEFAULT_CONFIG_DIGESTS = {
 
 
 def _shrunk(name, **params):
-    cfg = default_config(name)
+    cfg = resolve_config({"experiment": name})
     cfg["params"].update(params)
     return cfg
 
@@ -80,21 +79,22 @@ def test_catalogue_is_the_documented_eight():
 
 def test_every_default_config_round_trips_the_schema():
     for name in LISTED + ["build", "correlate", "gauss", "poisson"]:
-        resolved = resolve_config(default_config(name))
+        resolved = resolve_config({"experiment": name})
         assert resolved["experiment"] == name
         assert resolved["seed"] == 0
+        assert resolve_config(resolved) == resolved
 
 
 def test_default_configs_are_frozen():
     assert set(DEFAULT_CONFIG_DIGESTS) == set(_CATALOGUE)
     for name, want in DEFAULT_CONFIG_DIGESTS.items():
-        blob = json.dumps(default_config(name), sort_keys=True).encode()
+        blob = json.dumps(resolve_config({"experiment": name}), sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == want, name
 
 
 def test_config_rejection_paths():
     with pytest.raises(ConfigError):
-        resolve_config(default_config("nope"))
+        resolve_config({"experiment": "nope"})
     with pytest.raises(ConfigError):
         resolve_config({"experiment": "ledrapier", "bogus": 1})
     with pytest.raises(ConfigError):
@@ -127,6 +127,77 @@ def test_config_rejection_paths():
         resolve_config({"experiment": "rigidity-scan", "params": {"expect_all_none": True}})
 
 
+BESIDE_SPEC = "cannot be given beside 'spec' (--spec-file): a spec names its whole construction"
+
+
+@pytest.mark.parametrize(
+    "params, words",
+    [
+        ({"construction": "odometer"}, f"'construction' (--construction) {BESIDE_SPEC}"),
+        ({"construction": "chacon"}, f"'construction' (--construction) {BESIDE_SPEC}"),
+        ({"r": 3}, f"'r' (--r) {BESIDE_SPEC}"),
+        ({"role": "s"}, f"'role' (--role) {BESIDE_SPEC}"),
+        ({"r": 3, "role": "s"}, f"'r' (--r) {BESIDE_SPEC}"),
+    ],
+)
+def test_a_spec_is_refused_beside_construction_flags(params, words):
+    for name in ("build", "correlate", "rigidity-scan"):
+        config = {"experiment": name, "params": {"spec": {"rule": {"name": "chacon"}}, **params}}
+        with pytest.raises(ConfigError) as error:
+            resolve_config(config)
+        assert str(error.value) == words
+
+
+@pytest.mark.parametrize(
+    "params, words",
+    [
+        ({"construction": "chacon", "r": 3}, "('r' was unexpected)"),
+        ({"construction": "theorem6", "r": 3}, "('r' was unexpected)"),
+        ({"construction": "odometer", "role": "s"}, "('role' was unexpected)"),
+        ({"construction": "staircase", "role": "t"}, "('role' was unexpected)"),
+    ],
+)
+def test_the_rule_the_flags_name_is_checked_on_resolve(params, words):
+    for name in ("build", "correlate", "rigidity-scan"):
+        with pytest.raises(ConfigError) as error:
+            resolve_config({"experiment": name, "params": params})
+        assert str(error.value) == (
+            f"invalid rule descriptor at $.args: Additional properties are not allowed {words}"
+        )
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"experiment": "build", "params": {"spec": {"rule": {"name": "staircase"}}}},
+        {"experiment": "correlate", "params": {"construction": "odometer", "r": 3}},
+        {"experiment": "theorem6", "params": {"pair": {"cuts": {"name": "constant", "r": 3}}}},
+        {"experiment": "poisson", "params": {"pair": {}, "samples": 2_007, "ns": [0]}},
+    ],
+    ids=["build-spec", "correlate-flags", "theorem6-pair", "poisson-pair"],
+)
+def test_run_experiment_checks_a_config_only_in_resolve_config(config, monkeypatch):
+    # the runners build from the resolved config without checking it again
+    inside, outside, resolving = [], [], []
+
+    def counted(schema, value):
+        (inside if resolving else outside).append(value)
+        return schema_error(schema, value)
+
+    def resolve(raw):
+        resolving.append(True)
+        try:
+            return resolve_config(raw)
+        finally:
+            resolving.pop()
+
+    monkeypatch.setattr(constructions, "schema_error", counted)
+    monkeypatch.setattr(experiments, "schema_error", counted)
+    monkeypatch.setattr(experiments, "resolve_config", resolve)
+    run_experiment(config)
+    assert inside and outside == []
+
+
 def test_operator_dim_is_capped_before_anything_is_allocated():
     # every experiment on the block rotation shares one dim cap
     for name in ("eq1-sweep", "wh-gaussian", "triple-mixing", "gauss"):
@@ -144,7 +215,7 @@ def test_schema_errors_read_as_jsonschema_validate_words_them():
         ("poisson", {"ns": [1, "2"], "samples": -1}),
     ]
     for name, params in cases:
-        merged = {**default_config(name)["params"], **params}
+        merged = {**resolve_config({"experiment": name})["params"], **params}
         with pytest.raises(jsonschema.ValidationError) as want:
             jsonschema.validate(merged, _CATALOGUE[name].params_schema)
         with pytest.raises(ConfigError) as got:
@@ -172,7 +243,7 @@ def test_vector_seed_matters_only_off_a_rotation_block():
         config = {"experiment": "eq1-sweep", "seed": 3, "params": params}
         return run_experiment(config).results_bytes()
 
-    assert default_config("eq1-sweep")["params"]["plane"] == [6, 7]
+    assert resolve_config({"experiment": "eq1-sweep"})["params"]["plane"] == [6, 7]
     assert results([6, 7], 5) == results([6, 7], 6)
     assert results([5, 6], 5) != results([5, 6], 6)
 
@@ -198,7 +269,7 @@ def test_top_level_depth_and_threshold_are_unknown_fields():
 
 
 def test_ledrapier_experiment_is_exact_and_green():
-    report = run_experiment(default_config("ledrapier"))
+    report = run_experiment({"experiment": "ledrapier"})
     assert report.all_passed
     assert len(report.rows) == 31
     assert all(r["provenance"] == "exact" for r in report.rows)
@@ -224,7 +295,7 @@ def test_ledrapier_runs_green_at_its_schema_maxima():
 
 
 def test_rigidity_scan_finds_the_odometer_lattice():
-    report = run_experiment(default_config("rigidity-scan"))
+    report = run_experiment({"experiment": "rigidity-scan"})
     assert report.all_passed
     rigid = [r["n"] for r in report.rows if r["kind"] == "rigid"]
     assert rigid == [8, 16, 24, 32, 40, 48, 56, 64]
@@ -246,7 +317,7 @@ def test_rigidity_scan_staircase_variant_sees_no_rigidity():
 
 
 def test_theorem6_certifies_both_roles():
-    report = run_experiment(default_config("theorem6"))
+    report = run_experiment({"experiment": "theorem6"})
     assert report.all_passed
     sides = [r["rigid_side"] for r in report.rows]
     assert sides == ["t", "s"] * 6
@@ -256,7 +327,7 @@ def test_theorem6_certifies_both_roles():
 
 
 def test_theorem1_reports_the_certified_layer():
-    report = run_experiment(default_config("theorem1"))
+    report = run_experiment({"experiment": "theorem1"})
     assert report.all_passed
     assert any("Certified layer" in note for note in report.notes)
     wh = [r for r in report.rows if r.get("item") == "wh-defect"]
@@ -265,7 +336,7 @@ def test_theorem1_reports_the_certified_layer():
 
 
 def test_eq1_sweep_keeps_the_calibrated_majorant():
-    report = run_experiment(default_config("eq1-sweep"))
+    report = run_experiment({"experiment": "eq1-sweep"})
     assert report.all_passed
     for row in report.rows:
         assert row["majorant2"] == pytest.approx(0.04, abs=1e-10)
@@ -300,7 +371,7 @@ def test_triple_mixing_experiment_shrunk():
 def test_triple_mixing_default_passes_at_seed_11():
     # quiet rows are gated against their orthant probability, which the
     # estimator is unbiased for; row (157, 314) lies 5.07 SE from 1/8 here
-    cfg = default_config("triple-mixing")
+    cfg = resolve_config({"experiment": "triple-mixing"})
     cfg["seed"] = 11
     report = run_experiment(cfg)
     assert report.all_passed, [c for c in report.checks if not c["passed"]]
