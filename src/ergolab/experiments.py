@@ -6,8 +6,11 @@ of the calibrated runs documented in the README, and a runner returning
 result rows plus named pass/fail checks.  The same machinery backs the
 ad-hoc subcommands (build, correlate, rigidity, ledrapier, cesaro, gauss,
 poisson): an entry's `command` names its subcommand, whose flags are
-generated from the params schema.  A config is checked, and a rejection
-worded, by the stdlib schema reader in `constructions`.
+generated from the params schema.  `resolve_config` is the one place a
+config is completed and checked: the schema, read and worded by the stdlib
+reader in `constructions`, then the rules no schema states (non-empty level
+ranges within the refinement cap, a spec or else a rule the construction
+flags name).  Runners build from its result without checking it again.
 """
 from __future__ import annotations
 
@@ -53,6 +56,7 @@ from .operators import (
 from .poisson import PoissonModel, poisson_count_covariance, poisson_wh_experiment
 from .reports import ExperimentReport, check, exact_row, mc_row
 from .tower import (
+    MAX_REFINED_LEVELS,
     FinitarySwap,
     LevelSet,
     build_stage,
@@ -112,21 +116,38 @@ def _construction(params: dict):
     return _rule_params(params["construction"], args)
 
 
-def _int(default: int, minimum: int = 0) -> dict:
-    return {"type": "integer", "minimum": minimum, "default": default}
+def _int(default: int, minimum: int = 0, maximum: Optional[int] = None) -> dict:
+    prop = {"type": "integer", "minimum": minimum, "default": default}
+    return prop if maximum is None else {**prop, "maximum": maximum}
+
+
+def _stage(default: int) -> dict:
+    # every kernel call needs a depth of at least its sets' stage
+    return _int(default, maximum=MAX_DEPTH)
 
 
 _DEPTH = {"type": "integer", "minimum": 0, "maximum": MAX_DEPTH}
 
 # no dim x dim array is formed; the cap bounds wh-gaussian's dim x batch latent
-# block, 82 MB per worker at the cap with the default 2500-sample batches
+# block, 82 MB per worker at the cap with the default 2500-sample batches and
+# 0.8 GB with the 25000-sample batches of the `samples` cap
 _DIM = {"type": "integer", "minimum": 4, "maximum": 4096, "default": 64}
 
+# Caps on the parameters whose run time grows with their value: at one cap, a
+# run takes at most 15 s on 2 CPUs, and about two minutes with a second at its
+# cap too (`dim` 4096, or a generated pair at depth 64).
+_MAX_SAMPLES = 10**6
+_MAX_SCAN = 10**4  # shifts of a rigidity scan
+_MAX_COUNT = 1000  # triple-mixing times
+_MAX_MC_TERMS = 10**4  # averaging length of a Monte-Carlo statistic
+_MAX_EXACT_TERMS = 10**6  # averaging length of an exact or operator defect
 
-def _int_array(default: list) -> dict:
+
+def _int_array(default: list, maximum: Optional[int] = None) -> dict:
+    items = {"type": "integer", "minimum": 0}
     return {
         "type": "array",
-        "items": {"type": "integer", "minimum": 0},
+        "items": items if maximum is None else {**items, "maximum": maximum},
         "minItems": 1,
         "default": default,
     }
@@ -139,7 +160,7 @@ def _int_pair(default: list) -> dict:
 def _level_range_props(side: str, stage: int, lo: int, hi: int) -> dict:
     """The levels lo..hi-1 of one stage, as `<side>_stage/_lo/_hi`."""
     return {
-        f"{side}_stage": _int(stage),
+        f"{side}_stage": _stage(stage),
         f"{side}_lo": _int(lo),
         f"{side}_hi": _int(hi, minimum=1),
     }
@@ -690,7 +711,7 @@ class ExperimentSpec:
         }
 
 
-_MC_PROPS = {"samples": _int(100000, minimum=1)}
+_MC_PROPS = {"samples": _int(100000, minimum=1, maximum=_MAX_SAMPLES)}
 
 _CALIBRATED_OPERATOR_PROPS = {
     "dim": _DIM,
@@ -701,13 +722,13 @@ _CALIBRATED_OPERATOR_PROPS = {
 }
 
 _WINDOW_PROPS = {
-    "window_stage": _int(2),
-    "window_size": _int(700, minimum=1),
+    "window_stage": _stage(2),
+    "window_size": _int(700, minimum=1, maximum=MAX_REFINED_LEVELS),
     "depth": {**_DEPTH, "default": 2},
 }
 
 _SWAP_PROPS = {
-    "swap_stage": _int(1),
+    "swap_stage": _stage(1),
     "swap_pair": _int_pair([1, 3]),
 }
 
@@ -735,12 +756,13 @@ _SPECS = [
         params_schema=_schema(
             {
                 "pair": _object_ref("pair"),
-                "ratio_stages": _int(9, minimum=1),
+                # the last ratio is taken at depth ratio_stages + 1
+                "ratio_stages": _int(9, minimum=1, maximum=MAX_DEPTH - 1),
                 "certify_from": _int(8, minimum=1),
                 "bound": {"type": "number", "exclusiveMinimum": 0, "default": 0.05},
-                "scan_n_max": _int(80, minimum=1),
+                "scan_n_max": _int(80, minimum=1, maximum=_MAX_SCAN),
                 "scan_theta": {"type": "number", "exclusiveMinimum": 0, "default": 0.05},
-                "wh_ns": _int_array([50, 100, 200]),
+                "wh_ns": _int_array([50, 100, 200], maximum=_MAX_EXACT_TERMS),
                 "wh_bound": {"type": "number", "exclusiveMinimum": 0, "default": 0.1},
                 **_SWAP_PROPS,
                 **_level_range_props("a", 2, 50, 350),
@@ -769,7 +791,7 @@ _SPECS = [
         params_schema=_schema(
             {
                 **_CALIBRATED_OPERATOR_PROPS,
-                "ns": _int_array([100, 1000, 10000]),
+                "ns": _int_array([100, 1000, 10000], maximum=_MAX_EXACT_TERMS),
                 "final_bound": {"type": "number", "exclusiveMinimum": 0, "default": 0.05},
             }
         ),
@@ -790,7 +812,7 @@ _SPECS = [
                     "minItems": 1,
                     "default": [1, 2],
                 },
-                "n_terms": _int(100, minimum=1),
+                "n_terms": _int(100, minimum=1, maximum=_MAX_MC_TERMS),
             }
         ),
         runner=_run_wh_gaussian,
@@ -806,7 +828,7 @@ _SPECS = [
                 **_WINDOW_PROPS,
                 **_SWAP_PROPS,
                 **_level_range_props("a", 2, 50, 350),
-                "ns": _int_array([50, 100, 200]),
+                "ns": _int_array([50, 100, 200], maximum=_MAX_MC_TERMS),
                 "lost_budget": {"type": "number", "minimum": 0, "default": 0.01},
             }
         ),
@@ -819,9 +841,9 @@ _SPECS = [
         params_schema=_schema(
             {
                 **_construction_props("odometer"),
-                "a_stage": _int(3),
+                "a_stage": _stage(3),
                 "a_levels": _int_array([0]),
-                "n_max": _int(64, minimum=1),
+                "n_max": _int(64, minimum=1, maximum=_MAX_SCAN),
                 "depth": {**_DEPTH, "default": 12},
                 "theta": {"type": "number", "exclusiveMinimum": 0, "default": 0.05},
                 "expect_rigid": {
@@ -842,7 +864,7 @@ _SPECS = [
             {
                 **_MC_PROPS,
                 "dim": _DIM,
-                "count": _int(200, minimum=1),
+                "count": _int(200, minimum=1, maximum=_MAX_COUNT),
                 "threshold": {"type": "number", "exclusiveMinimum": 0, "default": 0.01},
                 "min_usable": _int(10, minimum=1),
             }
@@ -956,11 +978,16 @@ def resolve_config(raw: dict) -> dict:
         path, message = error
         where = f" at {json_path(path)}" if len(path) > 1 else ""
         raise ConfigError(f"invalid params for {name!r}{where}: {message}")
-    for side in ("a", "b"):
-        lo, hi = params.get(f"{side}_lo"), params.get(f"{side}_hi")
-        if lo is not None and hi is not None and hi <= lo:
+    for side in ("a", "b"):  # an entry without the side passes both rules
+        lo, hi = params.get(f"{side}_lo", 0), params.get(f"{side}_hi", 1)
+        if hi <= lo:
             raise ConfigError(
                 f"empty level set: {side}_hi={hi} must exceed {side}_lo={lo}"
+            )
+        if hi - lo > MAX_REFINED_LEVELS:
+            raise ConfigError(
+                f"level set too wide: {side}_lo={lo} to {side}_hi={hi} holds "
+                f"{hi - lo} levels, cap is {MAX_REFINED_LEVELS}"
             )
 
     seed = raw.get("seed", 0)

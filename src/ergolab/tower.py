@@ -123,22 +123,28 @@ class TowerStage:
 def build_stage(params: ConstructionParams, j: int) -> TowerStage:
     """Tower data at stage j (heights, widths and next-stage column bases).
 
-    Stages are kept on the params object, so they are freed with it.  Two
-    threads building the same stage at once both store equal values.
+    Stages are kept on the params object, so they are freed with it; missing
+    ones are built upward from the last one kept, in a loop, so no depth
+    recurses.  Two threads building the same stage at once both store equal
+    values.
     """
     stage = params._stages.get(j)
     if stage is None:
-        stage = params._stages[j] = _new_stage(params, j)
+        if j < 0:
+            raise ValueError("stage index must be non-negative")
+        first = j
+        while first > 0 and first - 1 not in params._stages:
+            first -= 1
+        for i in range(first, j + 1):
+            stage = params._stages[i] = _new_stage(params, i)
     return stage
 
 
 def _new_stage(params: ConstructionParams, j: int) -> TowerStage:
-    if j < 0:
-        raise ValueError("stage index must be non-negative")
     if j == 0:
         height, width = params.initial_height, params.initial_width
     else:
-        prev = build_stage(params, j - 1)
+        prev = params._stages[j - 1]
         height = prev.next_height
         width = prev.level_width / prev.cuts
     r, spacers = params.stage_data(j)

@@ -188,6 +188,26 @@ def test_domain_errors_exit_2_without_traceback(argv, tmp_path):
         assert "is not of type 'number'" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rigidity", "--a-stage", "5000"],
+        ["experiment", "theorem1", "--config", {"swap_stage": 4000}],
+        ["poisson", "--window-stage", "65"],
+        ["correlate", "--b-stage", "65"],
+    ],
+)
+def test_stage_parameters_are_bounded_by_the_depth_cap(argv, tmp_path, capsys):
+    # a kernel call needs a depth of at least its sets' stage
+    for i, item in enumerate(argv):
+        if isinstance(item, dict):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"params": item}), encoding="utf-8")
+            argv[i] = str(cfg)
+    assert cli.main(argv) == 2
+    assert f"is greater than the maximum of {MAX_DEPTH}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--out", "--csv"])
 def test_unwritable_output_exits_2_and_leaves_no_temp_file(tmp_path, flag):
     # the other output can be written, and is not left behind either

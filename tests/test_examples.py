@@ -1,11 +1,15 @@
-"""The demos and the README's python examples run as published."""
+"""The demos and the README's python examples and command lines run as
+published."""
 import contextlib
 import glob
 import io
 import os
 import re
+import shlex
 import subprocess
 import sys
+
+from ergolab import cli
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 # a README line `print(...)  # text` promises that the call prints `text`
@@ -40,3 +44,28 @@ def test_demos_and_readme_examples_run():
         with contextlib.redirect_stdout(out):
             exec(compile(block, "README.md", "exec"), {})
         assert out.getvalue().splitlines() == expected, block
+
+
+# The README's inline command examples, with the exit code its text gives each;
+# every line of its `## Command line` block exits 0.
+INLINE_COMMANDS = {
+    "ergolab rigidity --construction chacon": 1,
+    "ergolab rigidity --construction odometer --r 3 --expect-rigid 27,54": 0,
+    "ergolab rigidity --construction chacon --expect-rigid ''": 0,
+    "ergolab poisson --samples 10": 2,
+    "ergolab build --construction chacon --r 3": 2,
+}
+
+
+def test_readme_command_lines_run_as_published(tmp_path, monkeypatch, capsys):
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
+        readme = handle.read()
+    (block,) = re.findall(r"## Command line\n\n```\n(.*?)```", readme, re.S)
+    commands = dict.fromkeys(block.splitlines(), 0)
+    assert len(commands) > 5
+    assert set(INLINE_COMMANDS) <= set(re.findall(r"`(ergolab [^`]*)`", readme))
+    monkeypatch.chdir(tmp_path)  # where `--out report.json` lands
+    for line, code in {**commands, **INLINE_COMMANDS}.items():
+        program, *argv = shlex.split(line)
+        assert program == "ergolab"
+        assert cli.main(argv) == code, (line, capsys.readouterr().err)

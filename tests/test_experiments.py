@@ -16,6 +16,7 @@ from ergolab.experiments import (
 )
 from ergolab.ledrapier import symdiff_identity_check
 from ergolab.reports import RNG_SCHEME
+from ergolab.tower import MAX_REFINED_LEVELS
 
 # sha256 of results_bytes() at seed 3 for the exact entries whose floats do
 # not depend on the BLAS build (eq1-sweep's do, so it is left out)
@@ -196,6 +197,43 @@ def test_run_experiment_checks_a_config_only_in_resolve_config(config, monkeypat
     monkeypatch.setattr(experiments, "resolve_config", resolve)
     run_experiment(config)
     assert inside and outside == []
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("rigidity-scan", {"n_max": 10**8, "depth": 30}),
+        ("theorem1", {"scan_n_max": 10**8}),
+        ("theorem1", {"ratio_stages": 1000}),
+        ("theorem1", {"wh_ns": [50, 10**12]}),
+        ("eq1-sweep", {"ns": [10**12]}),
+        ("wh-gaussian", {"n_terms": 10**12}),
+        ("wh-poisson", {"ns": [10**12]}),
+        ("triple-mixing", {"count": 10**9}),
+        ("gauss", {"samples": 10**15}),
+        ("poisson", {"window_size": 10**12}),
+    ],
+)
+def test_sizes_whose_cost_grows_with_them_are_capped(name, params):
+    with pytest.raises(ConfigError, match="is greater than the maximum of"):
+        resolve_config({"experiment": name, "params": params})
+
+
+@pytest.mark.parametrize(
+    "name, side",
+    [("theorem1", "a"), ("wh-poisson", "a"), ("correlate", "b"), ("poisson", "b")],
+)
+def test_a_level_range_wider_than_the_refinement_cap_is_refused(name, side):
+    # a range's levels are listed before any is checked against its tower
+    params = {f"{side}_stage": 12, f"{side}_lo": 0, f"{side}_hi": MAX_REFINED_LEVELS}
+    resolve_config({"experiment": name, "params": params})
+    params[f"{side}_hi"] += 1
+    with pytest.raises(ConfigError) as error:
+        resolve_config({"experiment": name, "params": params})
+    assert str(error.value) == (
+        f"level set too wide: {side}_lo=0 to {side}_hi={MAX_REFINED_LEVELS + 1} "
+        f"holds {MAX_REFINED_LEVELS + 1} levels, cap is {MAX_REFINED_LEVELS}"
+    )
 
 
 def test_operator_dim_is_capped_before_anything_is_allocated():

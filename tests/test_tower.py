@@ -361,6 +361,19 @@ def test_dropped_pair_frees_its_stages():
     assert ref() is None
 
 
+def test_a_deep_stage_is_built_in_a_loop_not_by_recursion():
+    # 4000 stages lie past the interpreter's recursion limit; each stage is
+    # kept on its params, once, whichever call built it
+    assert level_set_measure(chacon(), LevelSet(4000, (0,))) == Q(1, 3**4000)
+    assert build_stage(chacon(), 4000).height == (3**4001 - 1) // 2
+    p = ConstructionParams(chacon().rule, "chacon")
+    build_stage(p, 5)
+    kept = dict(p._stages)
+    build_stage(p, 9)
+    assert sorted(p._stages) == list(range(10))
+    assert all(p._stages[j] is stage for j, stage in kept.items())
+
+
 def test_library_depth_is_bounded():
     p = chacon()
     a = LevelSet(2, (0,))
