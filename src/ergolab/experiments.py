@@ -993,7 +993,7 @@ def resolve_config(raw: dict) -> dict:
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError("seed must be a non-negative integer")
-    # a spec names its whole construction; else the flags name a rule
+    # read on the supplied params: `construction` always has a default
     if "spec" in supplied:
         for key in ("construction", "r", "role"):
             if key in supplied:
