@@ -11,6 +11,10 @@ config is completed and checked: the schema, read and worded by the stdlib
 reader in `constructions`, then the rules no schema states (non-empty level
 ranges within the refinement cap, a spec or else a rule the construction
 flags name).  Runners build from its result without checking it again.
+
+A config chooses what is computed, never what counts as a pass: every check
+threshold is a constant below, and a check that covered nothing (no stage,
+time or pair in its range) fails.
 """
 from __future__ import annotations
 
@@ -169,6 +173,15 @@ def _level_range_props(side: str, stage: int, lo: int, hi: int) -> dict:
 # ---------------------------------------------------------------------------
 # runners: each returns (rows, checks, notes)
 
+# Check thresholds.  Both relative defect ratios of the pair stay below
+# _RATIO_BOUND at every stage from _CERTIFY_FROM on (at the default cuts
+# r_j = 8j + 8, the larger ratio 2/r_j is 1/36 at stage 8).
+_RATIO_BOUND, _CERTIFY_FROM = Q(1, 20), 8
+_WH_BOUND = Q(1, 10)  # theorem1's finitary-swap Cesaro defect
+_FINAL_BOUND = 0.05  # eq1-sweep's majorant2 at its last averaging length
+_LOST_SHARE = Q(1, 100)  # of the window intensity, per wh-poisson row
+_MIN_USABLE = 10  # triple-mixing's correlation-quiet times
+
 
 # generic ledrapier shifts z are distinct points of [-REACH, REACH] x [0, HEIGHT]
 # other than the origin, so at most _GENERIC_BOX of them exist
@@ -217,7 +230,7 @@ def _run_ledrapier(params: dict, seed: int, jobs: int):
         check("dyadic-pairs-are-quarter", pair_ok),
         check("dyadic-triples-vanish", triple_ok),
         check("dyadic-identities-hold", identity_ok),
-        check("generic-pairs-are-quarter", generic_ok),
+        check("generic-pairs-are-quarter", generic_ok and len(seen) > 0),
     ]
     return rows, checks, []
 
@@ -253,8 +266,10 @@ def _run_rigidity(params: dict, seed: int, jobs: int):
     return rows, checks, []
 
 
-def _certified_ratio_rows(pair, stages: int, bound, certify_from: int):
-    """Per-stage exact defect ratios for the interleaved pair at depth j+1."""
+def _certified_ratio_rows(pair, stages: int):
+    """Per-stage exact defect ratios for the interleaved pair at depth j+1;
+    certified when both stay below _RATIO_BOUND from stage _CERTIFY_FROM on,
+    which the stages must reach."""
     rows, identity_ok, certified_ok = [], True, True
     for j in range(1, stages + 1):
         c = pair.time_at(j)
@@ -267,8 +282,8 @@ def _certified_ratio_rows(pair, stages: int, bound, certify_from: int):
         corr = correlation_interval(mixing_params, c, a, a, j + 1)
         rel_sym, rel_corr = sym.hi / mu, corr.hi / mu
         identity_ok = identity_ok and rel_sym == Q(2, r) and rel_corr == Q(1, r)
-        if j >= certify_from:
-            certified_ok = certified_ok and rel_sym < bound and rel_corr < bound
+        if j >= _CERTIFY_FROM:
+            certified_ok = certified_ok and rel_sym < _RATIO_BOUND and rel_corr < _RATIO_BOUND
         rows.append(
             exact_row(
                 stage=j,
@@ -281,7 +296,7 @@ def _certified_ratio_rows(pair, stages: int, bound, certify_from: int):
                 rel_corr_float=float(rel_corr),
             )
         )
-    return rows, identity_ok, certified_ok
+    return rows, identity_ok, certified_ok and stages >= _CERTIFY_FROM
 
 
 def _shared_heights_ok(pair, stages: int) -> bool:
@@ -293,18 +308,16 @@ def _shared_heights_ok(pair, stages: int) -> bool:
 
 def _run_theorem6(params: dict, seed: int, jobs: int):
     pair = _pair(params.get("pair", {}))
-    stages, bound = params["stages"], Q(str(params["bound"]))
+    stages = params["stages"]
     heights_ok = _shared_heights_ok(pair, stages)
-    rows, identity_ok, certified_ok = _certified_ratio_rows(
-        pair, stages, bound, params["certify_from"]
-    )
+    rows, identity_ok, certified_ok = _certified_ratio_rows(pair, stages)
     checks = [
         check("towers-share-all-heights", heights_ok),
         check("certified-ratio-identities", identity_ok),
         check(
             "both-defect-ratios-below-bound-from-certify-stage",
             certified_ok,
-            detail=f"bound {bound} from stage {params['certify_from']}",
+            detail=f"bound {_RATIO_BOUND} from stage {_CERTIFY_FROM}",
         ),
     ]
     notes = [
@@ -317,11 +330,8 @@ def _run_theorem6(params: dict, seed: int, jobs: int):
 
 def _run_theorem1(params: dict, seed: int, jobs: int):
     pair = _pair(params.get("pair", {}))
-    bound = Q(str(params["bound"]))
     heights_ok = _shared_heights_ok(pair, params["ratio_stages"])
-    rows, identity_ok, certified_ok = _certified_ratio_rows(
-        pair, params["ratio_stages"], bound, params["certify_from"]
-    )
+    rows, identity_ok, certified_ok = _certified_ratio_rows(pair, params["ratio_stages"])
 
     n_max, theta = params["scan_n_max"], params["scan_theta"]
     a_scan = LevelSet(1, (0,))
@@ -362,7 +372,7 @@ def _run_theorem1(params: dict, seed: int, jobs: int):
     wh_ok = True
     for n_terms in params["wh_ns"]:
         iv = wh_defect(pair.t_params, swap, a, n_terms, params["a_stage"])
-        wh_ok = wh_ok and iv.hi <= Q(str(params["wh_bound"]))
+        wh_ok = wh_ok and iv.hi <= _WH_BOUND
         rows.append(
             exact_row(
                 item="wh-defect",
@@ -381,11 +391,13 @@ def _run_theorem1(params: dict, seed: int, jobs: int):
             overlap_ok and probed > 0,
             detail=f"{probed} shared time(s) within scan range",
         ),
-        check("scan-confirms-vanishing-correlation-on-the-other-side", vanish_ok),
+        check(
+            "scan-confirms-vanishing-correlation-on-the-other-side", vanish_ok and probed > 0
+        ),
         check(
             "finitary-swap-defect-below-bound",
             wh_ok,
-            detail=f"bound {params['wh_bound']}",
+            detail=f"bound {float(_WH_BOUND)}",
         ),
     ]
     notes = [
@@ -438,7 +450,7 @@ def _run_eq1_sweep(params: dict, seed: int, jobs: int):
         check("defect-chain-holds-at-every-n", chain_ok, detail=f"tolerance {_CHAIN_TOL}"),
         check(
             "final-majorant-below-bound",
-            final is not None and final <= params["final_bound"],
+            final is not None and final <= _FINAL_BOUND,
             detail=f"majorant2({params['ns'][-1]}) = {final}",
         ),
     ]
@@ -492,7 +504,7 @@ def _run_wh_poisson(params: dict, seed: int, jobs: int):
     swap = FinitarySwap(params["swap_stage"], tuple(params["swap_pair"]))
     a = LevelSet(params["a_stage"], range(params["a_lo"], params["a_hi"]))
     rows, checks = [], []
-    lost_budget = Q(str(params["lost_budget"])) * model.intensity
+    lost_budget = _LOST_SHARE * model.intensity
     for row, n_terms in enumerate(params["ns"]):
         r = poisson_wh_experiment(
             model,
@@ -562,12 +574,12 @@ def _run_triple_mixing(params: dict, seed: int, jobs: int):
     checks = [
         check(
             "enough-correlation-quiet-times",
-            usable >= params["min_usable"],
+            usable >= _MIN_USABLE,
             detail=f"{usable} of {len(entries)} times met the threshold",
         ),
         check(
             "quiet-times-match-orthant-probability-within-five-se",
-            within_ok,
+            within_ok and usable > 0,
             detail=f"quiet rows' orthant probability is within {margin:.2e} of 1/8",
         ),
     ]
@@ -758,12 +770,9 @@ _SPECS = [
                 "pair": _object_ref("pair"),
                 # the last ratio is taken at depth ratio_stages + 1
                 "ratio_stages": _int(9, minimum=1, maximum=MAX_DEPTH - 1),
-                "certify_from": _int(8, minimum=1),
-                "bound": {"type": "number", "exclusiveMinimum": 0, "default": 0.05},
                 "scan_n_max": _int(80, minimum=1, maximum=_MAX_SCAN),
                 "scan_theta": {"type": "number", "exclusiveMinimum": 0, "default": 0.05},
                 "wh_ns": _int_array([50, 100, 200], maximum=_MAX_EXACT_TERMS),
-                "wh_bound": {"type": "number", "exclusiveMinimum": 0, "default": 0.1},
                 **_SWAP_PROPS,
                 **_level_range_props("a", 2, 50, 350),
             }
@@ -778,8 +787,6 @@ _SPECS = [
             {
                 "pair": _object_ref("pair"),
                 "stages": {"type": "integer", "minimum": 1, "maximum": 16, "default": 12},
-                "certify_from": _int(8, minimum=1),
-                "bound": {"type": "number", "exclusiveMinimum": 0, "default": 0.05},
             }
         ),
         runner=_run_theorem6,
@@ -792,7 +799,6 @@ _SPECS = [
             {
                 **_CALIBRATED_OPERATOR_PROPS,
                 "ns": _int_array([100, 1000, 10000], maximum=_MAX_EXACT_TERMS),
-                "final_bound": {"type": "number", "exclusiveMinimum": 0, "default": 0.05},
             }
         ),
         runner=_run_eq1_sweep,
@@ -829,7 +835,6 @@ _SPECS = [
                 **_SWAP_PROPS,
                 **_level_range_props("a", 2, 50, 350),
                 "ns": _int_array([50, 100, 200], maximum=_MAX_MC_TERMS),
-                "lost_budget": {"type": "number", "minimum": 0, "default": 0.01},
             }
         ),
         runner=_run_wh_poisson,
@@ -866,7 +871,6 @@ _SPECS = [
                 "dim": _DIM,
                 "count": _int(200, minimum=1, maximum=_MAX_COUNT),
                 "threshold": {"type": "number", "exclusiveMinimum": 0, "default": 0.01},
-                "min_usable": _int(10, minimum=1),
             }
         ),
         runner=_run_triple_mixing,

@@ -15,6 +15,10 @@ and one small product.  Shifting a configuration moves each point up the
 tower by the step map; points whose image leaves the materialized tower are
 tracked as lost mass rather than silently dropped.
 
+The window and the sets counted in it are refined to the model depth under
+`refine_set`'s cap.  A finitary swap's support is not refined: only its depth
+copies that a conjugate within the Cesaro range can meet are listed.
+
 numpy is imported on first call, not with the module, so the exact
 commands never load it.
 """
@@ -34,6 +38,8 @@ from .tower import (
     FinitarySwap,
     LevelSet,
     RationalInterval,
+    _checked_stage,
+    _copies,
     build_stage,
     correlation_interval,
     refine_set,
@@ -343,22 +349,29 @@ def _swap_weights(
     Column i - 1 is +1 on the window levels x that the swap conjugated to
     time i moves into A and -1 on those it moves out of A.  Only x with
     x + i on the swap's support can move, so the walk visits just the pairs
-    of a window level x and a support level y with 1 <= y - x <= N.
+    of a window level x and a support level y with 1 <= y - x <= N.  Each
+    swap level's depth copies are listed only in that reach, so the support
+    is never refined whole and no cap applies to it.
     """
     import numpy as np
     a_slots = model.member_slots(a)
     a_idx = model.indices[a_slots]
     in_a = np.zeros(model.n_levels, dtype=bool)
     in_a[a_slots] = True
+    if swap.stage > model.depth:
+        raise ValueError("cannot coarsen a level set")
+    _checked_stage(model.params, LevelSet(swap.stage, swap.pair))
+    walk = [build_stage(model.params, t) for t in range(swap.stage, model.depth)]
+    reach = (0, 0)  # an empty window lists no copy
+    if model.n_levels:
+        reach = (int(model.indices[0]) + 1, int(model.indices[-1]) + n_terms + 1)
     i, k = swap.pair
-    # copies of the two levels alternate: copies of one stage-`swap.stage`
-    # level lie at least that tower's height apart
-    supp = _refined(model.params, LevelSet(swap.stage, swap.pair), model.depth)
     terms = np.arange(1, n_terms + 1).astype(object)
     tops = np.searchsorted(model.indices, model.stage.height - terms)
     lost_levels = int((model.n_levels - tops).sum())
     signed = np.zeros((model.n_levels, n_terms), dtype=np.int8)
-    for y, step in ((supp[0::2], k - i), (supp[1::2], i - k)):
+    for level, step in ((i, k - i), (k, i - k)):
+        y = np.array(_copies((level,), walk, *reach), dtype=object)
         first = np.searchsorted(y, model.indices, side="right")
         counts = np.searchsorted(y, model.indices + n_terms, side="right") - first
         slots = np.repeat(np.arange(model.n_levels), counts)

@@ -251,8 +251,7 @@ def test_criterion_10_every_experiment_is_seed_reproducible():
     shrink = {
         "wh-gaussian": {"samples": 10**4},
         "wh-poisson": {"samples": 10**4},
-        "triple-mixing": {"samples": 10**4, "count": 30, "threshold": 0.02,
-                          "min_usable": 3},
+        "triple-mixing": {"samples": 10**4, "count": 30, "threshold": 0.02},
     }
     for name in (
         "ledrapier",

@@ -146,7 +146,7 @@ def test_expect_rigid_null_exits_2(tmp_path):
 # NaN, the infinities and ints too large for a float are no JSON Schema numbers
 NOT_NUMBERS = [
     ["cesaro", "--angle", "nan"],
-    ["cesaro", "--final-bound", "inf"],
+    ["rigidity", "--theta", "inf"],
     ["experiment", "eq1-sweep", "--config", {"angle": float("nan")}],
     ["experiment", "eq1-sweep", "--config", {"angle": int("9" * 400)}],
 ]
@@ -186,6 +186,40 @@ def test_domain_errors_exit_2_without_traceback(argv, tmp_path):
     assert "Traceback" not in proc.stderr
     if not_a_number:
         assert "is not of type 'number'" in proc.stderr
+
+
+# a check's threshold is a constant of the code, which no config can move
+DELETED_THRESHOLDS = [
+    ("theorem1", "bound"),
+    ("theorem1", "certify_from"),
+    ("theorem1", "wh_bound"),
+    ("theorem6", "bound"),
+    ("theorem6", "certify_from"),
+    ("eq1-sweep", "final_bound"),
+    ("wh-poisson", "lost_budget"),
+    ("triple-mixing", "min_usable"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, key", DELETED_THRESHOLDS, ids=[f"{name}-{key}" for name, key in DELETED_THRESHOLDS]
+)
+def test_a_check_threshold_in_a_config_exits_2(name, key, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {key: 1}}), encoding="utf-8")
+    assert cli.main(["experiment", name, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"Additional properties are not allowed ('{key}' was unexpected)" in err
+
+
+def test_cesaro_takes_no_final_bound_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["cesaro", "--final-bound", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --final-bound 1" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        cli.main(["cesaro", "--help"])
+    assert "--final-bound" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -242,14 +276,15 @@ def test_negative_shifts_run_at_any_seed():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_swap_support_past_the_cap_exits_2(tmp_path):
+def test_swap_support_of_a_deep_window_runs(tmp_path):
+    # the stage-1 swap levels have 47185920 depth-6 copies; only those within
+    # N levels above the window are listed
     cfg = tmp_path / "cfg.json"
     params = {"depth": 6, "window_stage": 6, "a_stage": 6}
     cfg.write_text(json.dumps({"experiment": "wh-poisson", "params": params}), encoding="utf-8")
     proc = run_cli("experiment", "wh-poisson", "--config", str(cfg))
-    assert proc.returncode == 2
-    assert "2 stage-1 level(s) refine to 47185920 stage-6 levels, cap is 200000" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert "result: PASS" in proc.stdout
 
 
 def _passes(proc):

@@ -68,8 +68,12 @@ def test_window_size_is_checked_before_refining():
     )
 
 
-def test_level_sets_and_swap_supports_are_sized_before_refining():
-    model = PoissonModel(rigid_mixing_pair().t_params, LevelSet(5, range(700)), depth=5)
+def _deep_model():
+    return PoissonModel(rigid_mixing_pair().t_params, LevelSet(5, range(700)), depth=5)
+
+
+def test_level_sets_are_sized_before_refining():
+    model = _deep_model()
     # one stage-0 level is 8 * 16 * 24 * 32 * 40 = 3932160 depth-5 levels
     cap = r"1 stage-0 level\(s\) refine to 3932160 stage-5 levels, cap is 200000"
     _refused_before_refining(lambda: model.member_slots(LevelSet(0, (0,))), cap)
@@ -82,13 +86,29 @@ def test_level_sets_and_swap_supports_are_sized_before_refining():
     # a set under the cap that the window does not hold is still refused
     with pytest.raises(ValueError, match="not contained in the window"):
         model.member_slots(LevelSet(3, (0,)))
-    # each stage-1 swap level has 16 * 24 * 32 * 40 = 491520 depth-5 copies;
-    # A refines, the swap support may not
-    a = LevelSet(5, range(50, 350))
-    _refused_before_refining(
-        lambda: poisson_wh_experiment(model, FinitarySwap(1, (1, 3)), a, 50, 4000),
-        r"2 stage-1 level\(s\) refine to 983040 stage-5 levels, cap is 200000",
-    )
+
+
+def test_a_swap_support_is_listed_only_where_it_can_move_a_window_level(monkeypatch):
+    # each stage-1 swap level has 16 * 24 * 32 * 40 = 491520 depth-5 copies,
+    # 11 of them below level 700 + N of the window 0..699
+    model, a = _deep_model(), LevelSet(5, range(50, 350))
+    listed, tower_copies = [], poisson._copies
+
+    def copies(*args):
+        listed.append(len(found := tower_copies(*args)))
+        return found
+
+    monkeypatch.setattr(poisson, "_copies", copies)
+    r = poisson_wh_experiment(model, FinitarySwap(1, (1, 3)), a, 50, 4000)
+    assert listed == [11, 11]
+    assert r.below_majorant and r.lost_mass == 0
+    with pytest.raises(ValueError, match="index out of range for stage-1 tower"):
+        _swap_weights(model, FinitarySwap(1, (1, 9999)), a, 50)
+    with pytest.raises(ValueError, match="cannot coarsen a level set"):
+        _swap_weights(model, FinitarySwap(6, (1, 3)), a, 50)
+    empty = PoissonModel(model.params, LevelSet(2, ()), depth=2)
+    signed, lost = _swap_weights(empty, FinitarySwap(1, (1, 3)), LevelSet(2, ()), 5)
+    assert signed.shape == (0, 5) and lost == 0
 
 
 def test_too_few_samples_per_batch_are_rejected(band_model):
