@@ -506,8 +506,6 @@ def _column(key, item=None, digits=None):
     return read
 
 
-_CERTIFIED = _check_of("both-defect-ratios-below-bound-from-certify-stage")
-
 # (experiment, shared params, property, its non-default value, what it changes,
 # that reading at the property's default, and at the value)
 SCHEMA_PROPERTY_EFFECTS = [
@@ -548,18 +546,22 @@ def test_each_schema_property_changes_its_run(name, shared, key, value, read, at
 # (experiment, params, check, its reading there)
 FAILING_INPUTS = [
     # 2 / r_j = 2/3 at every stage
-    ("theorem6", {"pair": {"cuts": {"name": "constant", "r": 3}}}, _CERTIFIED,
-     (False, "bound 1/20 from stage 8")),
+    ("theorem6", {"pair": {"cuts": {"name": "constant", "r": 3}}},
+     "both-defect-ratios-below-bound-from-certify-stage", (False, "bound 1/20 from stage 8")),
+    # the same pair; A and N shrink to fit its 81-level stage-2 tower
+    ("theorem1", {"pair": {"cuts": {"name": "constant", "r": 3}}, "a_lo": 0, "a_hi": 3,
+                  "wh_ns": [20]},
+     "both-defect-ratios-below-bound-from-certify-stage", (False, None)),
     # defect_hi 47/200 at N = 50
-    ("theorem1", {"a_lo": 0, "a_hi": 1600}, _check_of("finitary-swap-defect-below-bound"),
+    ("theorem1", {"a_lo": 0, "a_hi": 1600}, "finitary-swap-defect-below-bound",
      (False, "bound 0.1")),
-    ("eq1-sweep", {"delta": 0.03}, _check_of("final-majorant-below-bound"),
+    ("eq1-sweep", {"delta": 0.03}, "final-majorant-below-bound",
      (False, "majorant2(10000) = 0.06")),
-    ("triple-mixing", {"threshold": 0.001, "samples": 10**4},
-     _check_of("enough-correlation-quiet-times"), (False, "2 of 200 times met the threshold")),
+    ("triple-mixing", {"threshold": 0.001, "samples": 10**4}, "enough-correlation-quiet-times",
+     (False, "2 of 200 times met the threshold")),
     # the whole stage-2 tower is the window, so 1 + 2 + ... + 50 levels are lost
     ("wh-poisson", {"samples": 80, "window_size": 1686, "ns": [50]},
-     _check_of("n-50-lost-mass-within-budget"), (False, "lost 1275/128 of intensity 843/64")),
+     "n-50-lost-mass-within-budget", (False, "lost 1275/128 of intensity 843/64")),
 ]
 
 # (experiment, params, check): each config leaves the check nothing to cover
@@ -574,18 +576,18 @@ NOTHING_COVERED = [
 ]
 
 
-def _failing_check(name, params, read):
+def _failing_check(name, params, check_name):
     report = run_experiment({"experiment": name, "params": params})
     assert not report.all_passed
-    return read(report)
+    return _check_of(check_name)(report)
 
 
 @pytest.mark.parametrize(
-    "name, params, read, reading",
-    [pytest.param(*case, id=case[0]) for case in FAILING_INPUTS],
+    "name, params, check_name, reading",
+    [pytest.param(*case, id=f"{case[0]}-{case[2]}") for case in FAILING_INPUTS],
 )
-def test_each_check_threshold_fails_a_genuine_input(name, params, read, reading):
-    assert _failing_check(name, params, read) == reading
+def test_each_check_threshold_fails_a_genuine_input(name, params, check_name, reading):
+    assert _failing_check(name, params, check_name) == reading
 
 
 @pytest.mark.parametrize(
@@ -593,4 +595,4 @@ def test_each_check_threshold_fails_a_genuine_input(name, params, read, reading)
     [pytest.param(*case, id=f"{case[0]}-{case[2]}") for case in NOTHING_COVERED],
 )
 def test_a_check_that_covers_nothing_fails(name, params, check_name):
-    assert _failing_check(name, params, _check_of(check_name))[0] is False
+    assert _failing_check(name, params, check_name)[0] is False
