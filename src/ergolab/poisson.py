@@ -16,8 +16,9 @@ tower by the step map; points whose image leaves the materialized tower are
 tracked as lost mass rather than silently dropped.
 
 The window and the sets counted in it are refined to the model depth under
-`refine_set`'s cap.  A finitary swap's support is not refined: only its depth
-copies that a conjugate within the Cesaro range can meet are listed.
+`refine_set`'s cap.  A finitary swap's support is not refined whole: only its
+depth copies that a conjugate within the Cesaro range can meet are listed,
+under the same cap.
 
 numpy is imported on first call, not with the module, so the exact
 commands never load it.
@@ -38,8 +39,7 @@ from .tower import (
     FinitarySwap,
     LevelSet,
     RationalInterval,
-    _checked_stage,
-    _copies,
+    _refined_copies,
     build_stage,
     correlation_interval,
     refine_set,
@@ -350,28 +350,30 @@ def _swap_weights(
     time i moves into A and -1 on those it moves out of A.  Only x with
     x + i on the swap's support can move, so the walk visits just the pairs
     of a window level x and a support level y with 1 <= y - x <= N.  Each
-    swap level's depth copies are listed only in that reach, so the support
-    is never refined whole and no cap applies to it.
+    swap level's depth copies are listed only in the union of the ranges
+    [x + 1, x + N] over window levels x, under `refine_set`'s cap on the
+    number listed; the support is never refined whole.
     """
     import numpy as np
     a_slots = model.member_slots(a)
     a_idx = model.indices[a_slots]
     in_a = np.zeros(model.n_levels, dtype=bool)
     in_a[a_slots] = True
-    if swap.stage > model.depth:
-        raise ValueError("cannot coarsen a level set")
-    _checked_stage(model.params, LevelSet(swap.stage, swap.pair))
-    walk = [build_stage(model.params, t) for t in range(swap.stage, model.depth)]
-    reach = (0, 0)  # an empty window lists no copy
-    if model.n_levels:
-        reach = (int(model.indices[0]) + 1, int(model.indices[-1]) + n_terms + 1)
+    spans = []  # an empty window lists no copy
+    if model.n_levels:  # a gap wider than N between window levels splits the reach
+        cuts = np.flatnonzero(np.diff(model.indices) > n_terms)
+        firsts, lasts = np.r_[0, cuts + 1], np.r_[cuts, model.n_levels - 1]
+        spans = list(zip(model.indices[firsts] + 1, model.indices[lasts] + n_terms + 1))
     i, k = swap.pair
     terms = np.arange(1, n_terms + 1).astype(object)
     tops = np.searchsorted(model.indices, model.stage.height - terms)
     lost_levels = int((model.n_levels - tops).sum())
     signed = np.zeros((model.n_levels, n_terms), dtype=np.int8)
     for level, step in ((i, k - i), (k, i - k)):
-        y = np.array(_copies((level,), walk, *reach), dtype=object)
+        y = np.array(
+            _refined_copies(model.params, LevelSet(swap.stage, (level,)), model.depth, spans),
+            dtype=object,
+        )
         first = np.searchsorted(y, model.indices, side="right")
         counts = np.searchsorted(y, model.indices + n_terms, side="right") - first
         slots = np.repeat(np.arange(model.n_levels), counts)

@@ -23,8 +23,8 @@ Q = Fraction
 # copy distances it tracks grow with the depth: a 200-shift scan of the
 # generated pair takes seconds at depth 60.
 MAX_DEPTH = 64
-# Most levels one refinement may produce, a Python int each: `refine_set` reads
-# the refined size off the cut counts, so past it nothing is refined.
+# Most levels one refinement may produce, a Python int each: `_refined_copies`
+# reads the refined size off the cut counts, so past it nothing is refined.
 MAX_REFINED_LEVELS = 200_000
 _DEPTH_MARGIN = 2  # stages `depth_for` adds past the first tall enough tower
 
@@ -172,18 +172,38 @@ class LevelSet:
 
 def refine_set(params: ConstructionParams, levels: LevelSet, to_stage: int) -> LevelSet:
     """Rewrite a level set in stage-`to_stage` indices (measure unchanged)."""
+    return LevelSet(to_stage, tuple(_refined_copies(params, levels, to_stage)))
+
+
+def _refined_copies(
+    params: ConstructionParams,
+    levels: LevelSet,
+    to_stage: int,
+    spans: Sequence[tuple[int, int]] | None = None,
+) -> Sequence[int]:
+    """The stage-`to_stage` copies of a level set, all or those in `spans`.
+
+    `spans` are sorted disjoint [lo, hi) ranges.  This is the one refinement
+    cap: the copies are counted from the cut counts, and past
+    MAX_REFINED_LEVELS none is listed.
+    """
     if to_stage < levels.stage:
         raise ValueError("cannot coarsen a level set")
     # Refined indices base + i stay in range, so only the input is checked.
     _checked_stage(params, levels)
-    stages = [build_stage(params, t) for t in range(levels.stage, to_stage)]
-    size = len(levels) * prod(stage.cuts for stage in stages)
+    idx, walk = levels.indices, [build_stage(params, t) for t in range(levels.stage, to_stage)]
+    size = total = len(idx) * prod(stage.cuts for stage in walk)
+    if spans is not None:
+        size = sum(_below(idx, walk, hi, total) - _below(idx, walk, lo, total) for lo, hi in spans)
     if size > MAX_REFINED_LEVELS:
         raise ValueError(
-            f"{len(levels)} stage-{levels.stage} level(s) refine to {size} "
-            f"stage-{to_stage} levels, cap is {MAX_REFINED_LEVELS}"
+            f"{len(idx)} stage-{levels.stage} level(s) refine to {size} "
+            f"stage-{to_stage} levels{'' if spans is None else ' within reach'}, "
+            f"cap is {MAX_REFINED_LEVELS}"
         )
-    return LevelSet(to_stage, tuple(_copies(levels.indices, stages)))
+    if spans is None:
+        return _copies(idx, walk)
+    return [y for lo, hi in spans for y in _copies(idx, walk, lo, hi)]
 
 
 def level_set_measure(params: ConstructionParams, levels: LevelSet) -> Fraction:

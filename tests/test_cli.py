@@ -278,13 +278,15 @@ def test_negative_shifts_run_at_any_seed():
 
 def test_swap_support_of_a_deep_window_runs(tmp_path):
     # the stage-1 swap levels have 47185920 depth-6 copies; only those within
-    # N levels above the window are listed
+    # N levels above a window level are listed, whether the window is one
+    # run of levels or refined into one copy per depth column
     cfg = tmp_path / "cfg.json"
-    params = {"depth": 6, "window_stage": 6, "a_stage": 6}
-    cfg.write_text(json.dumps({"experiment": "wh-poisson", "params": params}), encoding="utf-8")
-    proc = run_cli("experiment", "wh-poisson", "--config", str(cfg))
-    assert proc.returncode == 0, proc.stderr
-    assert "result: PASS" in proc.stdout
+    for params in (
+        {"depth": 6, "window_stage": 6, "a_stage": 6},
+        {"depth": 6, "window_stage": 5, "window_size": 1, "a_stage": 6, "a_lo": 0, "a_hi": 1},
+    ):
+        cfg.write_text(json.dumps({"experiment": "wh-poisson", "params": params}), encoding="utf-8")
+        _passes(run_cli("experiment", "wh-poisson", "--config", str(cfg)))
 
 
 def _passes(proc):

@@ -571,8 +571,6 @@ NOTHING_COVERED = [
     # the first shared time is c_1 = 73
     ("theorem1", {"scan_n_max": 72}, "scan-confirms-vanishing-correlation-on-the-other-side"),
     ("ledrapier", {"generic_pairs": 0}, "generic-pairs-are-quarter"),
-    ("triple-mixing", {"threshold": 1e-9, "samples": 10**4, "count": 20},
-     "quiet-times-match-orthant-probability-within-five-se"),
 ]
 
 

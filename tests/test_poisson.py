@@ -88,20 +88,42 @@ def test_level_sets_are_sized_before_refining():
         model.member_slots(LevelSet(3, (0,)))
 
 
-def test_a_swap_support_is_listed_only_where_it_can_move_a_window_level(monkeypatch):
-    # each stage-1 swap level has 16 * 24 * 32 * 40 = 491520 depth-5 copies,
-    # 11 of them below level 700 + N of the window 0..699
-    model, a = _deep_model(), LevelSet(5, range(50, 350))
-    listed, tower_copies = [], poisson._copies
+@pytest.mark.parametrize(
+    "window, depth, a, n_terms, listed",
+    [
+        # one run of window levels: each stage-1 swap level has
+        # 16 * 24 * 32 * 40 = 491520 depth-5 copies, 11 of them below 700 + N
+        (LevelSet(5, range(700)), 5, LevelSet(5, range(50, 350)), 50, 11),
+        # one window level refined to a copy at the foot of each of the 48 (56)
+        # depth columns, where a stage-1 swap level has 23592960 (1321205760)
+        # copies: only the 3 within N above each window copy are listed
+        (LevelSet(5, (0,)), 6, LevelSet(6, (0,)), 200, 144),
+        (LevelSet(6, (0,)), 7, LevelSet(7, (0,)), 200, 168),
+    ],
+)
+def test_a_swap_support_is_listed_only_where_it_can_move_a_window_level(
+    monkeypatch, window, depth, a, n_terms, listed
+):
+    model = PoissonModel(rigid_mixing_pair().t_params, window, depth=depth)
+    got, refined_copies = [], poisson._refined_copies
 
     def copies(*args):
-        listed.append(len(found := tower_copies(*args)))
+        got.append(len(found := refined_copies(*args)))
         return found
 
-    monkeypatch.setattr(poisson, "_copies", copies)
-    r = poisson_wh_experiment(model, FinitarySwap(1, (1, 3)), a, 50, 4000)
-    assert listed == [11, 11]
+    monkeypatch.setattr(poisson, "_refined_copies", copies)
+    tracemalloc.start()
+    try:
+        r = poisson_wh_experiment(model, FinitarySwap(1, (1, 3)), a, n_terms, 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [listed, listed] and peak < 10**7
     assert r.below_majorant and r.lost_mass == 0
+
+
+def test_a_swap_is_checked_and_an_empty_window_lists_nothing():
+    model, a = _deep_model(), LevelSet(5, range(50, 350))
     with pytest.raises(ValueError, match="index out of range for stage-1 tower"):
         _swap_weights(model, FinitarySwap(1, (1, 9999)), a, 50)
     with pytest.raises(ValueError, match="cannot coarsen a level set"):
@@ -184,6 +206,9 @@ def _walk_models():
     top, top38 = build_stage(chacon, 40).height, build_stage(chacon, 38).height
     tall = PoissonModel(chacon, LevelSet(40, range(top - 400, top)), depth=40)
     assert tall.indices[0] > 2**63
+    # ten stage-3 levels at the foot of each of the 32 depth-4 columns: the
+    # swap's reach splits into one span per column
+    split = PoissonModel(rigid_mixing_pair().t_params, LevelSet(3, range(10)), depth=4)
     return [
         (band, FinitarySwap(1, (1, 3)), LevelSet(2, range(50, 350)),
          LevelSet(2, range(100, 150)), (0, 3, 17, 73, 699, 700)),
@@ -191,10 +216,12 @@ def _walk_models():
          LevelSet(9, range(40, 240)), (0, 1, 64, 250)),
         (tall, FinitarySwap(38, (top38 - 30, top38 - 3)), LevelSet(40, range(top - 60, top - 20)),
          LevelSet(40, range(top - 60, top - 20)), (0, 5, 100, 390, 395)),
+        (split, FinitarySwap(1, (1, 3)), LevelSet(3, range(2)),
+         LevelSet(3, range(2, 8)), (0, 3, 50)),
     ]
 
 
-@pytest.mark.parametrize("case", range(3))
+@pytest.mark.parametrize("case", range(4))
 def test_vectorized_walks_match_the_per_level_walks(case):
     model, swap, a, cov_a, shifts = _walk_models()[case]
     for n in shifts:

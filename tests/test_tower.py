@@ -324,6 +324,25 @@ def test_refinement_past_the_cap_is_refused_before_it_starts():
         refine_set(rigid_mixing_pair().t_params, LevelSet(0, (0,)), 40)
 
 
+def test_copies_in_spans_are_the_refined_copies_there_under_the_cap(monkeypatch):
+    params, levels = rigid_mixing_pair().t_params, LevelSet(1, (1, 3, 20))
+    whole = refine_set(params, levels, 4).indices
+    height = build_stage(params, 4).height
+    rng = random.Random(5)
+    for _ in range(20):
+        ends = sorted(rng.sample(range(height + 50), 6))
+        spans = list(zip(ends[::2], ends[1::2]))
+        inside = [y for y in whole if any(lo <= y < hi for lo, hi in spans)]
+        assert tower._refined_copies(params, levels, 4, spans) == inside
+        # the cap holds the copies in the spans, not the whole refinement
+        monkeypatch.setattr(tower, "MAX_REFINED_LEVELS", len(inside))
+        tower._refined_copies(params, levels, 4, spans)
+        monkeypatch.setattr(tower, "MAX_REFINED_LEVELS", len(inside) - 1)
+        with pytest.raises(ValueError, match=rf"refine to {len(inside)} stage-4 levels within reach"):
+            tower._refined_copies(params, levels, 4, spans)
+        monkeypatch.undo()
+
+
 def test_sets_stages_apart_are_counted_without_refining(monkeypatch):
     params = chacon()
     a, b = LevelSet(1, (2,)), LevelSet(12, (0, 7, 40000, 88000))
