@@ -132,9 +132,9 @@ def _stage(default: int) -> dict:
 
 _DEPTH = {"type": "integer", "minimum": 0, "maximum": MAX_DEPTH}
 
-# no dim x dim array is formed; the cap bounds wh-gaussian's dim x batch latent
-# block, 82 MB per worker at the cap with the default 2500-sample batches and
-# 0.8 GB with the 25000-sample batches of the `samples` cap
+# no dim x dim array is formed; the cap bounds wh-gaussian's n_terms x dim
+# orbit rows and its dim x slice latent block (at most 511 samples a slice),
+# whatever the batch size
 _DIM = {"type": "integer", "minimum": 4, "maximum": 4096, "default": 64}
 
 # Caps on the parameters whose run time grows with their value: at one cap, a
@@ -579,8 +579,10 @@ def _run_triple_mixing(params: dict, seed: int, jobs: int):
         ),
         check(
             "quiet-times-match-orthant-probability-within-five-se",
-            within_ok,
-            detail=f"quiet rows' orthant probability is within {margin:.2e} of 1/8",
+            within_ok and usable > 0,
+            detail=f"quiet rows' orthant probability is within {margin:.2e} of 1/8"
+            if usable
+            else "no quiet row was compared",
         ),
     ]
     notes = [

@@ -11,6 +11,13 @@ while drawing min(k, d) normals per sample instead of d.  Hermite
 polynomials in the X's then have closed-form cross moments, which the
 Monte-Carlo estimators here are tested against.
 
+The conjugated orbit of `gaussian_wh_experiment` differs from the plain one
+only through the two plane coordinates of xi, so its statistic draws only
+what it reads: degree 1 is a product of four linear functionals of xi,
+drawn as four latent normals through the same QR factor, and degree 2 draws
+all d coordinates, but one slice of samples at a time, with one matrix
+product per slice and a rank-two correction for the conjugated rows.
+
 numpy is imported on first call, not with the module, so the exact
 commands never load it.
 """
@@ -217,7 +224,7 @@ def triple_correlation_weakmix_check(
 
         def stat(rng: np.random.Generator, size: int) -> float:
             x = block(rng, size)
-            return ((x[0] <= 0.0) & (x[1] <= 0.0) & (x[2] <= 0.0)).astype(float).mean()
+            return np.count_nonzero((x[0] <= 0.0) & (x[1] <= 0.0) & (x[2] <= 0.0)) / size
 
         estimate = batch_estimate(stat, samples, seed=(seed, idx), jobs=jobs)
         entries.append(
@@ -263,6 +270,19 @@ class GaussianWhResult:
         return self.estimate.within(-self.majorant, self.majorant)
 
 
+def _wh_gap_functionals(rows: np.ndarray, pert: FiniteRankPerturbation) -> np.ndarray:
+    """The 4 x d matrix A whose image v = A xi gives the degree-1 sample.
+
+    With W = pert.defect_factor(rows), Y_m - X_m = W_m z for z the plane
+    coordinates of xi, so (1/N) sum_m X_m (Y_m - X_m) = z . (M^T xi) with
+    M = rows^T W / N: rows 0-1 of A are the plane, rows 2-3 are M^T, and
+    the sample is v_0 v_2 + v_1 v_3.
+    """
+    import numpy as np
+    m = rows.T @ pert.defect_factor(rows) / len(rows)
+    return np.vstack([pert.plane.T, m.T])
+
+
 def gaussian_wh_experiment(
     model: GaussianModel,
     pert: FiniteRankPerturbation,
@@ -287,28 +307,46 @@ def gaussian_wh_experiment(
     defect = conjugate_defect(model.angles, pert, model.vector, n_terms)
     if k == 1:
         majorant = defect.defect
+        four = factor_sampler(_wh_gap_functionals(rows, pert))
+
+        def stat(rng: np.random.Generator, size: int) -> float:
+            v = four(rng, size)
+            return (v[0] * v[2] + v[1] * v[3]).mean()
+
     else:
         majorant = math.factorial(k) * k * defect.majorant1
+        w = pert.defect_factor(rows)
 
-    def stat(rng: np.random.Generator, size: int) -> float:
-        latent = rng.standard_normal((model.dim, size))
-        # per-sample Cesaro means first: one mean over all entries rounds differently
-        means = np.empty(size)
-        # Slices of _COLUMNS samples keep the n_terms x columns temporaries
-        # small enough to reuse their pages; full-width ones fault them in
-        # anew on every batch.  The last slice also takes the remainder, since
-        # a narrow ragged product can round apart from the full-width one
-        # (OpenBLAS does), and it goes first: a slice wider than the ones
-        # before it grows the heap, which is then trimmed and faulted in again
-        # on every batch.
-        n_slices = max(1, size // _COLUMNS)
-        edges = [i * _COLUMNS for i in range(n_slices)] + [size]
-        for lo, hi in reversed(list(zip(edges, edges[1:]))):
-            block = latent[:, lo:hi]
-            hx = hermite_value(k, rows @ block)
-            hy = hermite_value(k, conj_rows @ block)
-            means[lo:hi] = np.mean(hy * hx - hx**2, axis=0)
-        return means.mean()
+        def stat(rng: np.random.Generator, size: int) -> float:
+            # per-sample Cesaro means first: one mean over all entries rounds differently
+            means = np.empty(size)
+            # Each slice of _COLUMNS samples draws its own latent block, so no
+            # array grows with the batch.  The slice's latent, X and He2(X)
+            # share one work block made once per batch: as separate or
+            # per-slice arrays, their frees make the allocator trim the heap
+            # and fault it in anew.  The last slice also takes the remainder,
+            # since a narrow ragged product can round apart from the
+            # full-width one (OpenBLAS does), and it goes first.
+            n_slices = max(1, size // _COLUMNS)
+            edges = [i * _COLUMNS for i in range(n_slices)] + [size]
+            ends = (0, model.dim, model.dim + n_terms, model.dim + 2 * n_terms)
+            work = np.empty(ends[-1] * (size - edges[-2]))
+            for lo, hi in reversed(list(zip(edges, edges[1:]))):
+                c = hi - lo
+                latent, x, hx = (work[a * c : b * c].reshape(-1, c) for a, b in zip(ends, ends[1:]))
+                rng.standard_normal(out=latent)
+                # X, then Y = X + W z in place, z the latent's plane coordinates;
+                # hx * (He2(Y) - hx) with He2(t) = t * t - 1
+                np.matmul(rows, latent, out=x)
+                np.multiply(x, x, out=hx)
+                hx -= 1.0
+                x += w @ latent[list(pert.coords)]
+                np.multiply(x, x, out=x)
+                x -= 1.0
+                x -= hx
+                x *= hx
+                np.mean(x, axis=0, out=means[lo:hi])
+            return means.mean()
 
     estimate = batch_estimate(stat, samples, seed=seed, jobs=jobs)
     return GaussianWhResult(

@@ -95,6 +95,7 @@ class FiniteRankPerturbation:
         if not (0 <= i < dim and 0 <= j < dim) or i == j:
             raise ValueError("plane coordinates must be distinct and in range")
         self.dim = dim
+        self.coords = (i, j)
         self.plane = np.zeros((dim, 2))
         self.plane[i, 0] = 1.0
         self.plane[j, 1] = 1.0
@@ -106,9 +107,17 @@ class FiniteRankPerturbation:
         """K vec for K = S - I; a (d, n) array maps column by column."""
         return self.plane @ (self._r_minus_i @ (self.plane.T @ vec))
 
+    def defect_factor(self, rows: np.ndarray) -> np.ndarray:
+        """W = rows @ Q(R - I), the n x 2 factor of rows @ (S - I) = W Q^T.
+
+        So (rows @ S) xi - rows @ xi = W (xi_i, xi_j): the two coordinates
+        of xi in the plane are all that conjugation adds.
+        """
+        return (rows @ self.plane) @ self._r_minus_i
+
     def right_multiply(self, rows: np.ndarray) -> np.ndarray:
         """rows @ S from the factored form, without a d x d array."""
-        return rows + ((rows @ self.plane) @ self._r_minus_i) @ self.plane.T
+        return rows + self.defect_factor(rows) @ self.plane.T
 
     def plane_component_norm(self, vec: np.ndarray) -> float:
         import numpy as np

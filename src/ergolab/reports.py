@@ -30,7 +30,10 @@ RNG_SCHEME = (
     "row at report position r draws from numpy default_rng([seed, r, b]), so "
     "reordering ns reorders the streams; Gaussian shift blocks (gauss, "
     "triple-mixing) draw min(k, d) latent normals through the QR factor of "
-    "their k orbit rows, wh-gaussian draws all d; Poisson configurations "
+    "their k orbit rows; wh-gaussian degree 1 draws 4 through the QR factor "
+    "of its two plane coordinates and two gap functionals, degree 2 all d, "
+    "in slices of 256 samples, the last (with the remainder) first; Poisson "
+    "configurations "
     "(poisson, wh-poisson) draw a Poisson total per configuration, then a "
     "uniform window slot per point"
 )

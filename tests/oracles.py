@@ -385,16 +385,28 @@ def hermite_cross_moment(k: int, rho: float, nodes: int = 60) -> float:
     return float(weights @ (hy * hx[:, None]) @ weights)
 
 
-def unblocked_wh_statistic(rows: np.ndarray, conj_rows: np.ndarray, k: int):
-    """`gaussian_wh_experiment`'s per-batch statistic over the whole batch at
-    once: both products and the Hermite terms as full-width arrays, then the
-    per-sample Cesaro means and their mean."""
+def wh2_statistic_on_slice_draws(
+    rows: np.ndarray, w: np.ndarray, coords: tuple[int, int], columns: int
+):
+    """`gaussian_wh_experiment`'s degree-2 statistic, fed the same draws.
+
+    The latent block is drawn one slice of `columns` samples at a time, in
+    the experiment's order (the last slice, which also takes the remainder,
+    first), and laid out as one dim x batch block; the statistic is then
+    hx * (He2(x + W z) - hx) over the whole batch at once, with full-width
+    arrays, then the per-sample Cesaro means and their mean."""
     from ergolab.gaussian import hermite_value
 
     def stat(rng: np.random.Generator, size: int) -> float:
-        latent = rng.standard_normal((rows.shape[1], size))
-        hx = hermite_value(k, rows @ latent)
-        return np.mean(hermite_value(k, conj_rows @ latent) * hx - hx**2, axis=0).mean()
+        n_slices = max(1, size // columns)
+        edges = [i * columns for i in range(n_slices)] + [size]
+        latent = np.empty((rows.shape[1], size))
+        for lo, hi in reversed(list(zip(edges, edges[1:]))):
+            latent[:, lo:hi] = rng.standard_normal((rows.shape[1], hi - lo))
+        x = rows @ latent
+        hx = hermite_value(2, x)
+        hy = hermite_value(2, x + w @ latent[list(coords)])
+        return np.mean(hx * (hy - hx), axis=0).mean()
 
     return stat
 

@@ -571,6 +571,9 @@ NOTHING_COVERED = [
     # the first shared time is c_1 = 73
     ("theorem1", {"scan_n_max": 72}, "scan-confirms-vanishing-correlation-on-the-other-side"),
     ("ledrapier", {"generic_pairs": 0}, "generic-pairs-are-quarter"),
+    # no time of 1..20 has all three correlations below 1e-9
+    ("triple-mixing", {"threshold": 1e-9, "samples": 10000, "count": 20},
+     "quiet-times-match-orthant-probability-within-five-se"),
 ]
 
 
@@ -594,3 +597,10 @@ def test_each_check_threshold_fails_a_genuine_input(name, params, check_name, re
 )
 def test_a_check_that_covers_nothing_fails(name, params, check_name):
     assert _failing_check(name, params, check_name)[0] is False
+
+
+def test_a_quiet_times_check_with_no_quiet_row_says_so():
+    params = {"threshold": 1e-9, "samples": 10000, "count": 20}
+    check_name = "quiet-times-match-orthant-probability-within-five-se"
+    reading = _failing_check("triple-mixing", params, check_name)
+    assert reading == (False, "no quiet row was compared")

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from numpy.polynomial import hermite_e
 
 from ergolab.gaussian import (
     GaussianModel,
+    _wh_gap_functionals,
     factor_sampler,
     gaussian_hermite_correlation,
     gaussian_wh_experiment,
@@ -17,6 +19,7 @@ from ergolab.gaussian import (
     orthant_probability,
     triple_correlation_weakmix_check,
 )
+from ergolab.mc import BATCHES
 from ergolab.operators import (
     FiniteRankPerturbation,
     make_rotation_operator,
@@ -279,39 +282,78 @@ def test_wh_generic_plane_also_tracks():
     assert r.below_majorant
 
 
-_SLICED_VS_UNBLOCKED = """
-from ergolab.gaussian import GaussianModel, gaussian_wh_experiment
+@pytest.mark.parametrize(
+    "plane, angle",
+    [
+        pytest.param((6, 7), 0.5, id="rotation-block"),
+        pytest.param((5, 10), 0.8, id="across-two-blocks"),
+        pytest.param((6, 7), 0.0, id="identity"),
+    ],
+)
+def test_wh_conjugation_moves_only_the_plane_coordinates(plane, angle):
+    pert = FiniteRankPerturbation(64, *plane, angle=angle)
+    model = GaussianModel(make_rotation_operator(64), random_unit_vector(64, seed=30))
+    rows = model.orbit_rows(range(1, 101))
+    xi = np.random.default_rng(4).standard_normal((64, 500))
+    x, y = rows @ xi, pert.right_multiply(rows) @ xi
+    # the rank-2 term is the whole conjugation
+    w = pert.defect_factor(rows)
+    np.testing.assert_allclose(w @ xi[list(pert.coords)], y - x, rtol=0, atol=1e-14)
+    # degree 1: four linear functionals of xi give the full Cesaro statistic
+    v = _wh_gap_functionals(rows, pert) @ xi
+    full = np.mean(np.mean(y * x - x**2, axis=0))
+    assert (v[0] * v[2] + v[1] * v[3]).mean() == pytest.approx(full, rel=1e-12, abs=0)
+
+
+_SLICED_VS_ORACLE = """
+from ergolab.gaussian import _COLUMNS, GaussianModel, gaussian_wh_experiment
 from ergolab.mc import batch_estimate
 from ergolab.operators import (
     FiniteRankPerturbation, make_rotation_operator, vector_with_plane_mass,
 )
-from oracles import unblocked_wh_statistic
+from oracles import wh2_statistic_on_slice_draws
 
 pert = FiniteRankPerturbation(64, 6, 7, angle=0.5)
 model = GaussianModel(make_rotation_operator(64), vector_with_plane_mass(64, pert, delta=0.02, seed=5))
 rows = model.orbit_rows(range(1, 101))
+oracle = wh2_statistic_on_slice_draws(rows, pert.defect_factor(rows), pert.coords, _COLUMNS)
 for samples in (12000, 30000, 40000):  # batches of 300, 750 and 1000 samples
-    for k in (1, 2):
-        got = gaussian_wh_experiment(model, pert, k, 100, samples, seed=7)
-        ref = batch_estimate(
-            unblocked_wh_statistic(rows, pert.right_multiply(rows), k), samples, seed=7
-        )
-        print(got.estimate == ref, got.estimate.value != 0.0)
+    got = gaussian_wh_experiment(model, pert, 2, 100, samples, seed=7)
+    ref = batch_estimate(oracle, samples, seed=7)
+    print(got.estimate == ref, got.estimate.value != 0.0)
 """
 
 
-def test_wh_column_slices_equal_the_unblocked_statistic():
+def test_wh_degree2_slices_equal_the_full_width_statistic_on_the_same_draws():
     # batch sizes that are not multiples of the 256-column slice: one slice
     # of 300 columns, slices of 256 and 494, and of 256, 256 and 488.  One
     # BLAS thread, as the benchmark runs: a threaded GEMM may split a slice's
     # rows differently from the full batch's and round apart.
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     proc = subprocess.run(
-        [sys.executable, "-c", _SLICED_VS_UNBLOCKED], capture_output=True, text=True,
+        [sys.executable, "-c", _SLICED_VS_ORACLE], capture_output=True, text=True,
         env=env, cwd=os.path.dirname(os.path.abspath(__file__)),  # for `oracles`
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True"] * 12
+    assert proc.stdout.split() == ["True"] * 6
+
+
+def test_wh_degree2_peak_memory_does_not_grow_with_the_batch():
+    # at dim 256 a whole batch's latent block would be 2 MB at 1024 samples
+    # and 8 MB at 4096; the statistic's work block holds one slice
+    pert = FiniteRankPerturbation(256, 6, 7, angle=0.5)
+    model = GaussianModel(
+        make_rotation_operator(256), vector_with_plane_mass(256, pert, delta=0.02, seed=5)
+    )
+    peaks = []
+    for batch in (1024, 4096):
+        tracemalloc.start()
+        try:
+            gaussian_wh_experiment(model, pert, 2, 20, BATCHES * batch, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 2**20, peaks
 
 
 def test_wh_rejects_bad_degree_or_dimension(model):
