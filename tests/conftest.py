@@ -3,8 +3,12 @@
 The package directory goes first on `sys.path` for in-process imports and
 first on `PYTHONPATH` for the CLI, demo and probe subprocesses.
 """
+import concurrent.futures
 import os
 import sys
+import types
+
+import pytest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -12,3 +16,33 @@ sys.path.insert(0, SRC)
 os.environ["PYTHONPATH"] = os.pathsep.join(
     [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
 )
+
+
+@pytest.fixture
+def thread_pools(monkeypatch):
+    """Thread every Monte-Carlo batch on up to 8 CPUs, from fresh pools.
+
+    Without this, batches under `mc.MIN_THREADED_BATCH` samples run on the
+    calling thread at any `jobs`, so a jobs-invariance test on small inputs
+    would compare the serial path with itself.  `ran` lists the pool size
+    of each threaded estimate, `started` the size of each pool started.
+    """
+    from ergolab import mc
+
+    pools = types.SimpleNamespace(ran=[], started=[])
+
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+        def map(self, fn, *iterables):
+            pools.ran.append(self._max_workers)
+            return super().map(fn, *iterables)
+
+    # batch_estimate imports the pool in its threaded branch, when it starts one
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(mc, "_pools", {})
+    monkeypatch.setattr(mc, "MIN_THREADED_BATCH", 2)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 8)
+    return pools

@@ -438,13 +438,18 @@ def test_poisson_results_bytes_are_frozen():
         assert hashlib.sha256(run_experiment(cfg).results_bytes()).hexdigest() == digest, name
 
 
-def test_result_bytes_are_seed_deterministic_and_jobs_invariant():
+def test_result_bytes_are_seed_deterministic_and_jobs_invariant(thread_pools):
     for name, params in MC_SHRUNK.items():
         cfg = _shrunk(name, **params)
         a = run_experiment(cfg)
         assert run_experiment(cfg).results_bytes() == a.results_bytes(), name
+        assert thread_pools.ran == [], name
         parallel = run_experiment(cfg, jobs=3)
         assert parallel.results_bytes() == a.results_bytes(), name
+        # each Monte-Carlo row is one estimate, and each ran on a 3-thread pool
+        mc_rows = [r for r in parallel.rows if r["provenance"] == "monte-carlo"]
+        assert thread_pools.ran == [3] * len(mc_rows) != [], name
+        thread_pools.ran.clear()
         cfg["seed"] = 9
         assert run_experiment(cfg).results_bytes() != a.results_bytes(), name
 

@@ -1,4 +1,9 @@
 import concurrent.futures
+import os
+import signal
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -36,42 +41,87 @@ def test_same_seed_reproduces_bit_for_bit():
     assert row.value not in (a.value, c.value)
 
 
-def test_parallel_jobs_match_serial_exactly():
+def test_parallel_jobs_match_serial_exactly(thread_pools):
     serial = batch_estimate(_uniform_mean, 1800, seed=9)
-    for jobs in (2, 3, 5):
+    assert thread_pools.ran == []
+    for jobs in (2, 3, 5, 2, 3):
         par = batch_estimate(_uniform_mean, 1800, seed=9, jobs=jobs)
         assert par == serial
+    assert thread_pools.ran == [2, 3, 5, 2, 3]
+    # one pool per thread count, kept for the later estimates
+    assert thread_pools.started == [2, 3, 5]
+
+
+def test_concurrent_estimates_share_the_kept_pools(thread_pools):
+    serial = batch_estimate(_uniform_mean, 1800, seed=9)
+    results = []
+
+    def run(jobs):
+        for _ in range(5):
+            results.append(batch_estimate(_uniform_mean, 1800, seed=9, jobs=jobs))
+
+    callers = [threading.Thread(target=run, args=(2 + i % 2,)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert results == [serial] * 30
+    assert sorted(mc._pools) == [2, 3]
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork with threads running
+def test_a_forked_child_starts_its_own_pools(thread_pools):
+    # slow batches make the pool start both its threads, which then sit idle
+    batch_estimate(lambda rng, size: time.sleep(0.005) or 0.0, 80, jobs=2)
+    want = batch_estimate(_uniform_mean, 1800, seed=9, jobs=2)
+    pid = os.fork()
+    if pid == 0:
+        ok = False
+        signal.alarm(10)  # a child waiting on the parent's threads is killed
+        try:
+            ok = batch_estimate(_uniform_mean, 1800, seed=9, jobs=2) == want
+        finally:
+            os._exit(0 if ok else 1)
+    assert os.waitpid(pid, 0)[1] == 0
 
 
 def test_worker_threads_are_bounded_by_the_cpu_count(monkeypatch):
     sizes = []
 
     class InlineExecutor:
-        """Records the pool size it is asked for and runs the ranges inline."""
+        """Runs the ranges inline and records the pool size of each estimate."""
 
         def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+            self.max_workers = max_workers
 
         def map(self, fn, items):
+            sizes.append(self.max_workers)
             return map(fn, items)
 
-    # the pool is imported in batch_estimate's multi-thread branch, on each call
+    # the pool is imported in batch_estimate's multi-thread branch, when it starts one
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlineExecutor)
-    serial = batch_estimate(_uniform_mean, 1800, seed=9)
-    monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
-    for jobs in (2, 4, 10**6):
-        assert batch_estimate(_uniform_mean, 1800, seed=9, jobs=jobs) == serial
-    assert sizes == [2, 4, 4]
-    # an unknown CPU count means one worker: the serial path, no pool
-    monkeypatch.setattr(mc.os, "cpu_count", lambda: None)
-    assert batch_estimate(_uniform_mean, 1800, seed=9, jobs=10**6) == serial
-    assert sizes == [2, 4, 4]
+    monkeypatch.setattr(mc, "_pools", {})
+    # batches at the threshold are threaded; one sample fewer runs on the
+    # calling thread at any jobs
+    edge = mc.MIN_THREADED_BATCH
+    for batch_size, pools in ((edge, [2, 4, 4]), (edge - 1, [])):
+        sizes.clear()
+        samples = batch_size * mc.BATCHES
+        serial = batch_estimate(_uniform_mean, samples, seed=9)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
+        for jobs in (2, 4, 10**6):
+            assert batch_estimate(_uniform_mean, samples, seed=9, jobs=jobs) == serial
+        assert sizes == pools
+        # an unknown CPU count means one worker: the serial path, no pool
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: None)
+        assert batch_estimate(_uniform_mean, samples, seed=9, jobs=10**6) == serial
+        assert sizes == pools
 
 
 def test_manual_range_split_concatenates_to_the_full_run():
@@ -89,15 +139,20 @@ def test_manual_range_split_concatenates_to_the_full_run():
 )
 def test_batch_b_draws_from_default_rng_of_the_key_then_b(key):
     words = list(key) if isinstance(key, tuple) else [key]
-    want = [np.random.default_rng([*words, b]).random() for b in range(3, 9)]
-    got = run_batch_stats(lambda rng, size: rng.random(), 1, range(3, 9), key)
-    assert list(got) == want
+    # batch indices are split into 32-bit words as the key's are, past 2^32 and 2^64
+    for batches in (range(3, 9), range(2**32 - 3, 2**32 + 3), range(2**64 - 2, 2**64 + 2)):
+        want = [np.random.default_rng([*words, b]).random() for b in batches]
+        got = run_batch_stats(lambda rng, size: rng.random(), 1, batches, key)
+        assert list(got) == want
 
 
 def test_negative_stream_keys_are_rejected():
     for key in (-1, (3, -1)):
         with pytest.raises(ValueError, match="non-negative"):
             batch_estimate(_uniform_mean, 300, seed=key)
+    for batches in (range(-1, 3), range(2, -2, -1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            run_batch_stats(_uniform_mean, 2, batches, 0)
 
 
 def test_constant_sampler_hits_the_stderr_floor():
