@@ -1,19 +1,20 @@
 """Poisson point configurations over a cutting-and-stacking base.
 
 A model truncates the (typically infinite-measure) tower to a finite window
-of depth-J levels.  A configuration is drawn as the suspension defines it: a
-Poisson number of points with mean the window's exact measure, each in a
-uniform window level, since every window level has the same width (Kingman,
+of depth-J levels, each of the same exact width.  In the suspension the
+point counts on disjoint sets of levels are independent Poisson variables
+whose means are those sets' exact measures (the colouring theorem: Kingman,
 *Poisson Processes*, 1993; Roy, "Poisson suspensions and infinite ergodic
-theory", ETDS 29, 2009).  By the colouring theorem the level counts are then
-independent with mean the exact rational level width, so any counting
-observable over window levels has a known law and covariances reduce to
-exact level-set measures from the tower arithmetic.  Every statistic reads
-the points through one prepared kernel: its weight matrix is reduced once to
-the distinct nonzero rows, and a batch costs one point draw, one histogram
-and one small product.  Shifting a configuration moves each point up the
-tower by the step map; points whose image leaves the materialized tower are
-tracked as lost mass rather than silently dropped.
+theory", ETDS 29, 2009), so any counting observable over window levels has
+a known law and covariances reduce to exact level-set measures from the
+tower arithmetic.  Every statistic reads the configurations through one
+prepared kernel: a statistic weighs each window level by an integer row,
+levels that share a row are counted together, and a batch draws one
+Poisson count per distinct nonzero row, with mean the level width times how
+many levels carry it, followed by one small product with the rows.  Shifting
+a configuration moves each point up the tower by the step map; points whose
+image leaves the materialized tower are tracked as lost mass rather than
+silently dropped.
 
 The window and the sets counted in it are refined to the model depth under
 `refine_set`'s cap.  A finitary swap's support is not refined whole: only its
@@ -88,7 +89,6 @@ class PoissonModel:
         self.indices = _refined(params, window, self.depth)
         self.stage = build_stage(params, self.depth)
         self.level_width = self.stage.level_width
-        self._point_mean = float(self.intensity)
 
     @property
     def n_levels(self) -> int:
@@ -105,19 +105,20 @@ class PoissonModel:
             raise ValueError("level set is not contained in the window")
         return slots
 
-    def sample_points(
-        self, rng: np.random.Generator, size: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Owner and window slot of every point of `size` configurations.
 
-        Each configuration holds a Poisson(intensity) number of points, and
-        each point sits in a uniform window slot, since every window level
-        has the same width.  Owners come in increasing order.
-        """
-        import numpy as np
-        totals = rng.poisson(self._point_mean, size=size)
-        owner = np.repeat(np.arange(size), totals)
-        return owner, rng.integers(self.n_levels, size=owner.size)
+def _row_means(model: PoissonModel, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct nonzero rows of `weights`, as float64, and their Poisson means.
+
+    `weights` holds one integer row per window slot, for distinct slots;
+    slots it leaves out weigh nothing.  The points on the m slots that share
+    a row are one Poisson count with mean level_width * m, an exact Fraction
+    rounded once.
+    """
+    import numpy as np
+    nonzero = weights[weights.any(axis=1)]
+    distinct, times = np.unique(nonzero, axis=0, return_counts=True)
+    means = np.array([float(model.level_width * int(m)) for m in times])
+    return means, distinct.astype(np.float64)
 
 
 def _weighted_counts(
@@ -125,25 +126,16 @@ def _weighted_counts(
 ) -> Callable[[np.random.Generator, int], np.ndarray]:
     """Prepared (size, k) per-configuration sums of the weight rows of its points.
 
-    `weights` is an n_levels x k integer matrix, so an indicator column gives
-    the count of a level set.  Its distinct nonzero rows are found once, and
-    each window slot gets its row's code, 0 for an all-zero row.  A batch then
-    draws the points, histograms them by (owner, code) with one bincount and
-    returns the histogram times the rows as float64.  The sums are integers
-    far below 2**53, so they are exact.
+    `weights` is as for `_row_means`, so an indicator column gives the count
+    of a level set.  A batch draws one Poisson count per configuration and
+    distinct nonzero row and returns the counts times the rows as float64.
+    The sums are integers far below 2**53, so they are exact.
     """
     import numpy as np
-    nonzero = np.flatnonzero(weights.any(axis=1))
-    distinct, inverse = np.unique(weights[nonzero], axis=0, return_inverse=True)
-    code = np.zeros(model.n_levels, dtype=np.intp)
-    code[nonzero] = inverse.reshape(-1) + 1
-    rows = np.vstack([np.zeros((1, weights.shape[1])), distinct])
-    n_codes = len(rows)
+    means, rows = _row_means(model, weights)
 
     def counts(rng: np.random.Generator, size: int) -> np.ndarray:
-        owner, slot = model.sample_points(rng, size)
-        hist = np.bincount(owner * n_codes + code[slot], minlength=size * n_codes)
-        return hist.reshape(size, n_codes).astype(np.float64) @ rows
+        return rng.poisson(means, size=(size, len(means))).astype(np.float64) @ rows
 
     return counts
 
@@ -280,18 +272,18 @@ def poisson_gof(
 ) -> PoissonGof:
     """Chi-square test of the window count against its exact Poisson law.
 
-    The count is assembled from per-point slots, the points that fall in the
-    window's levels, so the test exercises the construction path rather
-    than a direct Poisson draw of the total.
+    The count comes from the statistics' kernel, `_weighted_counts`.  Every
+    level of the window carries the same row, so the count is a single
+    Poisson draw whose mean is the kernel's rounding of the window's exact
+    measure: the test checks the rows' means, and the kernel's draw, against
+    the exact law.
     The mean is the exact measure, not fitted, so no degree of freedom is
     deducted for it.  The p-value is the closed-form chi-square tail for
     integer degrees of freedom.
     """
     import numpy as np
     slots = model.member_slots(window)
-    member = np.zeros((model.n_levels, 1), dtype=np.int8)
-    member[slots] = 1
-    count = _weighted_counts(model, member)
+    count = _weighted_counts(model, np.ones((len(slots), 1), dtype=np.int8))
     mu = float(model.level_width * len(slots))
     rng = np.random.default_rng([int(seed), 0x90F])
     upper = _isf(1e-9, mu) + 2
@@ -342,17 +334,21 @@ class PoissonWhResult:
 
 def _swap_weights(
     model: PoissonModel, swap: FinitarySwap, a: LevelSet, n_terms: int
-) -> tuple[np.ndarray, int]:
-    """Signed window x N matrix of the changes in the count of A, and the
-    number of (window level, time) pairs whose time-i image leaves the tower.
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Window slots whose count of A some conjugated swap changes, their
+    signed rows of those changes, and the number of (window level, time)
+    pairs whose time-i image leaves the tower.
 
-    Column i - 1 is +1 on the window levels x that the swap conjugated to
-    time i moves into A and -1 on those it moves out of A.  Only x with
-    x + i on the swap's support can move, so the walk visits just the pairs
-    of a window level x and a support level y with 1 <= y - x <= N.  Each
-    swap level's depth copies are listed only in the union of the ranges
-    [x + 1, x + N] over window levels x, under `refine_set`'s cap on the
-    number listed; the support is never refined whole.
+    Entry i - 1 of a slot's row is +1 if the swap conjugated to time i moves
+    its level x into A, -1 if it moves x out of A, and 0 otherwise; the
+    other slots' rows are all zero and are not built.  Only x with x + i on
+    the swap's support can move, and a support copy moves x to x + step
+    whatever i is, so the walk visits just the pairs of a window level x
+    that such a move takes across A's boundary and a support level y with
+    1 <= y - x <= N.  Each swap level's depth copies are listed only in the
+    union of the ranges [x + 1, x + N] over window levels x, under
+    `refine_set`'s cap on the number listed; the support is never refined
+    whole.
     """
     import numpy as np
     a_slots = model.member_slots(a)
@@ -368,7 +364,7 @@ def _swap_weights(
     terms = np.arange(1, n_terms + 1).astype(object)
     tops = np.searchsorted(model.indices, model.stage.height - terms)
     lost_levels = int((model.n_levels - tops).sum())
-    signed = np.zeros((model.n_levels, n_terms), dtype=np.int8)
+    slots, cols, signs = [], [], []
     for level, step in ((i, k - i), (k, i - k)):
         y = np.array(
             _refined_copies(model.params, LevelSet(swap.stage, (level,)), model.depth, spans),
@@ -376,14 +372,21 @@ def _swap_weights(
         )
         first = np.searchsorted(y, model.indices, side="right")
         counts = np.searchsorted(y, model.indices + n_terms, side="right") - first
-        slots = np.repeat(np.arange(model.n_levels), counts)
-        y = y[np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(len(slots))]
-        x = model.indices[slots]
-        _, after = _locate(a_idx, x + step)  # the swap moves x by step
-        moved = in_a[slots] != after
-        cols = (y - x - 1).astype(np.int64)
-        signed[slots[moved], cols[moved]] = np.where(after[moved], 1, -1)
-    return signed, lost_levels
+        near = np.flatnonzero(counts)
+        _, after = _locate(a_idx, model.indices[near] + step)  # the swap moves x by step
+        crossed = in_a[near] != after
+        moved = near[crossed]
+        counts = counts[moved]
+        pair_slots = np.repeat(moved, counts)
+        starts = np.repeat(first[moved] - np.cumsum(counts) + counts, counts)
+        y = y[starts + np.arange(len(pair_slots))]
+        slots.append(pair_slots)
+        cols.append((y - model.indices[pair_slots] - 1).astype(np.int64))
+        signs.append(np.repeat(np.where(after[crossed], 1, -1), counts))
+    nonzero, row = np.unique(np.concatenate(slots), return_inverse=True)
+    signed = np.zeros((len(nonzero), n_terms), dtype=np.int8)
+    signed[row, np.concatenate(cols)] = np.concatenate(signs)
+    return nonzero, signed, lost_levels
 
 
 def poisson_wh_experiment(
@@ -406,7 +409,7 @@ def poisson_wh_experiment(
     import numpy as np
     if n_terms < 1:
         raise ValueError("need at least one Cesaro term")
-    signed, lost_levels = _swap_weights(model, swap, a, n_terms)
+    _, signed, lost_levels = _swap_weights(model, swap, a, n_terms)
     lost_mass = model.level_width * lost_levels
 
     counts = _weighted_counts(model, signed)

@@ -26,16 +26,16 @@ from . import __version__ as TOOL_VERSION
 from .mc import EstimateWithError
 
 RNG_SCHEME = (
-    "row-batch-seeded/rank-factor/poisson-points: batch b of the Monte-Carlo "
+    "row-batch-seeded/rank-factor/poisson-rows: batch b of the Monte-Carlo "
     "row at report position r draws from numpy default_rng([seed, r, b]), so "
     "reordering ns reorders the streams; Gaussian shift blocks (gauss, "
     "triple-mixing) draw min(k, d) latent normals through the QR factor of "
     "their k orbit rows; wh-gaussian degree 1 draws 4 through the QR factor "
     "of its two plane coordinates and two gap functionals, degree 2 all d, "
     "in slices of 256 samples, the last (with the remainder) first; Poisson "
-    "configurations "
-    "(poisson, wh-poisson) draw a Poisson total per configuration, then a "
-    "uniform window slot per point"
+    "configurations (poisson, wh-poisson) draw one Poisson count per "
+    "configuration and distinct nonzero weight row, with mean the level width "
+    "times the number of window levels carrying that row"
 )
 
 __all__ = [
