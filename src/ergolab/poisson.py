@@ -389,6 +389,34 @@ def _swap_weights(
     return nonzero, signed, lost_levels
 
 
+def _wh_statistic(
+    model: PoissonModel, signed: np.ndarray
+) -> Callable[[np.random.Generator, int], float]:
+    """Prepared batch mean, over configurations, of the average |change| of
+    the count of A over the times, from `_swap_weights`' signed rows.
+
+    Times whose columns are equal change every configuration's count alike,
+    so the sum over times takes one sum per distinct column, weighed by how
+    many times share it.  Kept in first-appearance order, the distinct
+    columns order the slots' rows as the whole rows do (two rows first differ
+    where a column first appears), so a batch draws what the whole rows
+    would; the per-configuration sums are exact integers, so the statistic
+    is the whole rows' statistic too.
+    """
+    import numpy as np
+    n_terms = signed.shape[1]
+    _, first, times = np.unique(signed, axis=1, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    counts = _weighted_counts(model, signed[:, first[order]])
+    times = times[order].astype(np.float64)
+
+    def stat(rng: np.random.Generator, size: int) -> float:
+        diffs = counts(rng, size)
+        return ((np.abs(diffs, out=diffs) @ times) / n_terms).mean()
+
+    return stat
+
+
 def poisson_wh_experiment(
     model: PoissonModel,
     swap: FinitarySwap,
@@ -406,20 +434,11 @@ def poisson_wh_experiment(
     the same configuration.  The average of |difference| over i is estimated;
     twice the exact Cesaro average of mu(T^i A intersect supp S) majorizes it.
     """
-    import numpy as np
     if n_terms < 1:
         raise ValueError("need at least one Cesaro term")
     _, signed, lost_levels = _swap_weights(model, swap, a, n_terms)
     lost_mass = model.level_width * lost_levels
-
-    counts = _weighted_counts(model, signed)
-
-    def stat(rng: np.random.Generator, size: int) -> float:
-        diffs = counts(rng, size)
-        # in place: a second size x n_terms array per batch costs more than the product
-        return (np.abs(diffs, out=diffs).sum(axis=1) / n_terms).mean()
-
-    estimate = batch_estimate(stat, samples, seed=seed, jobs=jobs)
+    estimate = batch_estimate(_wh_statistic(model, signed), samples, seed=seed, jobs=jobs)
     interval = wh_defect(model.params, swap, a, n_terms, model.depth)
     return PoissonWhResult(
         n_terms=int(n_terms),

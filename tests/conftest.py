@@ -1,9 +1,13 @@
 """Run the tests against this checkout's `src`, whether or not it is installed.
 
 The package directory goes first on `sys.path` for in-process imports and
-first on `PYTHONPATH` for the CLI, demo and probe subprocesses.
+first on `PYTHONPATH` for the fresh interpreters a few tests start: the
+demos, the probes of what an import loads or of a module made unimportable,
+and the real `python -m ergolab` runs whose process is what they check.
 """
 import concurrent.futures
+import contextlib
+import io
 import os
 import sys
 import types
@@ -16,6 +20,23 @@ sys.path.insert(0, SRC)
 os.environ["PYTHONPATH"] = os.pathsep.join(
     [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
 )
+
+
+def run_cli(*argv):
+    """`ergolab <argv>` in-process: its exit code and captured output.
+
+    argparse's exit is the exit code, as in a real run; any other exception
+    escapes and fails the test, as a traceback would fail a real run.
+    """
+    from ergolab import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return types.SimpleNamespace(returncode=code, stdout=out.getvalue(), stderr=err.getvalue())
 
 
 @pytest.fixture

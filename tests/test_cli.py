@@ -6,20 +6,29 @@ import pathlib
 import re
 import subprocess
 import sys
+import types
 
 import pytest
 
+from conftest import run_cli
 from ergolab import cli
 from ergolab.constructions import MAX_DEPTH
 from ergolab.experiments import command_specs, resolve_config
 
-CLI = [sys.executable, "-m", "ergolab"]
 COMMON_FLAGS = {"--seed", "--out", "--csv", "--jobs"}
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ, **(env_extra or {}))
-    return subprocess.run(CLI + list(args), capture_output=True, text=True, env=env)
+def fresh_python(*args, timeout=None):
+    """`python <args>` in a fresh interpreter: only for what a test of an
+    in-process `run_cli` cannot see, the state of a new interpreter or a
+    real process's exit."""
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=timeout
+    )
+
+
+# the helpers above that start an interpreter; nothing else here starts one
+FRESH_INTERPRETER_HELPERS = ("fresh_python",)
 
 
 def test_list_experiments_prints_the_catalogue():
@@ -97,13 +106,32 @@ def test_config_name_mismatch_exits_2(tmp_path):
     assert proc.returncode == 2
 
 
+DEPTH_EXHAUSTED = [
+    "correlate", "--construction", "chacon", "--n", "120",
+    "--a-stage", "2", "--a-lo", "0", "--a-hi", "13", "--depth", "2",
+]
+
+
 def test_depth_exhaustion_exits_3():
-    proc = run_cli(
-        "correlate", "--construction", "chacon", "--n", "120",
-        "--a-stage", "2", "--a-lo", "0", "--a-hi", "13", "--depth", "2",
-    )
+    proc = run_cli(*DEPTH_EXHAUSTED)
     assert proc.returncode == 3
     assert "ergolab.tower" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, code, words",
+    [
+        (["build", "--jobs", "0"], 2, "--jobs: expected an integer of at least 1"),
+        (DEPTH_EXHAUSTED, 3, "ergolab: construction exhausted in ergolab.tower"),
+    ],
+    ids=["exit-2", "exit-3"],
+)
+def test_a_real_process_exits_with_the_code_and_no_traceback(argv, code, words):
+    # the in-process runs see cli.main's code; this is the process's own
+    proc = fresh_python("-m", "ergolab", *argv)
+    assert proc.returncode == code
+    assert words in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_depth_is_bounded_by_the_schema():
@@ -489,9 +517,8 @@ def test_jobs_below_one_exits_2(jobs):
 def test_gauss_at_a_shift_of_a_billion_runs_in_closed_form():
     # U^s f is one closed-form rotation whatever s is; a walk of 10^9
     # matvecs would take tens of minutes
-    proc = subprocess.run(
-        CLI + ["gauss", "--shifts", "1000000000", "--samples", "4000"],
-        capture_output=True, text=True, timeout=20,
+    proc = fresh_python(
+        "-m", "ergolab", "gauss", "--shifts", "1000000000", "--samples", "4000", timeout=20
     )
     assert proc.returncode == 0, proc.stderr
     assert "result: PASS" in proc.stdout
@@ -550,15 +577,10 @@ def test_every_generated_flag_lands_in_the_report_params(tmp_path):
 def test_fresh_import_loads_no_scipy():
     # nor the package-metadata lookup or numpy's polynomial classes
     prefixes = ("scipy.", "importlib.metadata.", "numpy.polynomial.")
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import sys, ergolab; "
-            f"print(sorted(m for m in sys.modules if (m + '.').startswith({prefixes})))",
-        ],
-        capture_output=True,
-        text=True,
+    proc = fresh_python(
+        "-c",
+        "import sys, ergolab; "
+        f"print(sorted(m for m in sys.modules if (m + '.').startswith({prefixes})))",
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -571,50 +593,12 @@ def test_fresh_import_loads_no_scipy():
         "g = poisson_gof(model, LevelSet(2, range(100, 150)), 2 * 10**4, seed=400)\n"
         "print(g.n_bins, g.passed(0.001))"
     )
-    proc = subprocess.run([sys.executable, "-c", gof], capture_output=True, text=True)
+    proc = fresh_python("-c", gof)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["5", "True"]
 
 
 EXACT_ENTRIES = ("build", "correlate", "rigidity-scan", "ledrapier", "theorem1", "theorem6")
-
-
-def run_cli_without(module, *args):
-    """`ergolab <args>` in a fresh process in which `module` cannot be imported."""
-    code = (
-        f"import runpy, sys; sys.modules[{module!r}] = None; "
-        "runpy.run_module('ergolab', run_name='__main__', alter_sys=True)"
-    )
-    return subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True
-    )
-
-
-def assert_runs_without(module, argv, tmp_path):
-    """`ergolab <argv>` succeeds with `module` unimportable, and its report
-    results and CSV (or, for list-experiments, its stdout) equal a normal run's."""
-    report = argv[0] != "list-experiments"
-    outcomes = []
-    for side, run in (("a", run_cli), ("b", lambda *a: run_cli_without(module, *a))):
-        out, csv = tmp_path / f"{side}.json", tmp_path / f"{side}.csv"
-        proc = run(*argv, *(["--out", str(out), "--csv", str(csv)] if report else []))
-        assert proc.returncode == 0, proc.stderr
-        outcomes.append(
-            (json.loads(out.read_text(encoding="utf-8"))["results"], csv.read_bytes())
-            if report
-            else proc.stdout
-        )
-    assert outcomes[0] == outcomes[1]
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [["experiment", name] for name in EXACT_ENTRIES] + [["list-experiments"]],
-    ids=[*EXACT_ENTRIES, "list-experiments"],
-)
-def test_exact_entries_run_without_numpy(argv, tmp_path):
-    assert_runs_without("numpy", argv, tmp_path)
-
 
 # the report-writing subcommands of perfbench's cli-cold workload
 CLI_COLD_COMMANDS = {
@@ -625,46 +609,138 @@ CLI_COLD_COMMANDS = {
     "ledrapier": ["ledrapier", "--k-max", "8"],
 }
 
+# a command, the text of the input file it is given last, and jsonschema's wording
+REJECTIONS = [
+    (
+        ["build", "--spec-file"],
+        '{"stages": 5}',
+        "invalid params for 'build' at $.spec.stages: 5 is not of type 'array'",
+    ),
+    (
+        ["correlate", "--spec-file"],
+        '{"rule": {"name": "odometer", "args": {"r": 1}}}',
+        "invalid params for 'correlate' at $.spec.rule.args.r: "
+        "1 is less than the minimum of 2",
+    ),
+    (
+        ["experiment", "ledrapier", "--config"],
+        '{"params": {"k_max": "ten"}}',
+        "invalid params for 'ledrapier': 'ten' is not of type 'integer'",
+    ),
+]
+
+WITHOUT_NUMPY = [["experiment", name] for name in EXACT_ENTRIES] + [["list-experiments"]]
+WITHOUT_JSONSCHEMA = (
+    [["experiment", name] for name in EXACT_ENTRIES]
+    + list(CLI_COLD_COMMANDS.values())
+    + [["list-experiments"]]
+)
+
+# The runs with a module unimportable, as (argv, input text or None).  One
+# fresh interpreter per module runs them all, each through cli.main.
+RUNS_WITHOUT = {
+    "numpy": [(argv, None) for argv in WITHOUT_NUMPY],
+    "jsonschema": [(argv, None) for argv in WITHOUT_JSONSCHEMA]
+    + [(argv, text) for argv, text, _ in REJECTIONS],
+}
+
+_RUN_WITHOUT = """\
+import contextlib, io, json, sys
+sys.modules[sys.argv[1]] = None
+from ergolab import cli
+outcomes = []
+for argv in json.loads(sys.argv[2]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    outcomes.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(outcomes))
+"""
+
+
+def _run_without(module, path):
+    """Each outcome of RUNS_WITHOUT[module], by (argv, text), from one fresh
+    interpreter in which `module` cannot be imported.  A report run writes
+    its JSON and CSV in `path`; `report` holds their results and bytes."""
+    argvs = []
+    for i, (argv, text) in enumerate(RUNS_WITHOUT[module]):
+        if text is not None:
+            (path / f"{i}.input").write_text(text, encoding="utf-8")
+            argvs.append([*argv, str(path / f"{i}.input")])
+        elif argv[0] == "list-experiments":
+            argvs.append(argv)
+        else:
+            stem = path / str(i)
+            argvs.append([*argv, "--out", f"{stem}.json", "--csv", f"{stem}.csv"])
+    proc = fresh_python("-c", _RUN_WITHOUT, module, json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr
+    outcomes = {}
+    for i, ((argv, text), (code, stdout, stderr)) in enumerate(
+        zip(RUNS_WITHOUT[module], json.loads(proc.stdout))
+    ):
+        out = path / f"{i}.json"
+        report = None
+        if out.exists():
+            results = json.loads(out.read_text(encoding="utf-8"))["results"]
+            report = (results, (path / f"{i}.csv").read_bytes())
+        outcomes[tuple(argv), text] = types.SimpleNamespace(
+            returncode=code, stdout=stdout, stderr=stderr, report=report
+        )
+    return outcomes
+
+
+@pytest.fixture(scope="module")
+def without(tmp_path_factory):
+    """`without(module, argv, text=None)`: that run of RUNS_WITHOUT[module];
+    the first call for a module runs all of them."""
+    outcomes = {}
+
+    def outcome(module, argv, text=None):
+        if module not in outcomes:
+            outcomes[module] = _run_without(module, tmp_path_factory.mktemp(module))
+        return outcomes[module][tuple(argv), text]
+
+    return outcome
+
+
+def assert_runs_without(module, argv, without, tmp_path):
+    """`ergolab <argv>` succeeds with `module` unimportable, and its report
+    results and CSV (or, for list-experiments, its stdout) equal a normal run's."""
+    report = argv[0] != "list-experiments"
+    out, csv = tmp_path / "a.json", tmp_path / "a.csv"
+    normal = run_cli(*argv, *(["--out", str(out), "--csv", str(csv)] if report else []))
+    blocked = without(module, argv)
+    for proc in (normal, blocked):
+        assert proc.returncode == 0, proc.stderr
+    if report:
+        results = json.loads(out.read_text(encoding="utf-8"))["results"]
+        assert (results, csv.read_bytes()) == blocked.report
+    else:
+        assert normal.stdout == blocked.stdout
+
+
+@pytest.mark.parametrize("argv", WITHOUT_NUMPY, ids=[*EXACT_ENTRIES, "list-experiments"])
+def test_exact_entries_run_without_numpy(argv, without, tmp_path):
+    assert_runs_without("numpy", argv, without, tmp_path)
+
 
 @pytest.mark.parametrize(
     "argv",
-    [["experiment", name] for name in EXACT_ENTRIES]
-    + list(CLI_COLD_COMMANDS.values())
-    + [["list-experiments"]],
+    WITHOUT_JSONSCHEMA,
     ids=[*EXACT_ENTRIES, *(f"{cmd}-command" for cmd in CLI_COLD_COMMANDS), "list-experiments"],
 )
-def test_exact_commands_run_without_jsonschema(argv, tmp_path):
-    assert_runs_without("jsonschema", argv, tmp_path)
+def test_exact_commands_run_without_jsonschema(argv, without, tmp_path):
+    assert_runs_without("jsonschema", argv, without, tmp_path)
 
 
 @pytest.mark.parametrize(
-    "argv, text, stderr",
-    [
-        (
-            ["build", "--spec-file"],
-            '{"stages": 5}',
-            "invalid params for 'build' at $.spec.stages: 5 is not of type 'array'",
-        ),
-        (
-            ["correlate", "--spec-file"],
-            '{"rule": {"name": "odometer", "args": {"r": 1}}}',
-            "invalid params for 'correlate' at $.spec.rule.args.r: "
-            "1 is less than the minimum of 2",
-        ),
-        (
-            ["experiment", "ledrapier", "--config"],
-            '{"params": {"k_max": "ten"}}',
-            "invalid params for 'ledrapier': 'ten' is not of type 'integer'",
-        ),
-    ],
-    ids=["spec-stages", "spec-rule-r", "config-k-max"],
+    "argv, text, stderr", REJECTIONS, ids=["spec-stages", "spec-rule-r", "config-k-max"]
 )
-def test_rejections_keep_jsonschemas_wording(argv, text, stderr, tmp_path):
+def test_rejections_keep_jsonschemas_wording(argv, text, stderr, without, tmp_path):
     # and need no jsonschema to be worded so
     path = tmp_path / "input.json"
     path.write_text(text, encoding="utf-8")
-    for run in (run_cli, lambda *a: run_cli_without("jsonschema", *a)):
-        proc = run(*argv, str(path))
+    for proc in (run_cli(*argv, str(path)), without("jsonschema", argv, text)):
         assert proc.returncode == 2
         assert proc.stderr == f"ergolab: config error: {stderr}\n"
 
@@ -672,14 +748,8 @@ def test_rejections_keep_jsonschemas_wording(argv, text, stderr, tmp_path):
 def test_cli_import_loads_neither_numpy_nor_a_thread_pool():
     # nor jsonschema and its dependencies, which only the tests use
     modules = ("numpy", "concurrent.futures", "jsonschema", "referencing", "attrs", "rpds")
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            f"import sys, ergolab.cli; print([m for m in {modules} if m in sys.modules])",
-        ],
-        capture_output=True,
-        text=True,
+    proc = fresh_python(
+        "-c", f"import sys, ergolab.cli; print([m for m in {modules} if m in sys.modules])"
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -724,7 +794,7 @@ def test_import_binds_every_public_name_and_loads_every_module():
         "    'numpy_after': 'numpy' in sys.modules,\n"
         "}))"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    proc = fresh_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     found = json.loads(proc.stdout)
     assert found.pop("names") > 0
@@ -738,12 +808,13 @@ def test_import_binds_every_public_name_and_loads_every_module():
     }
 
 
-def test_env_seed_does_not_override_the_flag_seed(tmp_path):
+def test_env_seed_does_not_override_the_flag_seed(tmp_path, monkeypatch):
     # ERGOLAB_SEED is no input: the seed comes from --seed alone
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     base = ["gauss", "--samples", "10000", "--degrees", "1", "--shifts", "3", "--seed", "7"]
     p1 = run_cli(*base, "--out", str(out1))
-    p2 = run_cli(*base, "--out", str(out2), env_extra={"ERGOLAB_SEED": "1"})
+    monkeypatch.setenv("ERGOLAB_SEED", "1")
+    p2 = run_cli(*base, "--out", str(out2))
     assert p1.returncode == 0 and p2.returncode == 0, p1.stderr + p2.stderr
     a = json.loads(out1.read_text(encoding="utf-8"))
     b = json.loads(out2.read_text(encoding="utf-8"))
@@ -751,18 +822,41 @@ def test_env_seed_does_not_override_the_flag_seed(tmp_path):
     assert a["results"] == b["results"]
 
 
-def test_invalid_env_seed_is_ignored():
-    proc = run_cli("ledrapier", "--k-max", "2", env_extra={"ERGOLAB_SEED": "x"})
+def test_invalid_env_seed_is_ignored(monkeypatch):
+    monkeypatch.setenv("ERGOLAB_SEED", "x")
+    proc = run_cli("ledrapier", "--k-max", "2")
     assert proc.returncode == 0, proc.stderr
 
 
 def test_same_seed_reruns_are_byte_identical(tmp_path):
-    out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+    # a fresh interpreter's run and two in-process runs after it: an
+    # in-process run carries no state of an earlier one into its results
+    outs = [tmp_path / f"{run}.json" for run in ("fresh", "again", "twice")]
     args = ["poisson", "--samples", "10000", "--ns", "0,3", "--seed", "5"]
-    assert run_cli(*args, "--out", str(out1)).returncode == 0
-    assert run_cli(*args, "--out", str(out2)).returncode == 0
-    a = json.loads(out1.read_text(encoding="utf-8"))
-    b = json.loads(out2.read_text(encoding="utf-8"))
-    blob_a = json.dumps(a["results"], sort_keys=True)
-    blob_b = json.dumps(b["results"], sort_keys=True)
-    assert blob_a == blob_b
+    assert fresh_python("-m", "ergolab", *args, "--out", str(outs[0])).returncode == 0
+    for out in outs[1:]:
+        assert run_cli(*args, "--out", str(out)).returncode == 0
+    blobs = [
+        json.dumps(json.loads(out.read_text(encoding="utf-8"))["results"], sort_keys=True)
+        for out in outs
+    ]
+    assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_only_the_fresh_interpreter_helpers_start_a_process():
+    # a CLI case runs in-process through run_cli; a case whose subject is a
+    # new interpreter or a real process goes through a named helper
+    tree = ast.parse(pathlib.Path(__file__).read_text(encoding="utf-8"))
+    reaching = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import) and all(a.asname is None for a in node.names):
+            continue  # `import subprocess` binds the name looked for below
+        if any(
+            isinstance(n, ast.Name) and n.id == "subprocess"
+            or isinstance(n, ast.alias) and n.name == "subprocess"
+            or isinstance(n, ast.ImportFrom) and n.module == "subprocess"
+            or isinstance(n, ast.Attribute) and n.attr == "executable"
+            for n in ast.walk(node)
+        ):
+            reaching.add(getattr(node, "name", None) or ast.unparse(node).splitlines()[0])
+    assert reaching == set(FRESH_INTERPRETER_HELPERS)

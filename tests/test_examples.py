@@ -9,7 +9,7 @@ import shlex
 import subprocess
 import sys
 
-from ergolab import cli
+from conftest import run_cli
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 # a README line `print(...)  # text` promises that the call prints `text`
@@ -57,7 +57,7 @@ INLINE_COMMANDS = {
 }
 
 
-def test_readme_command_lines_run_as_published(tmp_path, monkeypatch, capsys):
+def test_readme_command_lines_run_as_published(tmp_path, monkeypatch):
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
         readme = handle.read()
     (block,) = re.findall(r"## Command line\n\n```\n(.*?)```", readme, re.S)
@@ -68,4 +68,5 @@ def test_readme_command_lines_run_as_published(tmp_path, monkeypatch, capsys):
     for line, code in {**commands, **INLINE_COMMANDS}.items():
         program, *argv = shlex.split(line)
         assert program == "ergolab"
-        assert cli.main(argv) == code, (line, capsys.readouterr().err)
+        proc = run_cli(*argv)
+        assert proc.returncode == code, (line, proc.stderr)

@@ -151,6 +151,46 @@ def test_swap_weights_build_no_window_by_n_matrix():
     assert peak < model.n_levels * n_terms // 8
 
 
+@pytest.mark.parametrize(
+    "window, depth, a, n_terms",
+    [
+        (range(700), 2, range(50, 350), 50),
+        # a column order other than first appearance would reorder these rows
+        (range(700), 2, range(0, 700, 3), 200),
+        (range(700), 3, range(50, 350), 3000),
+        ((), 2, (), 5),
+    ],
+    ids=["depth2-N50", "every-third-level-N200", "depth3-N3000", "empty-window"],
+)
+def test_wh_statistic_is_the_dense_statistic_bit_for_bit(window, depth, a, n_terms):
+    # one sum per distinct column, weighed by how many times share it, draws
+    # what the whole rows draw on one generator and gives the same float
+    model = PoissonModel(rigid_mixing_pair().t_params, LevelSet(2, window), depth=depth)
+    _, signed, _ = _swap_weights(model, FinitarySwap(1, (1, 3)), LevelSet(2, a), n_terms)
+    assert np.unique(signed, axis=1).shape[1] < n_terms
+    stat = poisson._wh_statistic(model, signed)
+    dense = poisson._weighted_counts(model, signed)
+    for seed in range(3):
+        for size in (1, 7, 500):
+            sums = np.abs(dense(np.random.default_rng(seed), size)).sum(axis=1)
+            assert stat(np.random.default_rng(seed), size) == (sums / n_terms).mean()
+
+
+def test_wh_statistic_builds_no_samples_by_n_matrix():
+    # at depth 3 and N = 2000, the float64 sums of a batch of 1000 samples
+    # over every time would alone be 16 MB
+    model = PoissonModel(rigid_mixing_pair().t_params, LevelSet(2, range(700)), depth=3)
+    a, n_terms, size = LevelSet(2, range(50, 350)), 2000, 1000
+    _, signed, _ = _swap_weights(model, FinitarySwap(1, (1, 3)), a, n_terms)
+    tracemalloc.start()
+    try:
+        poisson._wh_statistic(model, signed)(np.random.default_rng(0), size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size * n_terms * 8 // 2
+
+
 def test_too_few_samples_per_batch_are_rejected(band_model):
     a = LevelSet(2, range(100, 150))
     swap = FinitarySwap(stage=1, pair=(1, 3))
