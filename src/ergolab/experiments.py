@@ -133,8 +133,8 @@ def _stage(default: int) -> dict:
 _DEPTH = {"type": "integer", "minimum": 0, "maximum": MAX_DEPTH}
 
 # no dim x dim array is formed; the cap bounds wh-gaussian's n_terms x dim
-# orbit rows and its dim x slice latent block (at most 511 samples a slice),
-# whatever the batch size
+# orbit rows and its latent block of at most dim rows a slice (at most 511
+# samples a slice), whatever the batch size
 _DIM = {"type": "integer", "minimum": 4, "maximum": 4096, "default": 64}
 
 # Caps on the parameters whose run time grows with their value: at one cap, a

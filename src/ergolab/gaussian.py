@@ -3,20 +3,20 @@
 The sequence is X_i = <U^i f, xi> with xi a standard normal vector and U the
 block rotation given by its angles, so every finite block of X values is an
 exact linear image of a Gaussian and the covariance E[X_0 X_n] equals
-<U^n f, f> to machine precision.  A block at k shifts is sampled from
-rank-many latent normals: with R the triangular factor of a QR of the k x d
-orbit rows, R^T z for z standard normal in min(k, d) coordinates has
-exactly the law of the rows applied to xi, so sampling stays exact in law
-while drawing min(k, d) normals per sample instead of d.  Hermite
-polynomials in the X's then have closed-form cross moments, which the
-Monte-Carlo estimators here are tested against.
+<U^n f, f> to machine precision.  Every block of k linear functionals of xi
+is drawn one way, through `rank_factor`: with R the triangular factor of a QR
+of the k x d functional rows, R^T z for z standard normal in min(k, d)
+coordinates has exactly the law of the rows applied to xi, so sampling stays
+exact in law while drawing min(k, d) normals per sample instead of d.
+Hermite polynomials in the X's then have closed-form cross moments, which
+the Monte-Carlo estimators here are tested against.
 
 The conjugated orbit of `gaussian_wh_experiment` differs from the plain one
 only through the two plane coordinates of xi, so its statistic draws only
-what it reads: degree 1 is a product of four linear functionals of xi,
-drawn as four latent normals through the same QR factor, and degree 2 draws
-all d coordinates, but one slice of samples at a time, with one matrix
-product per slice and a rank-two correction for the conjugated rows.
+what it reads: degree 1 four linear functionals of xi, and degree 2 its n
+orbit rows and two plane rows, through their factor only when the narrower
+draw repays the QR, one slice of samples at a time, with one matrix product
+per slice and a rank-two correction for the conjugated rows.
 
 numpy is imported on first call, not with the module, so the exact
 commands never load it.
@@ -35,7 +35,7 @@ from .operators import CesaroDefect, FiniteRankPerturbation, conjugate_defect, r
 
 __all__ = [
     "GaussianModel",
-    "factor_sampler",
+    "rank_factor",
     "hermite_value",
     "HermiteCorrelation",
     "gaussian_hermite_correlation",
@@ -78,21 +78,16 @@ class GaussianModel:
         return rotate(self.angles, self.vector, shifts)
 
 
-def factor_sampler(rows: np.ndarray):
-    """Batch sampler with the law of rows @ xi, xi standard normal in R^d.
+def rank_factor(rows: np.ndarray) -> np.ndarray:
+    """F = R^T for k x d rows with rows^T = Q R, so F F^T = rows rows^T.
 
-    With rows^T = Q R (Q with orthonormal columns), rows @ xi = R^T (Q^T xi)
-    and Q^T xi is standard normal, so R^T z draws the same k-dimensional
-    Gaussian from min(k, d) latent normals per sample.  Rank-deficient rows
-    are fine: R then has zero rows and the covariance is still rows rows^T.
+    rows @ xi = F (Q^T xi) and Q^T xi is standard normal for xi standard
+    normal in R^d, so F @ rng.standard_normal((F.shape[1], size)) draws the
+    law of rows @ xi from min(k, d) latent normals per sample.  Rank-deficient
+    rows are fine: R then has zero rows and F F^T is still rows rows^T.
     """
     import numpy as np
-    factor = np.linalg.qr(np.asarray(rows, dtype=float).T, mode="r").T
-
-    def sample(rng: np.random.Generator, size: int) -> np.ndarray:
-        return factor @ rng.standard_normal((factor.shape[1], size))
-
-    return sample
+    return np.linalg.qr(np.asarray(rows, dtype=float).T, mode="r").T
 
 
 def hermite_value(k: int, x: np.ndarray) -> np.ndarray:
@@ -139,10 +134,10 @@ def gaussian_hermite_correlation(
     if k not in (1, 2, 3):
         raise ValueError("degree must be 1, 2 or 3")
     rows = model.orbit_rows([0, n])
-    block = factor_sampler(rows)
+    factor = rank_factor(rows)
 
     def stat(rng: np.random.Generator, size: int) -> float:
-        x = block(rng, size)
+        x = factor @ rng.standard_normal((factor.shape[1], size))
         return (hermite_value(k, x[0]) * hermite_value(k, x[1])).mean()
 
     estimate = batch_estimate(stat, samples, seed=seed, jobs=jobs)
@@ -220,10 +215,10 @@ def triple_correlation_weakmix_check(
             for label, r in (("m", rho_m), ("n", rho_n), ("n-m", rho_gap))
             if abs(r) > threshold
         )
-        block = factor_sampler(np.stack([rows[0], rows[m], rows[n]]))
+        factor = rank_factor(np.stack([rows[0], rows[m], rows[n]]))
 
         def stat(rng: np.random.Generator, size: int) -> float:
-            x = block(rng, size)
+            x = factor @ rng.standard_normal((factor.shape[1], size))
             return np.count_nonzero((x[0] <= 0.0) & (x[1] <= 0.0) & (x[2] <= 0.0)) / size
 
         estimate = batch_estimate(stat, samples, seed=(seed, idx), jobs=jobs)
@@ -298,49 +293,55 @@ def gaussian_wh_experiment(
         raise ValueError("degree must be 1 or 2")
     if pert.dim != model.dim:
         raise ValueError("perturbation dimension does not match the model")
+    if n_terms < 1:
+        raise ValueError("need at least one Cesaro term")
     rows = model.orbit_rows(range(1, n_terms + 1))
-    conj_rows = pert.right_multiply(rows)
 
-    c_series = np.einsum("ij,ij->i", rows, conj_rows)
+    c_series = np.einsum("ij,ij->i", rows, pert.right_multiply(rows))
     exact = float(np.mean(math.factorial(k) * (c_series**k - 1.0)))
 
     defect = conjugate_defect(model.angles, pert, model.vector, n_terms)
     if k == 1:
         majorant = defect.defect
-        four = factor_sampler(_wh_gap_functionals(rows, pert))
+        factor = rank_factor(_wh_gap_functionals(rows, pert))
 
         def stat(rng: np.random.Generator, size: int) -> float:
-            v = four(rng, size)
+            v = factor @ rng.standard_normal((factor.shape[1], size))
             return (v[0] * v[2] + v[1] * v[3]).mean()
 
     else:
         majorant = math.factorial(k) * k * defect.majorant1
         w = pert.defect_factor(rows)
+        # X rows over the plane rows, whose image z is xi's plane coordinates;
+        # factored only where drawing fewer normals saves more than the QR costs
+        factor = np.vstack([rows, pert.plane.T])
+        if samples * (model.dim - len(factor)) > model.dim * len(factor):
+            factor = rank_factor(factor)
+        ends = np.cumsum([0, factor.shape[1], n_terms + 2, n_terms])  # latent, X with z, He2(X)
 
         def stat(rng: np.random.Generator, size: int) -> float:
             # per-sample Cesaro means first: one mean over all entries rounds differently
             means = np.empty(size)
             # Each slice of _COLUMNS samples draws its own latent block, so no
-            # array grows with the batch.  The slice's latent, X and He2(X)
-            # share one work block made once per batch: as separate or
-            # per-slice arrays, their frees make the allocator trim the heap
-            # and fault it in anew.  The last slice also takes the remainder,
-            # since a narrow ragged product can round apart from the
-            # full-width one (OpenBLAS does), and it goes first.
+            # array grows with the batch.  The slice's arrays share one work
+            # block made once per batch: freeing separate or per-slice arrays
+            # makes the allocator trim the heap and fault it in anew.  The last
+            # slice also takes the remainder, since a narrow ragged product
+            # can round apart from the full-width one (OpenBLAS does), and it
+            # goes first.
             n_slices = max(1, size // _COLUMNS)
             edges = [i * _COLUMNS for i in range(n_slices)] + [size]
-            ends = (0, model.dim, model.dim + n_terms, model.dim + 2 * n_terms)
             work = np.empty(ends[-1] * (size - edges[-2]))
             for lo, hi in reversed(list(zip(edges, edges[1:]))):
                 c = hi - lo
-                latent, x, hx = (work[a * c : b * c].reshape(-1, c) for a, b in zip(ends, ends[1:]))
+                latent, xz, hx = (work[a * c : b * c].reshape(-1, c) for a, b in zip(ends, ends[1:]))
                 rng.standard_normal(out=latent)
-                # X, then Y = X + W z in place, z the latent's plane coordinates;
-                # hx * (He2(Y) - hx) with He2(t) = t * t - 1
-                np.matmul(rows, latent, out=x)
+                # Y = X + W z in place, then hx * (He2(Y) - hx), He2(t) = t * t - 1
+                np.matmul(factor, latent, out=xz)
+                x = xz[:n_terms]
                 np.multiply(x, x, out=hx)
                 hx -= 1.0
-                x += w @ latent[list(pert.coords)]
+                x += w @ xz[n_terms:]
                 np.multiply(x, x, out=x)
                 x -= 1.0
                 x -= hx

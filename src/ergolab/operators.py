@@ -95,10 +95,8 @@ class FiniteRankPerturbation:
         if not (0 <= i < dim and 0 <= j < dim) or i == j:
             raise ValueError("plane coordinates must be distinct and in range")
         self.dim = dim
-        self.coords = (i, j)
         self.plane = np.zeros((dim, 2))
-        self.plane[i, 0] = 1.0
-        self.plane[j, 1] = 1.0
+        self.plane[[i, j], [0, 1]] = 1.0
         self.angle = float(angle)
         c, s = math.cos(self.angle), math.sin(self.angle)
         self._r_minus_i = np.array([[c - 1.0, -s], [s, c - 1.0]])

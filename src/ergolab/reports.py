@@ -26,16 +26,17 @@ from . import __version__ as TOOL_VERSION
 from .mc import EstimateWithError
 
 RNG_SCHEME = (
-    "row-batch-seeded/rank-factor/poisson-rows: batch b of the Monte-Carlo "
-    "row at report position r draws from numpy default_rng([seed, r, b]), so "
+    "row-batch-seeded/rank-factor/poisson-rows: batch b of the Monte-Carlo row "
+    "at report position r draws from numpy default_rng([seed, r, b]), so "
     "reordering ns reorders the streams; Gaussian shift blocks (gauss, "
     "triple-mixing) draw min(k, d) latent normals through the QR factor of "
-    "their k orbit rows; wh-gaussian degree 1 draws 4 through the QR factor "
-    "of its two plane coordinates and two gap functionals, degree 2 all d, "
-    "in slices of 256 samples, the last (with the remainder) first; Poisson "
-    "configurations (poisson, wh-poisson) draw one Poisson count per "
-    "configuration and distinct nonzero weight row, with mean the level width "
-    "times the number of window levels carrying that row"
+    "their k orbit rows; wh-gaussian degree 1 draws 4 through the QR factor of "
+    "its two plane coordinates and two gap functionals, degree 2 through that "
+    "of its n_terms + 2 orbit and plane rows if samples x (d - n_terms - 2) > "
+    "d x (n_terms + 2), else all d, in slices of 256 samples, the last (with "
+    "the remainder) first; Poisson configurations (poisson, wh-poisson) draw "
+    "one Poisson count per configuration and distinct nonzero weight row, with "
+    "mean the level width times the number of window levels carrying that row"
 )
 
 __all__ = [
@@ -99,8 +100,8 @@ class ExperimentReport:
     checks: list = field(default_factory=list)
     notes: list = field(default_factory=list)
     wall_clock_seconds: float = 0.0
-    version: str = TOOL_VERSION
-    rng_scheme: str = RNG_SCHEME
+    version = TOOL_VERSION  # unannotated: class constants, not fields
+    rng_scheme = RNG_SCHEME
 
     @property
     def all_passed(self) -> bool:

@@ -385,27 +385,32 @@ def hermite_cross_moment(k: int, rho: float, nodes: int = 60) -> float:
     return float(weights @ (hy * hx[:, None]) @ weights)
 
 
-def wh2_statistic_on_slice_draws(
-    rows: np.ndarray, w: np.ndarray, coords: tuple[int, int], columns: int
-):
+def wh2_statistic_on_slice_draws(factor: np.ndarray, w: np.ndarray, columns: int):
     """`gaussian_wh_experiment`'s degree-2 statistic, fed the same draws.
 
-    The latent block is drawn one slice of `columns` samples at a time, in
-    the experiment's order (the last slice, which also takes the remainder,
-    first), and laid out as one dim x batch block; the statistic is then
-    hx * (He2(x + W z) - hx) over the whole batch at once, with full-width
-    arrays, then the per-sample Cesaro means and their mean."""
+    `factor` is the experiment's stack of the n X rows over the two plane
+    rows, or the rank factor of that stack, and w the n x 2 defect factor.
+    The latent block, factor.shape[1] normals a sample, is drawn one slice
+    of `columns` samples at a time, in the experiment's order (the last
+    slice, which also takes the remainder, first), and laid out as one
+    block over the batch; X and the plane coordinates z are then
+    factor @ latent, and the statistic hx * (He2(X + W z) - hx), over the
+    whole batch at once with full-width arrays, then the per-sample Cesaro
+    means and their mean."""
     from ergolab.gaussian import hermite_value
+
+    n_terms = len(w)
 
     def stat(rng: np.random.Generator, size: int) -> float:
         n_slices = max(1, size // columns)
         edges = [i * columns for i in range(n_slices)] + [size]
-        latent = np.empty((rows.shape[1], size))
+        latent = np.empty((factor.shape[1], size))
         for lo, hi in reversed(list(zip(edges, edges[1:]))):
-            latent[:, lo:hi] = rng.standard_normal((rows.shape[1], hi - lo))
-        x = rows @ latent
+            latent[:, lo:hi] = rng.standard_normal((factor.shape[1], hi - lo))
+        xz = factor @ latent
+        x, z = xz[:n_terms], xz[n_terms:]
         hx = hermite_value(2, x)
-        hy = hermite_value(2, x + w @ latent[list(coords)])
+        hy = hermite_value(2, x + w @ z)
         return np.mean(hx * (hy - hx), axis=0).mean()
 
     return stat

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,14 +13,15 @@ from numpy.polynomial import hermite_e
 from ergolab.gaussian import (
     GaussianModel,
     _wh_gap_functionals,
-    factor_sampler,
     gaussian_hermite_correlation,
     gaussian_wh_experiment,
     hermite_value,
     orthant_probability,
+    rank_factor,
     triple_correlation_weakmix_check,
 )
-from ergolab.mc import BATCHES
+from ergolab.experiments import resolve_config
+from ergolab.mc import BATCHES, EstimateWithError
 from ergolab.operators import (
     FiniteRankPerturbation,
     make_rotation_operator,
@@ -102,37 +104,91 @@ def test_orbit_rows_are_bitwise_per_shift_and_match_dense_powers(kind, shifts):
     assert np.abs(got - want).max() <= 1e-13
 
 
-class _IdentityDraws:
-    """Generator stand-in whose normals are the identity's leading columns,
-    so a factor sampler hands back its factor (padded with zero columns)."""
-
-    def standard_normal(self, shape):
-        self.shape = shape
-        return np.eye(*shape)
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from([4, 8, 16]), _SHIFTS)
 def test_factor_reproduces_the_row_covariance(dim, shifts):
     model = GaussianModel(_random_angles(dim // 2, dim), random_unit_vector(dim, seed=1))
     rows = model.orbit_rows(shifts)
     k = len(shifts)
-    draws = _IdentityDraws()
-    padded = factor_sampler(rows)(draws, k)
-    assert draws.shape == (min(k, dim), k)
-    factor = padded[:, : min(k, dim)]
-    assert not padded[:, min(k, dim):].any()
+    factor = rank_factor(rows)
+    assert factor.shape == (k, min(k, dim))
     assert np.allclose(factor @ factor.T, rows @ rows.T, rtol=0.0, atol=1e-12)
 
 
-def test_factor_sampler_handles_repeated_shifts(model):
-    draws = _IdentityDraws()
-    factor = factor_sampler(model.orbit_rows([0, 0]))(draws, 2)
-    assert draws.shape == (2, 2)
+def test_rank_factor_handles_repeated_shifts(model):
+    factor = rank_factor(model.orbit_rows([0, 0]))
+    assert factor.shape == (2, 2)
     assert np.allclose(factor @ factor.T, np.ones((2, 2)), rtol=0.0, atol=1e-12)
-    x = factor_sampler(model.orbit_rows([5, 5]))(np.random.default_rng(0), 100)
+    factor = rank_factor(model.orbit_rows([5, 5]))
+    x = factor @ np.random.default_rng(0).standard_normal((factor.shape[1], 100))
     assert x.shape == (2, 100)
     assert np.allclose(x[0], x[1], rtol=0.0, atol=1e-12)
+
+
+class _CountingDraws:
+    """Generator stand-in that counts the standard normals it hands out."""
+
+    def __init__(self):
+        self._rng = np.random.default_rng(0)
+        self.normals = 0
+
+    def standard_normal(self, size=None, out=None):
+        x = self._rng.standard_normal(size, out=out)
+        self.normals += x.size
+        return x
+
+
+def _calibrated(dim):
+    pert = FiniteRankPerturbation(dim, 6, 7, angle=0.5)
+    model = GaussianModel(
+        make_rotation_operator(dim), vector_with_plane_mass(dim, pert, delta=0.02, seed=5)
+    )
+    return model, pert
+
+
+_WH_SAMPLES = resolve_config({"experiment": "wh-gaussian"})["params"]["samples"]
+
+
+@pytest.mark.parametrize(
+    "estimate, normals",
+    [
+        pytest.param(
+            lambda: gaussian_hermite_correlation(_calibrated(64)[0], 2, 5, 4000), 2, id="gauss"
+        ),
+        pytest.param(
+            lambda: triple_correlation_weakmix_check(_calibrated(64)[0], [3], [7], samples=4000),
+            3,
+            id="triple-mixing",
+        ),
+        pytest.param(
+            lambda: gaussian_wh_experiment(*_calibrated(64), 1, 100, 4000), 4, id="wh-degree-1"
+        ),
+        # n_terms + 2 = 102 rows on 64 coordinates: the dim normals are fewer
+        pytest.param(
+            lambda: gaussian_wh_experiment(*_calibrated(64), 2, 100, _WH_SAMPLES),
+            64,
+            id="wh-degree-2-full-width",
+        ),
+        # 22 rows on 256 coordinates, and the QR repays at these samples
+        pytest.param(
+            lambda: gaussian_wh_experiment(*_calibrated(256), 2, 20, _WH_SAMPLES),
+            22,
+            id="wh-degree-2-factored",
+        ),
+    ],
+)
+def test_gaussian_blocks_draw_min_rows_or_dim_latent_normals(monkeypatch, estimate, normals):
+    per_sample = []
+
+    def one_batch(stat, samples, **kwargs):
+        draws, size = _CountingDraws(), samples // BATCHES
+        stat(draws, size)
+        per_sample.append(draws.normals / size)
+        return EstimateWithError(0.0, 1.0, samples)
+
+    monkeypatch.setattr("ergolab.gaussian.batch_estimate", one_batch)
+    estimate()
+    assert per_sample == [normals]
 
 
 def test_rho_matches_matrix_power():
@@ -273,13 +329,14 @@ def test_wh_moment_gap_tracks_the_conjugation_defect():
 
 
 def test_wh_generic_plane_also_tracks():
-    # coordinates 5 and 10 lie in two rotation blocks, so the plane moves
-    angles = make_rotation_operator(64)
-    pert = FiniteRankPerturbation(64, 5, 10, angle=0.8)
-    model = GaussianModel(angles, random_unit_vector(64, seed=30))
-    r = gaussian_wh_experiment(model, pert, 2, 100, 10**4, seed=11)
-    assert r.tracks_exact
-    assert r.below_majorant
+    # coordinates 5 and 10 lie in two rotation blocks, so the plane moves;
+    # 102 rows on 64 coordinates draw all 64, 22 rows on 256 draw 22
+    for dim, n_terms in ((64, 100), (256, 20)):
+        pert = FiniteRankPerturbation(dim, 5, 10, angle=0.8)
+        model = GaussianModel(make_rotation_operator(dim), random_unit_vector(dim, seed=30))
+        r = gaussian_wh_experiment(model, pert, 2, n_terms, 10**4, seed=11)
+        assert r.tracks_exact, dim
+        assert r.below_majorant, dim
 
 
 @pytest.mark.parametrize(
@@ -298,7 +355,7 @@ def test_wh_conjugation_moves_only_the_plane_coordinates(plane, angle):
     x, y = rows @ xi, pert.right_multiply(rows) @ xi
     # the rank-2 term is the whole conjugation
     w = pert.defect_factor(rows)
-    np.testing.assert_allclose(w @ xi[list(pert.coords)], y - x, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(w @ (pert.plane.T @ xi), y - x, rtol=0, atol=1e-14)
     # degree 1: four linear functionals of xi give the full Cesaro statistic
     v = _wh_gap_functionals(rows, pert) @ xi
     full = np.mean(np.mean(y * x - x**2, axis=0))
@@ -306,21 +363,26 @@ def test_wh_conjugation_moves_only_the_plane_coordinates(plane, angle):
 
 
 _SLICED_VS_ORACLE = """
-from ergolab.gaussian import _COLUMNS, GaussianModel, gaussian_wh_experiment
+import numpy as np
+from ergolab.gaussian import _COLUMNS, GaussianModel, gaussian_wh_experiment, rank_factor
 from ergolab.mc import batch_estimate
 from ergolab.operators import (
     FiniteRankPerturbation, make_rotation_operator, vector_with_plane_mass,
 )
 from oracles import wh2_statistic_on_slice_draws
 
-pert = FiniteRankPerturbation(64, 6, 7, angle=0.5)
-model = GaussianModel(make_rotation_operator(64), vector_with_plane_mass(64, pert, delta=0.02, seed=5))
-rows = model.orbit_rows(range(1, 101))
-oracle = wh2_statistic_on_slice_draws(rows, pert.defect_factor(rows), pert.coords, _COLUMNS)
-for samples in (12000, 30000, 40000):  # batches of 300, 750 and 1000 samples
-    got = gaussian_wh_experiment(model, pert, 2, 100, samples, seed=7)
-    ref = batch_estimate(oracle, samples, seed=7)
-    print(got.estimate == ref, got.estimate.value != 0.0)
+# 102 rows on 64 coordinates draw all 64; 22 rows on 256 draw through the factor
+for dim, n_terms, factored in ((64, 100, False), (256, 20, True)):
+    pert = FiniteRankPerturbation(dim, 6, 7, angle=0.5)
+    model = GaussianModel(make_rotation_operator(dim), vector_with_plane_mass(dim, pert, delta=0.02, seed=5))
+    rows = model.orbit_rows(range(1, n_terms + 1))
+    stack = np.vstack([rows, pert.plane.T])
+    factor = rank_factor(stack) if factored else stack
+    oracle = wh2_statistic_on_slice_draws(factor, pert.defect_factor(rows), _COLUMNS)
+    for samples in (12000, 30000, 40000):  # batches of 300, 750 and 1000 samples
+        got = gaussian_wh_experiment(model, pert, 2, n_terms, samples, seed=7)
+        ref = batch_estimate(oracle, samples, seed=7)
+        print(got.estimate == ref, got.estimate.value != 0.0)
 """
 
 
@@ -335,25 +397,24 @@ def test_wh_degree2_slices_equal_the_full_width_statistic_on_the_same_draws():
         env=env, cwd=os.path.dirname(os.path.abspath(__file__)),  # for `oracles`
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True"] * 6
+    assert proc.stdout.split() == ["True"] * 12
 
 
 def test_wh_degree2_peak_memory_does_not_grow_with_the_batch():
-    # at dim 256 a whole batch's latent block would be 2 MB at 1024 samples
-    # and 8 MB at 4096; the statistic's work block holds one slice
-    pert = FiniteRankPerturbation(256, 6, 7, angle=0.5)
-    model = GaussianModel(
-        make_rotation_operator(256), vector_with_plane_mass(256, pert, delta=0.02, seed=5)
-    )
-    peaks = []
-    for batch in (1024, 4096):
-        tracemalloc.start()
-        try:
-            gaussian_wh_experiment(model, pert, 2, 20, BATCHES * batch, seed=1)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert abs(peaks[1] - peaks[0]) < 2**20, peaks
+    # a whole batch's latent, X with z, and He2(X) would hold about 2.2 MB at
+    # 1024 samples and 8.7 MB at 4096 at dim 64 (64 latent normals a sample),
+    # 2.5 and 10 MB at dim 256 (102); the statistic's work block holds one slice
+    for dim in (64, 256):
+        model, pert = _calibrated(dim)
+        peaks = []
+        for batch in (1024, 4096):
+            tracemalloc.start()
+            try:
+                gaussian_wh_experiment(model, pert, 2, 100, BATCHES * batch, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 2**20, (dim, peaks)
 
 
 def test_wh_rejects_bad_degree_or_dimension(model):
@@ -363,3 +424,12 @@ def test_wh_rejects_bad_degree_or_dimension(model):
     small = FiniteRankPerturbation(8, 0, 1, angle=0.5)
     with pytest.raises(ValueError):
         gaussian_wh_experiment(model, small, 1, 10, 10**4)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_wh_rejects_an_empty_cesaro_range_before_averaging_it(model, k):
+    pert = FiniteRankPerturbation(64, 0, 1, angle=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="need at least one Cesaro term"):
+            gaussian_wh_experiment(model, pert, k, 0, 10**4)
