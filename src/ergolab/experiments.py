@@ -50,6 +50,7 @@ from .ledrapier import (
     symdiff_identity_check,
     triple_measure,
 )
+from .mc import BATCHES
 from .operators import (
     FiniteRankPerturbation,
     conjugate_defect,
@@ -725,7 +726,7 @@ class ExperimentSpec:
         }
 
 
-_MC_PROPS = {"samples": _int(100000, minimum=1, maximum=_MAX_SAMPLES)}
+_MC_PROPS = {"samples": _int(100000, minimum=2 * BATCHES, maximum=_MAX_SAMPLES)}
 
 _CALIBRATED_OPERATOR_PROPS = {
     "dim": _DIM,

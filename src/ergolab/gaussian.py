@@ -11,12 +11,9 @@ exact in law while drawing min(k, d) normals per sample instead of d.
 Hermite polynomials in the X's then have closed-form cross moments, which
 the Monte-Carlo estimators here are tested against.
 
-The conjugated orbit of `gaussian_wh_experiment` differs from the plain one
-only through the two plane coordinates of xi, so its statistic draws only
-what it reads: degree 1 four linear functionals of xi, and degree 2 its n
-orbit rows and two plane rows, through their factor only when the narrower
-draw repays the QR, one slice of samples at a time, with one matrix product
-per slice and a rank-two correction for the conjugated rows.
+`gaussian_wh_experiment` reads only the plane P that S turns: its exact gap
+takes c_i = |f|^2 - (1 - cos theta)|P U^i f|^2, and its statistic draws four
+functionals of xi (degree 1) or the n orbit rows and two plane rows (degree 2).
 
 numpy is imported on first call, not with the module, so the exact
 commands never load it.
@@ -245,7 +242,9 @@ class GaussianWhResult:
 
     The conjugated observable is Y_i = <U^i f, S xi>; the statistic averages
     E[He_k(Y_i) He_k(X_i)] - E[He_k(X_i)^2] over i = 1..N.  Its exact value is
-    the average of k!((c_i)^k - 1) with c_i = <U^i f, S U^i f>, and for k = 1
+    the average of k!((c_i)^k - 1) with c_i = <U^i f, S U^i f> = |f|^2 -
+    (1 - cos theta)|P U^i f|^2 for P the plane S turns, |f|^2 - (1 - cos theta)
+    |P f|^2 at every i if P is a rotation block (the default [6, 7]); for k = 1
     Cauchy-Schwarz bounds the distance by the conjugation defect itself.
     """
 
@@ -297,7 +296,8 @@ def gaussian_wh_experiment(
         raise ValueError("need at least one Cesaro term")
     rows = model.orbit_rows(range(1, n_terms + 1))
 
-    c_series = np.einsum("ij,ij->i", rows, pert.right_multiply(rows))
+    pu = rows @ pert.plane  # each P U^i f, in the plane's two coordinates
+    c_series = np.dot(model.vector, model.vector) - (1.0 - math.cos(pert.angle)) * (pu * pu).sum(1)
     exact = float(np.mean(math.factorial(k) * (c_series**k - 1.0)))
 
     defect = conjugate_defect(model.angles, pert, model.vector, n_terms)

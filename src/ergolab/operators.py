@@ -59,12 +59,15 @@ def rotate(angles: np.ndarray, vecs: np.ndarray, shifts) -> np.ndarray:
     """
     import numpy as np
     turns = np.multiply.outer(np.asarray(shifts, dtype=float), angles)
-    cos, sin = np.cos(turns), np.sin(turns)
-    v = np.broadcast_to(vecs, (len(turns), 2 * len(angles)))
-    x, y = v[:, 0::2], v[:, 1::2]
-    rows = np.empty(v.shape)
-    rows[:, 0::2] = cos * x - sin * y
-    rows[:, 1::2] = sin * x + cos * y
+    v = np.asarray(vecs)
+    x, y = v[..., 0::2], v[..., 1::2]
+    rows = np.empty((len(turns), 2 * len(angles)))
+    part = np.cos(turns)
+    np.multiply(part, x, out=rows[:, 0::2])
+    np.multiply(part, y, out=rows[:, 1::2])
+    np.sin(turns, out=turns)
+    rows[:, 0::2] -= np.multiply(turns, y, out=part)
+    rows[:, 1::2] += np.multiply(turns, x, out=part)
     return rows
 
 
@@ -112,10 +115,6 @@ class FiniteRankPerturbation:
         of xi in the plane are all that conjugation adds.
         """
         return (rows @ self.plane) @ self._r_minus_i
-
-    def right_multiply(self, rows: np.ndarray) -> np.ndarray:
-        """rows @ S from the factored form, without a d x d array."""
-        return rows + self.defect_factor(rows) @ self.plane.T
 
     def plane_component_norm(self, vec: np.ndarray) -> float:
         import numpy as np

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import dataclasses
 import json
 import os
 import pathlib
@@ -11,7 +12,7 @@ import types
 import pytest
 
 from conftest import run_cli
-from ergolab import cli
+from ergolab import cli, experiments, mc
 from ergolab.constructions import MAX_DEPTH
 from ergolab.experiments import command_specs, resolve_config
 
@@ -214,6 +215,22 @@ def test_domain_errors_exit_2_without_traceback(argv, tmp_path):
     assert "Traceback" not in proc.stderr
     if not_a_number:
         assert "is not of type 'number'" in proc.stderr
+
+
+@pytest.mark.parametrize("command, samples", [("poisson", 10), ("gauss", 79)])
+def test_samples_below_two_a_batch_exit_2_before_anything_runs(command, samples, monkeypatch):
+    # the schema's minimum, 2 * mc.BATCHES = 80, refuses them: a runner that
+    # cannot be called shows nothing is built
+    monkeypatch.setitem(
+        experiments._CATALOGUE, command,
+        dataclasses.replace(experiments._CATALOGUE[command], runner=None),
+    )
+    proc = run_cli(command, "--samples", str(samples))
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        f"ergolab: config error: invalid params for {command!r}: "
+        f"{samples} is less than the minimum of {2 * mc.BATCHES}\n"
+    )
 
 
 # a check's threshold is a constant of the code, which no config can move

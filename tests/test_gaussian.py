@@ -29,7 +29,7 @@ from ergolab.operators import (
     uniform_unit_vector,
     vector_with_plane_mass,
 )
-from oracles import dense_orbit_rows, dense_rotation, hermite_cross_moment
+from oracles import dense_orbit_rows, dense_perturbation, dense_rotation, hermite_cross_moment
 
 
 def _random_angles(n_blocks: int, seed: int) -> np.ndarray:
@@ -352,7 +352,7 @@ def test_wh_conjugation_moves_only_the_plane_coordinates(plane, angle):
     model = GaussianModel(make_rotation_operator(64), random_unit_vector(64, seed=30))
     rows = model.orbit_rows(range(1, 101))
     xi = np.random.default_rng(4).standard_normal((64, 500))
-    x, y = rows @ xi, pert.right_multiply(rows) @ xi
+    x, y = rows @ xi, rows @ dense_perturbation(pert) @ xi
     # the rank-2 term is the whole conjugation
     w = pert.defect_factor(rows)
     np.testing.assert_allclose(w @ (pert.plane.T @ xi), y - x, rtol=0, atol=1e-14)
@@ -415,6 +415,39 @@ def test_wh_degree2_peak_memory_does_not_grow_with_the_batch():
             finally:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) < 2**20, (dim, peaks)
+
+
+@pytest.mark.parametrize("dim", [4, 16, 64, 256])
+@pytest.mark.parametrize("angle", [0.0, math.pi, -0.7])
+def test_wh_exact_gap_matches_the_dense_conjugation(dim, angle):
+    # c_i = <U^i f, S U^i f> from the plane coordinates against the dense
+    # product, for a plane inside one rotation block and one across two; the
+    # gap's k! (c^k - 1) moves by at most k k! times c's error
+    model = GaussianModel(make_rotation_operator(dim), random_unit_vector(dim, seed=dim))
+    rows = model.orbit_rows(range(1, 31))
+    for plane in ((2, 3), (1, dim - 2)):
+        pert = FiniteRankPerturbation(dim, *plane, angle=angle)
+        dense = np.einsum("ij,ij->i", rows, rows @ dense_perturbation(pert))
+        for k in (1, 2):
+            want = np.mean(math.factorial(k) * (dense**k - 1.0))
+            got = gaussian_wh_experiment(model, pert, k, 30, 2 * BATCHES).exact
+            assert abs(got - want) <= 4 * k * math.factorial(k) * np.spacing(1.0), (plane, k)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_wh_peak_memory_is_about_twice_the_orbit_rows(k):
+    # `rotate` holds the rows, its turns and one half-width buffer (2.0 times
+    # the rows), and degree 2 its stack of the rows over the plane rows beside
+    # them; nothing else is as large as the rows
+    dim, n_terms = 1024, 2000
+    model, pert = _calibrated(dim)
+    tracemalloc.start()
+    try:
+        gaussian_wh_experiment(model, pert, k, n_terms, 2 * BATCHES, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * n_terms * dim * 8
 
 
 def test_wh_rejects_bad_degree_or_dimension(model):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -74,6 +75,18 @@ def test_rotate_repeated_shifts_give_identical_rows():
     assert rows[4].tobytes() == f.tobytes()
 
 
+def test_rotate_peaks_at_about_twice_its_rows():
+    # the rows, their turns and one half-width buffer: 2.0 times the rows
+    angles, f = make_rotation_operator(1024), random_unit_vector(1024, seed=1)
+    tracemalloc.start()
+    try:
+        rows = rotate(angles, f, range(1, 2001))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * rows.nbytes
+
+
 def test_default_angles_are_far_from_short_rational_turns():
     # up to the schema's dim cap, no block turns within 1e-9 of a rational
     # with denominator at most 64: none repeats with a short exact period
@@ -106,7 +119,8 @@ def test_perturbation_norm_and_rank():
         assert np.abs(pert.apply_k(f) - k @ f).max() < 1e-15
         rows = np.stack([random_unit_vector(10, seed=m) for m in range(5)])
         assert np.abs(pert.apply_k(rows.T).T - rows @ k.T).max() < 1e-15
-        assert np.abs(pert.right_multiply(rows) - rows @ s).max() < 1e-15
+        # rows @ S = rows + W Q^T, the factored form wh-gaussian's statistic uses
+        assert np.abs(rows + pert.defect_factor(rows) @ pert.plane.T - rows @ s).max() < 1e-15
         # the plane mass sits on coordinate i; the dense projector sees delta of it
         g = vector_with_plane_mass(10, pert, delta=0.3, seed=seed)
         assert (g[i], g[j]) == (0.3, 0.0)
